@@ -2,19 +2,38 @@
 
 Rules are safe conjunctive patterns: one to four body atoms, one or two head
 atoms, every head variable bound in the body, and heads never introduce new
-nodes or link types. Evaluation is delta-driven (each round only joins against
-facts discovered in the previous round), runs to the least fixpoint, and is
-deterministic: rules, types, and fact rows are always visited in sorted order.
+nodes or link types.
+
+Evaluation is semi-naive over indexed relations and runs to the least
+fixpoint. Every link carries an insertion stamp, which splits each round's
+links into old facts, the delta (links the previous round added) and new
+links (added in this round, invisible until the next). A rule is matched once
+per body position: the atom at that position goes first and sees only the
+delta, atoms before it see only old facts, and atoms after it see old and
+delta facts, so each firing is enumerated exactly once per derive. An atom
+with its source or target already bound probes the network's (type, source)
+or (type, target) index instead of scanning the type. At the fixpoint
+the network keeps a mark: the rule/type signature, its removal epoch and its
+link count. The next derive starts from the links inserted since the mark, or
+from all links if a rule, a symmetric flag or the removal epoch changed, so a
+re-derive with nothing new joins nothing. Iteration is deterministic, so
+identical inputs give identical ids and provenance.
 
 Derived links record one provenance (rule id plus premise link ids, in body
-order). Retraction over-deletes the provenance closure of the retracted link
-and re-derives, which restores anything with surviving alternate support.
+order); every support found, the first included, is kept in the network's
+derivation_index. Retraction over-deletes the provenance closure of the
+retracted link and re-derives, which restores anything with surviving
+alternate support.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .errors import InvalidId, InvalidRule, UnknownLink
 from .sln import (
@@ -68,7 +87,7 @@ class Rule:
     head: Tuple[PatternAtom, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Derivation:
     """One recorded firing: rule, substitution, and premise links in body order."""
 
@@ -122,6 +141,10 @@ def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
 # ===== pattern matching =====
 
 FactRows = Dict[str, List[Tuple[str, str, str]]]  # type id -> (source, target, link id)
+Row = Tuple[str, str, str]
+# (type id, bound source or None, bound target or None, stamp limit) -> rows
+Probe = Callable[[str, Optional[str], Optional[str], int], Sequence[Row]]
+Match = Tuple[Dict[str, str], Tuple[str, ...]]
 
 
 def rows_from_network(network: Network) -> FactRows:
@@ -129,11 +152,15 @@ def rows_from_network(network: Network) -> FactRows:
     return {tid: network.type_facts(tid) for tid in sorted(network.link_types)}
 
 
-def rows_from_links(links: Iterable[SemanticLink]) -> FactRows:
-    """Raw per-type rows over a loose link collection (no symmetric view)."""
+def rows_from_links(links: Iterable[SemanticLink], symmetric: Collection[str] = ()) -> FactRows:
+    """Per-type rows over a loose link collection, sorted; links of a type in
+    symmetric also appear reversed (self-loops once)."""
     rows: FactRows = {}
     for link in links:
-        rows.setdefault(link.type, []).append((link.source, link.target, link.id))
+        bucket = rows.setdefault(link.type, [])
+        bucket.append((link.source, link.target, link.id))
+        if link.type in symmetric and link.source != link.target:
+            bucket.append((link.target, link.source, link.id))
     for bucket in rows.values():
         bucket.sort()
     return rows
@@ -150,48 +177,169 @@ def _unify(term: str, value: str, env: Dict[str, str]) -> Optional[Dict[str, str
     return env if term == value else None
 
 
+_NO_ENDS: Dict[str, str] = {}  # stands in for a missing index bucket; never written
+
+
+def _network_probe(network: Network) -> Probe:
+    """Rows of one type read through the network's (type, source) and (type,
+    target) indexes, keeping links stamped below the limit.
+
+    A bound source or target is looked up, never scanned. A symmetric type
+    also yields each stored link read backwards, except self-loops.
+    """
+    by_source, by_target, stamp = network._by_source, network._by_target, network._stamp
+    symmetric = {tid for tid, lt in network.link_types.items() if lt.symmetric}
+
+    def probe(tid: str, s: Optional[str], t: Optional[str], limit: int) -> List[Row]:
+        forward = by_source.get(tid)
+        if forward is None:
+            return []
+        sym = tid in symmetric
+        rows: List[Row] = []
+        if s is not None and t is not None:
+            for a, b in ((s, t), (t, s)) if sym and s != t else ((s, t),):
+                lid = forward.get(a, _NO_ENDS).get(b)
+                if lid is not None and stamp[lid] < limit:
+                    rows.append((s, t, lid))
+        elif s is not None:
+            for end, lid in forward.get(s, _NO_ENDS).items():
+                if stamp[lid] < limit:
+                    rows.append((s, end, lid))
+            if sym:
+                for end, lid in by_target[tid].get(s, _NO_ENDS).items():
+                    if end != s and stamp[lid] < limit:
+                        rows.append((s, end, lid))
+        elif t is not None:
+            for end, lid in by_target[tid].get(t, _NO_ENDS).items():
+                if stamp[lid] < limit:
+                    rows.append((end, t, lid))
+            if sym:
+                for end, lid in forward.get(t, _NO_ENDS).items():
+                    if end != t and stamp[lid] < limit:
+                        rows.append((end, t, lid))
+        else:
+            for source, targets in forward.items():
+                for target, lid in targets.items():
+                    if stamp[lid] < limit:
+                        rows.append((source, target, lid))
+                        if sym and source != target:
+                            rows.append((target, source, lid))
+        return rows
+
+    return probe
+
+
+def _rows_probe(rows: FactRows) -> Probe:
+    """Probe over plain rows (the limit is ignored); rows of a type are
+    grouped by source or by target on first use, keeping their order."""
+    groups: Dict[Tuple[str, int], Dict[str, List[Row]]] = {}
+
+    def probe(tid: str, s: Optional[str], t: Optional[str], _limit: int) -> Sequence[Row]:
+        bucket = rows.get(tid, ())
+        if s is None and t is None:
+            return bucket
+        side, node = (0, s) if s is not None else (1, t)
+        grouped = groups.get((tid, side))
+        if grouped is None:
+            grouped = groups[(tid, side)] = {}
+            for row in bucket:
+                grouped.setdefault(row[side], []).append(row)
+        found = grouped.get(node, [])
+        if s is not None and t is not None:
+            found = [row for row in found if row[1] == t]
+        return found
+
+    return probe
+
+
+# How a step treats a source or target term: read its value from constants or
+# earlier bindings, bind it, or (target only) require it to equal the source.
+_READ, _BIND, _SAME = 0, 1, 2
+
+
 def match_atoms(
-    rows: FactRows,
+    facts: Union[Network, FactRows],
     atoms: Sequence[PatternAtom],
     delta_rows: Optional[FactRows] = None,
     delta_pos: Optional[int] = None,
-) -> List[Tuple[Dict[str, str], Tuple[str, ...]]]:
+    split: Optional[Tuple[int, int]] = None,
+) -> List[Match]:
     """All substitutions satisfying the atom conjunction, in deterministic order.
 
-    When delta_rows/delta_pos are given, the atom at delta_pos only matches
-    delta facts (the semi-naive restriction). Premises come back in atom order.
+    facts is a Network, probed through its indexes wherever an atom's source
+    or target is bound, or plain per-type rows. When delta_rows/delta_pos are
+    given, the atom at delta_pos is matched first and only against delta_rows
+    (the semi-naive restriction); the other atoms follow in body order. With
+    split = (delta_from, new_from), a Network's atoms before delta_pos see only
+    links stamped below delta_from (old facts) and atoms after it only links
+    stamped below new_from (old and delta facts), so each firing of a round is
+    enumerated once. Premises come back in atom order.
     """
-    results: List[Tuple[Dict[str, str], Tuple[str, ...]]] = []
-
-    def walk(idx: int, env: Dict[str, str], premises: List[str]) -> None:
-        if idx == len(atoms):
-            results.append((env, tuple(premises)))
-            return
-        atom = atoms[idx]
-        table = delta_rows if (delta_rows is not None and idx == delta_pos) else rows
-        t_term = atom.type
-        if is_variable(t_term) and t_term in env:
-            type_candidates = [env[t_term]]
-        elif is_variable(t_term):
-            type_candidates = sorted(table)
+    if isinstance(facts, Network):
+        probe = _network_probe(facts)
+        types = sorted(facts.link_types)
+        limit = facts._next_stamp
+    else:
+        probe = _rows_probe(facts)
+        types = sorted(facts)
+        limit = 0
+    order = list(range(len(atoms)))
+    if delta_rows is not None:
+        order.remove(delta_pos)
+        order.insert(0, delta_pos)
+    bound: set = set()
+    steps = []
+    for pos in order:
+        atom = atoms[pos]
+        type_fresh = is_variable(atom.type) and atom.type not in bound
+        bound.add(atom.type)
+        src_mode = _BIND if is_variable(atom.source) and atom.source not in bound else _READ
+        bound.add(atom.source)
+        if not is_variable(atom.target) or atom.target not in bound:
+            tgt_mode = _BIND if is_variable(atom.target) else _READ
+        elif atom.target == atom.source and src_mode == _BIND:
+            tgt_mode = _SAME
         else:
-            type_candidates = [t_term]
-        for tid in type_candidates:
-            env_t = _unify(t_term, tid, env)
-            if env_t is None:
-                continue
-            for s, t, lid in table.get(tid, ()):
-                env_s = _unify(atom.source, s, env_t)
-                if env_s is None:
-                    continue
-                env_st = _unify(atom.target, t, env_s)
-                if env_st is None:
-                    continue
-                premises.append(lid)
-                walk(idx + 1, env_st, premises)
-                premises.pop()
+            tgt_mode = _READ
+        bound.add(atom.target)
+        if pos == delta_pos and delta_rows is not None:
+            step_probe, step_types, step_limit = _rows_probe(delta_rows), sorted(delta_rows), 0
+        else:
+            step_probe, step_types = probe, types
+            step_limit = limit
+            if split is not None:
+                step_limit = split[0] if pos < delta_pos else split[1]
+        steps.append((pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types,
+                      step_limit))
 
-    walk(0, {}, [])
+    results: List[Match] = []
+    env: Dict[str, str] = {}
+    premises = [""] * len(atoms)
+    last = len(steps) - 1
+
+    # Variables bound at a step are overwritten, never unbound: no later step
+    # reads them before binding them again on the current path.
+    def walk(k: int) -> None:
+        pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types, step_limit = steps[k]
+        for tid in step_types if type_fresh else (env.get(atom.type, atom.type),):
+            if type_fresh:
+                env[atom.type] = tid
+            s = None if src_mode == _BIND else env.get(atom.source, atom.source)
+            t = None if tgt_mode != _READ else env.get(atom.target, atom.target)
+            for row_s, row_t, lid in step_probe(tid, s, t, step_limit):
+                if src_mode == _BIND:
+                    env[atom.source] = row_s
+                if tgt_mode == _BIND:
+                    env[atom.target] = row_t
+                elif tgt_mode == _SAME and row_t != row_s:
+                    continue
+                premises[pos] = lid
+                if k == last:
+                    results.append((dict(env), tuple(premises)))
+                else:
+                    walk(k + 1)
+
+    walk(0)
     return results
 
 
@@ -237,16 +385,37 @@ def effective_rules(network: Network) -> List[Rule]:
 
 # ===== fixpoint =====
 
+Support = Tuple[str, Tuple[str, ...]]  # (rule id, premise link ids)
+_support_of = operator.attrgetter("rule_id", "premises")  # of a Derivation or Derived
+
+
 def _derivation_known(
-    network: Network, link: SemanticLink, rule_id: str, premises: Tuple[str, ...]
+    network: Network,
+    on_file: Dict[str, Set[Support]],
+    link: SemanticLink,
+    support: Support,
 ) -> bool:
-    """Whether this (rule, premises) support for the link is already on file."""
-    prov = link.provenance
-    if isinstance(prov, Derived) and (prov.rule_id, prov.premises) == (rule_id, premises):
+    """Whether this support for the link is already on file; files it if not.
+
+    on_file caches, per link, the supports recorded for it, read from the link's
+    provenance and derivation_index the first time the link is touched.
+    """
+    supports = on_file.get(link.id)
+    if supports is None:
+        supports = set(map(_support_of, network.derivation_index.get(link.id, ())))
+        supports.add(_support_of(link.provenance))
+        on_file[link.id] = supports
+    if support in supports:
         return True
-    return any(
-        (d.rule_id, d.premises) == (rule_id, premises)
-        for d in network.derivation_index.get(link.id, ())
+    supports.add(support)
+    return False
+
+
+def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
+    """What a fixpoint depends on besides the links: rules and symmetric flags."""
+    return (
+        tuple((rule.id, rule.body, rule.head) for rule in rules),
+        tuple(sorted(tid for tid, lt in network.link_types.items() if lt.symmetric)),
     )
 
 
@@ -254,8 +423,8 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derivati
     """Run every rule to the least fixpoint; returns (new links, new derivations).
 
     The result set is independent of rule order and link insertion order; the
-    ids and provenance assigned to new links follow the engine's own sorted
-    iteration, so identical inputs give identical outputs.
+    ids and provenance assigned to new links follow the engine's own
+    deterministic iteration, so identical inputs give identical outputs.
     """
     for rid in sorted(network.rules):
         problems = validate_rule(network.rules[rid], network)
@@ -266,45 +435,51 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derivati
     new_derivations: List[Derivation] = []
     if not rules:
         return new_links, new_derivations
-    seen_firings = set()
-    delta_ids = set(network.links)
-    while delta_ids:
-        rows = rows_from_network(network)
-        delta_rows: FactRows = {
-            tid: [row for row in bucket if row[2] in delta_ids]
-            for tid, bucket in rows.items()
-        }
-        round_new: set = set()
+    signature = _signature(network, rules)
+    mark = network.derive_mark
+    if mark is not None and mark[:2] == (signature, network.removal_epoch):
+        # The links up to the mark are closed under these rules already.
+        delta = list(itertools.islice(network.links.values(), mark[2], None))
+    else:
+        delta = list(network.links.values())
+    symmetric = signature[1]
+    on_file: Dict[str, Set[Support]] = {}
+    while delta:
+        split = (network._stamp[delta[0].id], network._next_stamp)
+        delta_rows = rows_from_links(delta, symmetric)
+        # Atoms before the delta position see only old facts; when the delta
+        # is every link, only delta position 0 can match.
+        old_facts = len(delta) < len(network.links)
+        round_new: List[SemanticLink] = []
         for rule in rules:
-            for pos in range(len(rule.body)):
-                for env, premises in match_atoms(rows, rule.body, delta_rows, pos):
-                    key = (rule.id, tuple(sorted(env.items())))
-                    if key in seen_firings:
-                        continue
-                    seen_firings.add(key)
-                    weight = min(network.links[p].weight for p in premises)
-                    for head in rule.head:
-                        s, tid, t = head.substituted(env)
+            heads = [(h.source, h.type, h.target) for h in rule.head]
+            for pos in range(len(rule.body) if old_facts else 1):
+                for env, premises in match_atoms(network, rule.body, delta_rows, pos, split):
+                    support = (rule.id, premises)
+                    for h_source, h_type, h_target in heads:
+                        s, tid = env.get(h_source, h_source), env.get(h_type, h_type)
+                        t = env.get(h_target, h_target)
                         existing = network._find_stored(s, tid, t)
-                        if existing is not None:
-                            if not existing.is_explicit and not _derivation_known(
-                                network, existing, rule.id, premises
-                            ):
-                                d = Derivation(existing.id, rule.id, dict(env), premises)
-                                network.derivation_index.setdefault(
-                                    existing.id, []
-                                ).append(d)
-                                new_derivations.append(d)
+                        if existing is None:
+                            weight = min(network.links[p].weight for p in premises)
+                            lid = network.add_derived(
+                                s, tid, t, weight, Derived(rule.id, premises)
+                            )
+                            on_file[lid] = {support}
+                            link = network.links[lid]
+                            new_links.append(link)
+                            round_new.append(link)
+                        elif existing.is_explicit or _derivation_known(
+                            network, on_file, existing, support
+                        ):
                             continue
-                        lid = network.add_derived(
-                            s, tid, t, weight, Derived(rule.id, premises)
-                        )
-                        d = Derivation(lid, rule.id, dict(env), premises)
+                        else:
+                            lid = existing.id
+                        d = Derivation(lid, rule.id, env, premises)
                         network.derivation_index.setdefault(lid, []).append(d)
                         new_derivations.append(d)
-                        new_links.append(network.links[lid])
-                        round_new.add(lid)
-        delta_ids = round_new
+        delta = round_new
+    network.derive_mark = (signature, network.removal_epoch, len(network.links))
     return new_links, new_derivations
 
 

@@ -7,9 +7,10 @@ entry into a category hierarchy. Links are explicit (asserted) or derived
 stored once and completed at query time; transitive types behave like an
 implicit chain rule (the rule engine synthesizes it).
 
-All mutation goes through the public methods so the connection index stays a
-pure function of the link set, and identical operation sequences on empty
-networks produce identical canonical exports.
+All mutation goes through the public methods so the link indexes (by endpoint
+pair, by type and source, by type and target) stay a pure function of the link
+set, and identical operation sequences on empty networks produce identical
+canonical exports.
 """
 
 from __future__ import annotations
@@ -181,6 +182,9 @@ def parse_pattern(text: str) -> QueryPattern:
     return QueryPattern(parts[0], parts[1], parts[2])
 
 
+_NO_ENDS: Dict = {}  # stands in for a missing index bucket; never written
+
+
 class Network:
     """A semantic link network with nodes, typed links, and attached rules."""
 
@@ -192,6 +196,19 @@ class Network:
         self.rules: Dict[str, object] = {}  # rule id -> rules.Rule
         self.derivation_index: Dict[str, list] = {}  # link id -> [Derivation]
         self._index: Dict[Tuple[str, str], Set[str]] = {}
+        # type -> source -> target -> link id, and type -> target -> source ->
+        # link id. Insertion-ordered, so joins over them are deterministic.
+        self._by_source: Dict[str, Dict[str, Dict[str, str]]] = {}
+        self._by_target: Dict[str, Dict[str, Dict[str, str]]] = {}
+        # Link id -> insertion stamp; stamps only grow, so a derive round's
+        # delta is every link stamped at or after the round's first new link.
+        self._stamp: Dict[str, int] = {}
+        self._next_stamp = 0
+        # Bumped by every link removal; a derive mark from an older epoch is void.
+        self.removal_epoch = 0
+        # (rule/type signature, removal epoch, link count) at the last fixpoint;
+        # written and read by rules.derive_fixpoint.
+        self.derive_mark: Optional[tuple] = None
         self._counters: Dict[str, int] = {}
 
     # ===== id management =====
@@ -281,6 +298,12 @@ class Network:
 
     def _index_add(self, link: SemanticLink) -> None:
         self._index.setdefault((link.source, link.target), set()).add(link.id)
+        by_source = self._by_source.setdefault(link.type, {})
+        by_source.setdefault(link.source, {})[link.target] = link.id
+        by_target = self._by_target.setdefault(link.type, {})
+        by_target.setdefault(link.target, {})[link.source] = link.id
+        self._stamp[link.id] = self._next_stamp
+        self._next_stamp += 1
 
     def _index_remove(self, link: SemanticLink) -> None:
         key = (link.source, link.target)
@@ -289,19 +312,27 @@ class Network:
             bucket.discard(link.id)
             if not bucket:
                 del self._index[key]
+        for index, near, far in (
+            (self._by_source, link.source, link.target),
+            (self._by_target, link.target, link.source),
+        ):
+            per_type = index[link.type]
+            ends = per_type[near]
+            del ends[far]
+            if not ends:
+                del per_type[near]
+                if not per_type:
+                    del index[link.type]
+        del self._stamp[link.id]
+        self.removal_epoch += 1
 
     def _find_stored(self, source: str, type_id: str, target: str) -> Optional[SemanticLink]:
         """Stored link answering the triple, honoring symmetric completion."""
-        for lid in self._index.get((source, target), ()):
-            link = self.links[lid]
-            if link.type == type_id:
-                return link
-        if self.link_types[type_id].symmetric:
-            for lid in self._index.get((target, source), ()):
-                link = self.links[lid]
-                if link.type == type_id:
-                    return link
-        return None
+        by_source = self._by_source.get(type_id, _NO_ENDS)
+        lid = by_source.get(source, _NO_ENDS).get(target)
+        if lid is None and self.link_types[type_id].symmetric:
+            lid = by_source.get(target, _NO_ENDS).get(source)
+        return None if lid is None else self.links[lid]
 
     def assert_link(
         self,
@@ -388,24 +419,39 @@ class Network:
         link = self.link(link_id)
         if not link.is_explicit:
             raise CannotRetractDerived(f"link {link_id!r} is derived")
+        # premise id -> ids of links whose stored provenance or recorded
+        # derivations cite it.
+        dependents: Dict[str, List[str]] = {}
+        for other in self.links.values():
+            if not other.is_explicit:
+                for premise in other.provenance.premises:
+                    dependents.setdefault(premise, []).append(other.id)
+        for lid, derivations in self.derivation_index.items():
+            for derivation in derivations:
+                for premise in derivation.premises:
+                    dependents.setdefault(premise, []).append(lid)
+        # Over-delete: a derived link goes when its stored provenance cites a
+        # removed link.
         removed = {link_id}
-        # Over-delete: walk the stored-provenance dependency closure.
-        changed = True
-        while changed:
-            changed = False
-            for other in self.links.values():
-                if other.id in removed or other.is_explicit:
+        stack = [link_id]
+        while stack:
+            for lid in dependents.get(stack.pop(), ()):
+                if lid in removed:
                     continue
-                if any(p in removed for p in other.provenance.premises):
-                    removed.add(other.id)
-                    changed = True
+                other = self.links[lid]
+                if not other.is_explicit and not removed.isdisjoint(other.provenance.premises):
+                    removed.add(lid)
+                    stack.append(lid)
         for rid in removed:
-            gone = self.links.pop(rid)
-            self._index_remove(gone)
+            self._index_remove(self.links.pop(rid))
             self.derivation_index.pop(rid, None)
-        # Drop recorded alternate derivations that referenced removed links.
-        for lid, derivations in list(self.derivation_index.items()):
-            kept = [d for d in derivations if not (set(d.premises) & removed)]
+        # Drop the surviving links' recorded derivations that cite removed links.
+        citing = {lid for rid in removed for lid in dependents.get(rid, ())}
+        for lid in citing - removed:
+            derivations = self.derivation_index.get(lid)
+            if derivations is None:
+                continue
+            kept = [d for d in derivations if removed.isdisjoint(d.premises)]
             if kept:
                 self.derivation_index[lid] = kept
             else:
@@ -435,12 +481,11 @@ class Network:
         """(source, target, link id) rows for one type, symmetric view included."""
         rows = []
         symmetric = self.link_types[type_id].symmetric
-        for link in self.links.values():
-            if link.type != type_id:
-                continue
-            rows.append((link.source, link.target, link.id))
-            if symmetric and link.source != link.target:
-                rows.append((link.target, link.source, link.id))
+        for source, targets in self._by_source.get(type_id, _NO_ENDS).items():
+            for target, lid in targets.items():
+                rows.append((source, target, lid))
+                if symmetric and source != target:
+                    rows.append((target, source, lid))
         rows.sort()
         return rows
 
@@ -457,12 +502,14 @@ class Network:
             assert pattern.source is not None and pattern.target is not None
             for link in self.links_between(pattern.source, pattern.target):
                 out.add(link.type)
+            return sorted(out)
+        if pattern.source is None:
+            bound, forward, backward = pattern.target, self._by_target, self._by_source
         else:
-            for s, t, _lid in self.type_facts(pattern.type):
-                if pattern.source is None and t == pattern.target:
-                    out.add(s)
-                elif pattern.target is None and s == pattern.source:
-                    out.add(t)
+            bound, forward, backward = pattern.source, self._by_source, self._by_target
+        out.update(forward.get(pattern.type, _NO_ENDS).get(bound, ()))
+        if self.link_types[pattern.type].symmetric:
+            out.update(backward.get(pattern.type, _NO_ENDS).get(bound, ()))
         return sorted(out)
 
     # ===== ranks =====
@@ -495,13 +542,6 @@ class Network:
         return [
             self.links[lid] for lid in sorted(self.links) if not self.links[lid].is_explicit
         ]
-
-    def brute_index(self) -> Dict[Tuple[str, str], Set[str]]:
-        """Reference grouping of link ids by endpoint pair (for index checks)."""
-        grouped: Dict[Tuple[str, str], Set[str]] = {}
-        for link in self.links.values():
-            grouped.setdefault((link.source, link.target), set()).add(link.id)
-        return grouped
 
 
 def iter_anchor_ids(network: Network) -> Iterable[str]:

@@ -1,10 +1,13 @@
 """Rule validation, fixpoint derivation, explanations, and maintenance."""
 
+import math
 import random
 
 import pytest
 
+from ksengine import rules
 from ksengine.errors import DuplicateExplicitLink, InvalidRule
+from ksengine.ksif import export_state
 from ksengine.rules import (
     PatternAtom,
     Rule,
@@ -16,6 +19,7 @@ from ksengine.rules import (
     verify_explanation,
 )
 from ksengine.sln import Network, RepBundle
+from ksengine.state import EngineState
 
 import oracles
 from generators import engine_fact_set, network_as_tuples, random_network
@@ -245,3 +249,178 @@ def test_every_derived_link_explains_and_verifies():
         derive_fixpoint(net)
         for link in net.derived_links():
             assert verify_explanation(net, explain(net, link.id))
+
+
+# ===== differential tests on larger networks =====
+
+def large_network(rng, size=50):
+    """A seeded network of `size` nodes exercising every kind of rule atom.
+
+    Types: a transitive "pre" with short forward hops (so its closure stays
+    small), a symmetric "sym", a plain "rel" and a head-only "out". Rules mix
+    a type-variable body, constant terms, a self-loop atom, a three-atom join
+    and a two-head rule; explicit links include self-loops.
+    """
+    net = Network()
+    nodes = [net.add_node(RepBundle(word=f"node {i}"), node_id=f"n{i:03d}")
+             for i in range(size)]
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    net.add_link_type(RepBundle(word="sym"), symmetric=True, type_id="sym")
+    net.add_link_type(RepBundle(word="rel"), type_id="rel")
+    net.add_link_type(RepBundle(word="out"), type_id="out")
+    for _ in range(size):
+        i = rng.randrange(size - 3)
+        _try_assert(net, nodes[i], "pre", nodes[i + rng.randint(1, 3)])
+    for tid, count in (("sym", size // 3), ("rel", size // 3)):
+        for _ in range(count):
+            a = rng.choice(nodes)
+            _try_assert(net, a, tid, a if rng.random() < 0.1 else rng.choice(nodes))
+    c1, c2 = rng.sample(nodes, 2)
+    templates = [
+        ((("?a", "?t", "?b"), ("?b", "?t", "?a")), (("?a", "out", "?b"),)),
+        (((c1, "pre", "?x"), ("?x", "sym", "?y")), ((c1, "out", "?y"),)),
+        ((("?x", "rel", "?x"), ("?x", "sym", "?y")), (("?y", "out", "?y"),)),
+        ((("?a", "sym", "?b"), ("?b", "sym", "?c"), ("?c", "rel", "?a")),
+         (("?a", "out", "?c"),)),
+        ((("?a", "rel", "?b"),), (("?a", "out", "?b"), ("?b", "out", "?a"))),
+        ((("?a", "rel", "?c"), ("?b", "rel", "?c")), (("?a", "sym", "?b"),)),
+        ((("?a", "out", c2), ("?a", "pre", "?b")), (("?b", "rel", c2),)),
+    ]
+    for i, (body, head) in enumerate(templates):
+        _add_rule(net, f"r{i}", body, head)
+    return net
+
+
+def _try_assert(net, source, tid, target):
+    try:
+        return net.assert_link(source, tid, target)
+    except DuplicateExplicitLink:
+        return None
+
+
+def _add_rule(net, rid, body, head):
+    rule = Rule(rid, RepBundle(word=rid), tuple(PatternAtom(*a) for a in body),
+                tuple(PatternAtom(*a) for a in head))
+    assert not validate_rule(rule, net)
+    net.rules[rid] = rule
+
+
+def _supports(net):
+    """Every recorded derivation as (head, rule, premises) with links read as
+    triples, a symmetric link's endpoints in sorted order."""
+    def key(lid):
+        link = net.links[lid]
+        s, t = link.source, link.target
+        if net.link_types[link.type].symmetric:
+            s, t = sorted((s, t))
+        return (s, link.type, t)
+
+    return {
+        (key(lid), d.rule_id, tuple(key(p) for p in d.premises))
+        for lid, derivations in net.derivation_index.items()
+        for d in derivations
+    }
+
+
+def _scratch_copy(net):
+    """The same explicit links, types and rules, never derived."""
+    fresh = Network()
+    for nid in net.nodes:
+        fresh.add_node(RepBundle(word=nid), node_id=nid)
+    for tid, lt in net.link_types.items():
+        fresh.add_link_type(lt.rep, lt.transitive, lt.symmetric, type_id=tid)
+    for link in net.explicit_links():
+        fresh.assert_link(link.source, link.type, link.target, link.weight, link_id=link.id)
+    fresh.rules.update(net.rules)
+    return fresh
+
+
+def _check_against_oracles(net):
+    explicit, rules, symmetric, transitive = network_as_tuples(net)
+    assert engine_fact_set(net) == oracles.naive_fixpoint(
+        explicit, rules, symmetric, transitive)
+    for lid, derivations in net.derivation_index.items():
+        supports = [(d.rule_id, d.premises) for d in derivations]
+        assert len(supports) == len(set(supports))
+        assert lid in net.links
+        assert all(p in net.links for d in derivations for p in d.premises)
+    scratch = _scratch_copy(net)
+    derive_fixpoint(scratch)
+    assert _supports(net) == _supports(scratch)
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_fixpoint_matches_oracle_through_mutations(seed):
+    rng = random.Random(seed)
+    net = large_network(rng)
+    derive_fixpoint(net)
+    _check_against_oracles(net)
+
+    nodes = sorted(net.nodes)
+    for _ in range(4):
+        _try_assert(net, rng.choice(nodes), rng.choice(("sym", "rel")), rng.choice(nodes))
+    derive_fixpoint(net)
+    _check_against_oracles(net)
+
+    for _ in range(3):
+        retract_with_maintenance(net, rng.choice(net.explicit_links()).id)
+        _check_against_oracles(net)
+
+    _add_rule(net, "late", (("?a", "pre", "?b"), ("?b", "rel", "?c")), (("?c", "out", "?a"),))
+    derive_fixpoint(net)
+    _check_against_oracles(net)
+
+    net.link_types["out"].symmetric = True
+    derive_fixpoint(net)
+    _check_against_oracles(net)
+
+
+def test_identical_builds_export_identically():
+    exports = []
+    for _ in range(2):
+        rng = random.Random(404)
+        net = large_network(rng)
+        derive_fixpoint(net)
+        _try_assert(net, "n001", "rel", "n002")
+        derive_fixpoint(net)
+        retract_with_maintenance(net, rng.choice(net.explicit_links()).id)
+        exports.append(export_state(EngineState(network=net)))
+    assert exports[0] == exports[1]
+
+
+class _Untouchable(dict):
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("derivation_index was read")
+
+    __iter__ = __getitem__ = __contains__ = get = items = values = keys = _refuse
+
+
+def test_noop_rederive_leaves_derivation_index_alone():
+    net = large_network(random.Random(5))
+    derive_fixpoint(net)
+    net.derivation_index = _Untouchable(net.derivation_index)
+    assert derive_fixpoint(net) == ([], [])
+
+
+def test_each_firing_is_enumerated_once(monkeypatch):
+    enumerated = []
+    real_match = rules.match_atoms
+
+    def counting_match(*args, **kwargs):
+        found = real_match(*args, **kwargs)
+        enumerated.extend(found)
+        return found
+
+    monkeypatch.setattr(rules, "match_atoms", counting_match)
+    net = Network()
+    for i in range(30):
+        net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    for i in range(29):
+        net.assert_link(f"v{i:02d}", "pre", f"v{i + 1:02d}")
+    # A twin of the transitive rule: links one rule adds in a round must stay
+    # invisible to the other until the next round.
+    _add_rule(net, "twin", (("?x", "pre", "?y"), ("?y", "pre", "?z")), (("?x", "pre", "?z"),))
+    derive_fixpoint(net)
+    # A path i < j < k is one firing of each rule.
+    assert len(enumerated) == 2 * math.comb(30, 3)

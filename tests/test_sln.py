@@ -15,7 +15,7 @@ from ksengine.errors import (
     UnknownLinkType,
     UnknownNode,
 )
-from ksengine.rules import Derivation
+from ksengine.rules import Derivation, derive_fixpoint
 from ksengine.sln import (
     ClassRef,
     Derived,
@@ -154,6 +154,26 @@ def test_retract_removes_dependents_transitively():
     assert base not in net.links and d1 not in net.links and d2 not in net.links
 
 
+def test_retract_prunes_alternate_derivations_of_survivors():
+    net = Network()
+    a = net.add_node(RepBundle(word="a"))
+    b = net.add_node(RepBundle(word="b"))
+    t = net.add_link_type(RepBundle(word="t"))
+    g = net.add_link_type(RepBundle(word="g"))
+    base1 = net.assert_link(a, t, b)
+    base2 = net.assert_link(b, t, a)
+    kept = net.add_derived(a, g, b, 1.0, Derived(rule_id="r", premises=(base2,)))
+    net.derivation_index[kept] = [
+        Derivation(kept, "r", {}, (base2,)),
+        Derivation(kept, "r", {}, (base1,)),
+    ]
+    epoch = net.removal_epoch
+    assert net.retract_link(base1) == [base1]
+    assert kept in net.links
+    assert [d.premises for d in net.derivation_index[kept]] == [(base2,)]
+    assert net.removal_epoch > epoch
+
+
 def test_links_between_includes_symmetric_reverse():
     net = Network()
     a = net.add_node(RepBundle(word="a"))
@@ -263,6 +283,26 @@ def test_ranks_uniform_when_weightless():
 def test_index_agrees_with_brute_grouping():
     rng = random.Random(77)
     for _ in range(20):
-        net = random_network(rng, max_rules=0)
-        grouped = net.brute_index()
-        assert {k: set(v) for k, v in net._index.items() if v} == grouped
+        net = random_network(rng)
+        nodes = sorted(net.nodes)
+        types = sorted(net.link_types)
+        for _step in range(6):
+            action = rng.choice(("assert", "derive", "retract", "upgrade"))
+            if action == "assert":
+                try:
+                    net.assert_link(rng.choice(nodes), rng.choice(types), rng.choice(nodes))
+                except DuplicateExplicitLink:
+                    pass
+            elif action == "derive":
+                derive_fixpoint(net)
+            elif action == "retract" and net.explicit_links():
+                net.retract_link(rng.choice(net.explicit_links()).id)
+            elif action == "upgrade" and net.derived_links():
+                link = rng.choice(net.derived_links())
+                net.assert_link(link.source, link.type, link.target)
+            rows = [(l.id, l.source, l.type, l.target) for l in net.links.values()]
+            pairs, by_source, by_target = oracles.brute_index(rows)
+            assert {k: set(v) for k, v in net._index.items() if v} == pairs
+            assert net._by_source == by_source
+            assert net._by_target == by_target
+            assert set(net._stamp) == set(net.links)

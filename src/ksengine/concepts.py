@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     UnknownCompartment,
     UnknownConcept,
 )
-from .sln import Scalar, check_id
+from .sln import Scalar, check_id, fresh_id
 from .taxonomy import CategoryTree
 
 COOCCUR_LABEL = "co-occur"
@@ -101,12 +100,6 @@ class Lexicon:
         return len(self._entries)
 
 
-class Scale(Enum):
-    SMALL = "small"    # the sliding window around the current token
-    MIDDLE = "middle"  # the text being read
-    LARGE = "large"    # everything read so far (the concept network)
-
-
 @dataclass
 class ObservationScope:
     """The reading window [center - radius, center + radius], clipped."""
@@ -155,7 +148,7 @@ class ConceptStore:
 
     def __init__(self) -> None:
         self.concepts: Dict[str, Concept] = {}
-        self._counter = 1
+        self._counters: Dict[str, int] = {}
 
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self.concepts
@@ -180,10 +173,7 @@ class ConceptStore:
         link_type: Optional[str] = None,
     ) -> Concept:
         if concept_id is None:
-            while f"c{self._counter:06d}" in self.concepts:
-                self._counter += 1
-            concept_id = f"c{self._counter:06d}"
-            self._counter += 1
+            concept_id = fresh_id(self._counters, "c", self.concepts)
         else:
             check_id(concept_id, "concept id")
             if concept_id in self.concepts:

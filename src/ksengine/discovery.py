@@ -683,16 +683,7 @@ def analogize(
             if not scratch.has_fact(s, tid, t):
                 conjecture_ids.add(scratch.assert_link(s, tid, t))
         derive_fixpoint(scratch)
-        dependent: Set[str] = set(conjecture_ids)
-        changed = True
-        while changed:
-            changed = False
-            for link in scratch.links.values():
-                if link.id in dependent or link.is_explicit:
-                    continue
-                if any(p in dependent for p in link.provenance.premises):
-                    dependent.add(link.id)
-                    changed = True
+        dependent = scratch.provenance_closure(conjecture_ids)
         impact = sorted(
             scratch.links[lid].triple()
             for lid in dependent - conjecture_ids

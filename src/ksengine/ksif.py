@@ -678,6 +678,27 @@ def _build_network(
         for pid in premises:
             if pid not in net.links:
                 raise DanglingReference(pid, f"line {line}: premise of link {lid!r}")
+    # Provenance must be well-founded: ordering derived links so that each
+    # comes after its derived premises leaves out exactly the links on or
+    # above a premise cycle.
+    waiting: Dict[str, int] = {lid: 0 for _line, lid, _premises in derived_premises}
+    dependents: Dict[str, List[str]] = {}
+    for _line, lid, premises in derived_premises:
+        for pid in premises:
+            if pid in waiting:
+                waiting[lid] += 1
+                dependents.setdefault(pid, []).append(lid)
+    ready = [lid for lid, count in waiting.items() if count == 0]
+    while ready:
+        for lid in dependents.get(ready.pop(), ()):
+            waiting[lid] -= 1
+            if waiting[lid] == 0:
+                ready.append(lid)
+    for line, lid, _premises in derived_premises:
+        if waiting[lid]:
+            raise MalformedRecord(
+                line, f"provenance of link {lid!r} rests on a premise cycle"
+            )
 
 
 def _build_space(

@@ -19,20 +19,20 @@ from all links if a rule, a symmetric flag or the removal epoch changed, so a
 re-derive with nothing new joins nothing. Iteration is deterministic, so
 identical inputs give identical ids and provenance.
 
-Derived links record one provenance (rule id plus premise link ids, in body
-order); every support found, the first included, is kept in the network's
-derivation_index. Retraction over-deletes the provenance closure of the
-retracted link and re-derives, which restores anything with surviving
-alternate support.
+A derived link keeps one provenance: the rule id and premise link ids (in
+body order) of the firing that first produced it, which is what KSIF saves,
+so a network and its reload hold the same information. A firing whose head
+triple is already stored is skipped; nothing is kept per firing. Retraction
+over-deletes the provenance closure of the retracted link and re-derives,
+which restores, under fresh ids, anything another firing still supports.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from .errors import InvalidId, InvalidRule, UnknownLink
@@ -85,16 +85,6 @@ class Rule:
     rep: RepBundle
     body: Tuple[PatternAtom, ...]
     head: Tuple[PatternAtom, ...]
-
-
-@dataclass(slots=True)
-class Derivation:
-    """One recorded firing: rule, substitution, and premise links in body order."""
-
-    link_id: str
-    rule_id: str
-    substitution: Dict[str, str]
-    premises: Tuple[str, ...]
 
 
 @dataclass
@@ -385,32 +375,6 @@ def effective_rules(network: Network) -> List[Rule]:
 
 # ===== fixpoint =====
 
-Support = Tuple[str, Tuple[str, ...]]  # (rule id, premise link ids)
-_support_of = operator.attrgetter("rule_id", "premises")  # of a Derivation or Derived
-
-
-def _derivation_known(
-    network: Network,
-    on_file: Dict[str, Set[Support]],
-    link: SemanticLink,
-    support: Support,
-) -> bool:
-    """Whether this support for the link is already on file; files it if not.
-
-    on_file caches, per link, the supports recorded for it, read from the link's
-    provenance and derivation_index the first time the link is touched.
-    """
-    supports = on_file.get(link.id)
-    if supports is None:
-        supports = set(map(_support_of, network.derivation_index.get(link.id, ())))
-        supports.add(_support_of(link.provenance))
-        on_file[link.id] = supports
-    if support in supports:
-        return True
-    supports.add(support)
-    return False
-
-
 def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
     """What a fixpoint depends on besides the links: rules and symmetric flags."""
     return (
@@ -419,8 +383,9 @@ def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
     )
 
 
-def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derivation]]:
-    """Run every rule to the least fixpoint; returns (new links, new derivations).
+def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:
+    """Run every rule to the least fixpoint; returns (new links, new derivations),
+    the second list holding each new link's provenance.
 
     The result set is independent of rule order and link insertion order; the
     ids and provenance assigned to new links follow the engine's own
@@ -432,9 +397,8 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derivati
             raise InvalidRule(f"rule {rid!r}: " + "; ".join(problems))
     rules = effective_rules(network)
     new_links: List[SemanticLink] = []
-    new_derivations: List[Derivation] = []
     if not rules:
-        return new_links, new_derivations
+        return new_links, []
     signature = _signature(network, rules)
     mark = network.derive_mark
     if mark is not None and mark[:2] == (signature, network.removal_epoch):
@@ -443,7 +407,6 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derivati
     else:
         delta = list(network.links.values())
     symmetric = signature[1]
-    on_file: Dict[str, Set[Support]] = {}
     while delta:
         split = (network._stamp[delta[0].id], network._next_stamp)
         delta_rows = rows_from_links(delta, symmetric)
@@ -455,32 +418,19 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derivati
             heads = [(h.source, h.type, h.target) for h in rule.head]
             for pos in range(len(rule.body) if old_facts else 1):
                 for env, premises in match_atoms(network, rule.body, delta_rows, pos, split):
-                    support = (rule.id, premises)
                     for h_source, h_type, h_target in heads:
                         s, tid = env.get(h_source, h_source), env.get(h_type, h_type)
                         t = env.get(h_target, h_target)
-                        existing = network._find_stored(s, tid, t)
-                        if existing is None:
-                            weight = min(network.links[p].weight for p in premises)
-                            lid = network.add_derived(
-                                s, tid, t, weight, Derived(rule.id, premises)
-                            )
-                            on_file[lid] = {support}
-                            link = network.links[lid]
-                            new_links.append(link)
-                            round_new.append(link)
-                        elif existing.is_explicit or _derivation_known(
-                            network, on_file, existing, support
-                        ):
+                        if network._find_stored(s, tid, t) is not None:
                             continue
-                        else:
-                            lid = existing.id
-                        d = Derivation(lid, rule.id, env, premises)
-                        network.derivation_index.setdefault(lid, []).append(d)
-                        new_derivations.append(d)
+                        weight = min(network.links[p].weight for p in premises)
+                        lid = network.add_derived(s, tid, t, weight, Derived(rule.id, premises))
+                        link = network.links[lid]
+                        new_links.append(link)
+                        round_new.append(link)
         delta = round_new
     network.derive_mark = (signature, network.removal_epoch, len(network.links))
-    return new_links, new_derivations
+    return new_links, [link.provenance for link in new_links]
 
 
 # ===== explanation =====

@@ -7,17 +7,17 @@ entry into a category hierarchy. Links are explicit (asserted) or derived
 stored once and completed at query time; transitive types behave like an
 implicit chain rule (the rule engine synthesizes it).
 
-All mutation goes through the public methods so the link indexes (by endpoint
-pair, by type and source, by type and target) stay a pure function of the link
-set, and identical operation sequences on empty networks produce identical
-canonical exports.
+All mutation goes through the public methods so the link indexes (by type and
+source, by type and target) stay a pure function of the link set, and
+identical operation sequences on empty networks produce identical canonical
+exports.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import (
     CannotRetractDerived,
@@ -43,6 +43,16 @@ def check_id(token: str, what: str = "id") -> str:
     if not isinstance(token, str) or not ID_PATTERN.match(token):
         raise InvalidId(f"{what} {token!r} must match [A-Za-z0-9_.-]+")
     return token
+
+
+def fresh_id(counters: Dict[str, int], prefix: str, taken: Collection[str]) -> str:
+    """The next "<prefix>NNNNNN" id not in taken; counters keeps, per prefix,
+    where the next search starts."""
+    n = counters.get(prefix, 1)
+    while f"{prefix}{n:06d}" in taken:
+        n += 1
+    counters[prefix] = n + 1
+    return f"{prefix}{n:06d}"
 
 
 @dataclass(frozen=True)
@@ -194,8 +204,6 @@ class Network:
         self.links: Dict[str, SemanticLink] = {}
         self.categories = CategoryTree()
         self.rules: Dict[str, object] = {}  # rule id -> rules.Rule
-        self.derivation_index: Dict[str, list] = {}  # link id -> [Derivation]
-        self._index: Dict[Tuple[str, str], Set[str]] = {}
         # type -> source -> target -> link id, and type -> target -> source ->
         # link id. Insertion-ordered, so joins over them are deterministic.
         self._by_source: Dict[str, Dict[str, Dict[str, str]]] = {}
@@ -211,15 +219,6 @@ class Network:
         self.derive_mark: Optional[tuple] = None
         self._counters: Dict[str, int] = {}
 
-    # ===== id management =====
-
-    def _fresh_id(self, prefix: str, taken: Dict[str, object]) -> str:
-        n = self._counters.get(prefix, 1)
-        while f"{prefix}{n:06d}" in taken:
-            n += 1
-        self._counters[prefix] = n + 1
-        return f"{prefix}{n:06d}"
-
     # ===== nodes and types =====
 
     def add_node(
@@ -229,7 +228,7 @@ class Network:
         node_id: Optional[str] = None,
     ) -> str:
         if node_id is None:
-            node_id = self._fresh_id("n", self.nodes)
+            node_id = fresh_id(self._counters, "n", self.nodes)
         else:
             check_id(node_id, "node id")
             if node_id in self.nodes:
@@ -251,7 +250,7 @@ class Network:
         type_id: Optional[str] = None,
     ) -> str:
         if type_id is None:
-            type_id = self._fresh_id("t", self.link_types)
+            type_id = fresh_id(self._counters, "t", self.link_types)
         else:
             check_id(type_id, "link-type id")
             if type_id in self.link_types:
@@ -297,7 +296,6 @@ class Network:
     # ===== link store =====
 
     def _index_add(self, link: SemanticLink) -> None:
-        self._index.setdefault((link.source, link.target), set()).add(link.id)
         by_source = self._by_source.setdefault(link.type, {})
         by_source.setdefault(link.source, {})[link.target] = link.id
         by_target = self._by_target.setdefault(link.type, {})
@@ -306,12 +304,6 @@ class Network:
         self._next_stamp += 1
 
     def _index_remove(self, link: SemanticLink) -> None:
-        key = (link.source, link.target)
-        bucket = self._index.get(key)
-        if bucket is not None:
-            bucket.discard(link.id)
-            if not bucket:
-                del self._index[key]
         for index, near, far in (
             (self._by_source, link.source, link.target),
             (self._by_target, link.target, link.source),
@@ -369,10 +361,9 @@ class Network:
                 )
             existing.provenance = Explicit()
             existing.weight = weight
-            self.derivation_index.pop(existing.id, None)
             return existing.id
         if link_id is None:
-            link_id = self._fresh_id("k", self.links)
+            link_id = fresh_id(self._counters, "k", self.links)
         else:
             check_id(link_id, "link id")
             if link_id in self.links:
@@ -399,7 +390,7 @@ class Network:
         if self._find_stored(source, type_id, target) is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
         if link_id is None:
-            link_id = self._fresh_id("k", self.links)
+            link_id = fresh_id(self._counters, "k", self.links)
         else:
             check_id(link_id, "link id")
             if link_id in self.links:
@@ -412,65 +403,52 @@ class Network:
     def retract_link(self, link_id: str) -> List[str]:
         """Remove an explicit link plus every derived link leaning on it.
 
-        Returns the removed link ids (the retracted one first). Re-derivation
-        of alternately supported facts is the rule engine's job; see
-        rules.retract_with_maintenance for the maintained variant.
+        Over-deletes: a derived link goes when its provenance cites a removed
+        link, even if another firing would still support it. Returns the
+        removed link ids (the retracted one first). Re-deriving what survives
+        is the rule engine's job; see rules.retract_with_maintenance.
         """
         link = self.link(link_id)
         if not link.is_explicit:
             raise CannotRetractDerived(f"link {link_id!r} is derived")
-        # premise id -> ids of links whose stored provenance or recorded
-        # derivations cite it.
-        dependents: Dict[str, List[str]] = {}
-        for other in self.links.values():
-            if not other.is_explicit:
-                for premise in other.provenance.premises:
-                    dependents.setdefault(premise, []).append(other.id)
-        for lid, derivations in self.derivation_index.items():
-            for derivation in derivations:
-                for premise in derivation.premises:
-                    dependents.setdefault(premise, []).append(lid)
-        # Over-delete: a derived link goes when its stored provenance cites a
-        # removed link.
-        removed = {link_id}
-        stack = [link_id]
-        while stack:
-            for lid in dependents.get(stack.pop(), ()):
-                if lid in removed:
-                    continue
-                other = self.links[lid]
-                if not other.is_explicit and not removed.isdisjoint(other.provenance.premises):
-                    removed.add(lid)
-                    stack.append(lid)
+        removed = self.provenance_closure([link_id])
         for rid in removed:
             self._index_remove(self.links.pop(rid))
-            self.derivation_index.pop(rid, None)
-        # Drop the surviving links' recorded derivations that cite removed links.
-        citing = {lid for rid in removed for lid in dependents.get(rid, ())}
-        for lid in citing - removed:
-            derivations = self.derivation_index.get(lid)
-            if derivations is None:
-                continue
-            kept = [d for d in derivations if removed.isdisjoint(d.premises)]
-            if kept:
-                self.derivation_index[lid] = kept
-            else:
-                del self.derivation_index[lid]
         return sorted(removed, key=lambda r: (r != link_id, r))
+
+    def provenance_closure(self, ids: Iterable[str]) -> Set[str]:
+        """The given link ids plus every derived link whose provenance cites
+        one of them, directly or through other derived links."""
+        dependents: Dict[str, List[str]] = {}  # premise id -> ids citing it
+        for link in self.links.values():
+            if not link.is_explicit:
+                for premise in link.provenance.premises:
+                    dependents.setdefault(premise, []).append(link.id)
+        closure = set(ids)
+        stack = list(closure)
+        while stack:
+            for lid in dependents.get(stack.pop(), ()):
+                if lid not in closure:
+                    closure.add(lid)
+                    stack.append(lid)
+        return closure
 
     # ===== queries =====
 
     def links_between(self, source: str, target: str) -> List[SemanticLink]:
         self.node(source)
         self.node(target)
-        found: Dict[str, SemanticLink] = {}
-        for lid in self._index.get((source, target), ()):
-            found[lid] = self.links[lid]
-        for lid in self._index.get((target, source), ()):
-            link = self.links[lid]
-            if self.link_types[link.type].symmetric:
-                found[lid] = link
-        return [found[lid] for lid in sorted(found)]
+        found: Set[str] = set()
+        for tid, by_source in self._by_source.items():
+            pairs = [(source, target)]
+            if self.link_types[tid].symmetric:
+                # Flipping a type to symmetric can leave both orientations stored.
+                pairs.append((target, source))
+            for a, b in pairs:
+                lid = by_source.get(a, _NO_ENDS).get(b)
+                if lid is not None:
+                    found.add(lid)
+        return [self.links[lid] for lid in sorted(found)]
 
     def has_fact(self, source: str, type_id: str, target: str) -> bool:
         if type_id not in self.link_types:
@@ -543,10 +521,3 @@ class Network:
             self.links[lid] for lid in sorted(self.links) if not self.links[lid].is_explicit
         ]
 
-
-def iter_anchor_ids(network: Network) -> Iterable[str]:
-    """All anchor ids referenced by node and type bundles (for validation)."""
-    for node in network.nodes.values():
-        yield from node.rep.rep_k
-    for lt in network.link_types.values():
-        yield from lt.rep.rep_k

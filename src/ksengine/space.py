@@ -26,7 +26,7 @@ from .errors import (
     UnknownDimension,
     UnknownResource,
 )
-from .sln import check_id
+from .sln import check_id, fresh_id
 from .taxonomy import CategoryTree
 
 
@@ -65,15 +65,6 @@ class Space:
         self.placements: Dict[str, Dict[str, str]] = {}  # resource -> dim -> cat
         self._counters: Dict[str, int] = {}
 
-    # ===== id plumbing =====
-
-    def _fresh_id(self, prefix: str, taken) -> str:
-        n = self._counters.get(prefix, 1)
-        while f"{prefix}{n:06d}" in taken:
-            n += 1
-        self._counters[prefix] = n + 1
-        return f"{prefix}{n:06d}"
-
     # ===== construction =====
 
     def dimensions(self) -> List[Dimension]:
@@ -109,7 +100,7 @@ class Space:
             if dim.name == name:
                 raise DimensionNameClash(f"dimension name {name!r} already in use")
         if dim_id is None:
-            dim_id = self._fresh_id("d", self._dims)
+            dim_id = fresh_id(self._counters, "d", self._dims)
         else:
             check_id(dim_id, "dimension id")
             if dim_id in self._dims:
@@ -133,7 +124,7 @@ class Space:
     ) -> str:
         dim = self.dimension(dim_id)
         if cat_id is None:
-            cat_id = self._fresh_id("g", self._cat_owner)
+            cat_id = fresh_id(self._counters, "g", self._cat_owner)
         else:
             check_id(cat_id, "category id")
             if cat_id in self._cat_owner:
@@ -145,12 +136,6 @@ class Space:
         dim.tree.add(cat_id, name, parent)
         self._cat_owner[cat_id] = dim_id
         return cat_id
-
-    def category_owner(self, cat_id: str) -> str:
-        try:
-            return self._cat_owner[cat_id]
-        except KeyError:
-            raise UnknownCategory(f"category {cat_id!r} not found") from None
 
     # ===== placement =====
 
@@ -320,9 +305,6 @@ class Space:
         for point in self.placements.values():
             point.pop(dim_id, None)
 
-    def copy(self) -> "Space":
-        return copy.deepcopy(self)
-
 
 @dataclass
 class NormalFormReport:
@@ -361,7 +343,7 @@ def join_spaces(a: Space, b: Space) -> Tuple[Space, List[str]]:
     for dim in b.dimensions():
         new_dim_id = dim.id
         if new_dim_id in out._dims:
-            new_dim_id = out._fresh_id("d", out._dims)
+            new_dim_id = fresh_id(out._counters, "d", out._dims)
         dim_map[dim.id] = new_dim_id
         new_dim = Dimension(new_dim_id, dim.name)
         out._dims[new_dim_id] = new_dim
@@ -370,7 +352,7 @@ def join_spaces(a: Space, b: Space) -> Tuple[Space, List[str]]:
             node = dim.tree.get(cat_id)
             new_cat_id = cat_id
             if new_cat_id in out._cat_owner:
-                new_cat_id = out._fresh_id("g", out._cat_owner)
+                new_cat_id = fresh_id(out._counters, "g", out._cat_owner)
             cat_map[cat_id] = new_cat_id
             parent = cat_map[node.parent] if node.parent is not None else None
             new_dim.tree.add(new_cat_id, node.name, parent)

@@ -74,14 +74,6 @@ class CategoryTree:
             cur = self._nodes[cur].parent
         return False
 
-    def depth(self, cat_id: str) -> int:
-        d = 0
-        cur = self._nodes[cat_id].parent
-        while cur is not None:
-            d += 1
-            cur = self._nodes[cur].parent
-        return d
-
     def topological_ids(self) -> List[str]:
         """Ids in parent-before-child order (root first, siblings sorted)."""
         if self.root is None:

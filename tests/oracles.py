@@ -103,22 +103,19 @@ def naive_fixpoint(explicit: Iterable[Triple],
 
 
 def brute_index(links: Iterable[Tuple[str, str, str, str]]) -> Tuple[
-        Dict[Tuple[str, str], Set[str]],
         Dict[str, Dict[str, Dict[str, str]]],
         Dict[str, Dict[str, Dict[str, str]]]]:
-    """Link ids grouped three ways from (id, source, type, target) rows.
+    """Link ids grouped two ways from (id, source, type, target) rows.
 
-    Returns the grouping by endpoint pair, type -> source -> target -> id,
-    and type -> target -> source -> id.
+    Returns the groupings type -> source -> target -> id and
+    type -> target -> source -> id.
     """
-    pairs: Dict[Tuple[str, str], Set[str]] = {}
     by_source: Dict[str, Dict[str, Dict[str, str]]] = {}
     by_target: Dict[str, Dict[str, Dict[str, str]]] = {}
     for lid, source, tid, target in links:
-        pairs.setdefault((source, target), set()).add(lid)
         by_source.setdefault(tid, {}).setdefault(source, {})[target] = lid
         by_target.setdefault(tid, {}).setdefault(target, {})[source] = lid
-    return pairs, by_source, by_target
+    return by_source, by_target
 
 
 def brute_answer(facts: Iterable[Triple], pattern: Triple) -> List[Triple]:

@@ -134,6 +134,25 @@ def test_import_missing_file_is_data_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_import_rejects_cyclic_provenance(capsys, tmp_path):
+    src = tmp_path / "cyclic.ksif"
+    src.write_text(
+        "KSIF 1\n"
+        "LINKTYPE\tt\t0\t0\t\tS\t\tt\t\t0\n"
+        "NODE\ta\t0.0\tS\t\ta\t\t0\t0\n"
+        "NODE\tb\t0.0\tS\t\tb\t\t0\t0\n"
+        "LINK\tk1\ta\tt\tb\t1.0\tD\tflip\t1\tk2\n"
+        "LINK\tk2\tb\tt\ta\t1.0\tD\tflip\t1\tk1\n"
+        "RULE\tflip\tS\t\tflip\t\t0\t1\t?x\tt\t?y\t1\t?y\tt\t?x\n",
+        encoding="utf-8",
+    )
+    state_file = tmp_path / "state.ksif"
+    code, _out, err = run(capsys, ["import", str(src), "--state", str(state_file)])
+    assert code == 2
+    assert "line 5" in err and "Traceback" not in err
+    assert not state_file.exists()
+
+
 # ===== derive / query / explain =====
 
 def test_derive_reports_new_links_then_none(capsys, tmp_path):

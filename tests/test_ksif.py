@@ -264,6 +264,35 @@ def test_derived_link_rule_must_resolve():
         import_state(broken)
 
 
+def flip_state():
+    """a -t-> b asserted as k1, and its reverse derived by a flip rule."""
+    state = minimal_state()
+    from ksengine.rules import PatternAtom, Rule
+
+    state.network.rules["flip"] = Rule(
+        "flip", RepBundle(word="flip"),
+        (PatternAtom("?x", "t", "?y"),),
+        (PatternAtom("?y", "t", "?x"),),
+    )
+    derive_fixpoint(state.network)
+    return state
+
+
+@pytest.mark.parametrize("old, new, line", [
+    # k1 and k000001 cite each other.
+    ("LINK\tk1\ta\tt\tb\t1.0\tE\n", "LINK\tk1\ta\tt\tb\t1.0\tD\tflip\t1\tk000001\n", 5),
+    # k000001 cites itself.
+    ("\tD\tflip\t1\tk1\n", "\tD\tflip\t1\tk000001\n", 5),
+])
+def test_derived_link_provenance_must_be_well_founded(old, new, line):
+    doc = export_state(flip_state())
+    assert doc.split("\n")[line - 1].startswith("LINK\tk000001\t")
+    with pytest.raises(MalformedRecord) as err:
+        import_state(swap(doc, old, new))
+    assert err.value.line == line
+    assert "k000001" in str(err.value)
+
+
 def test_malformed_records():
     base = HEADER + "\n"
     with pytest.raises(MalformedRecord):

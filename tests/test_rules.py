@@ -116,11 +116,9 @@ def test_chain_rule_derives_with_min_weight():
 def test_derive_twice_adds_nothing():
     net = chain_net()
     derive_fixpoint(net)
-    index_sizes = {lid: len(ds) for lid, ds in net.derivation_index.items()}
-    again_links, again_derivations = derive_fixpoint(net)
-    assert again_links == []
-    assert again_derivations == []
-    assert {lid: len(ds) for lid, ds in net.derivation_index.items()} == index_sizes
+    before = export_state(EngineState(network=net))
+    assert derive_fixpoint(net) == ([], [])
+    assert export_state(EngineState(network=net)) == before
 
 
 def test_rule_matching_sees_symmetric_reverse():
@@ -305,23 +303,6 @@ def _add_rule(net, rid, body, head):
     net.rules[rid] = rule
 
 
-def _supports(net):
-    """Every recorded derivation as (head, rule, premises) with links read as
-    triples, a symmetric link's endpoints in sorted order."""
-    def key(lid):
-        link = net.links[lid]
-        s, t = link.source, link.target
-        if net.link_types[link.type].symmetric:
-            s, t = sorted((s, t))
-        return (s, link.type, t)
-
-    return {
-        (key(lid), d.rule_id, tuple(key(p) for p in d.premises))
-        for lid, derivations in net.derivation_index.items()
-        for d in derivations
-    }
-
-
 def _scratch_copy(net):
     """The same explicit links, types and rules, never derived."""
     fresh = Network()
@@ -339,14 +320,11 @@ def _check_against_oracles(net):
     explicit, rules, symmetric, transitive = network_as_tuples(net)
     assert engine_fact_set(net) == oracles.naive_fixpoint(
         explicit, rules, symmetric, transitive)
-    for lid, derivations in net.derivation_index.items():
-        supports = [(d.rule_id, d.premises) for d in derivations]
-        assert len(supports) == len(set(supports))
-        assert lid in net.links
-        assert all(p in net.links for d in derivations for p in d.premises)
+    for link in net.derived_links():
+        assert verify_explanation(net, explain(net, link.id))
     scratch = _scratch_copy(net)
     derive_fixpoint(scratch)
-    assert _supports(net) == _supports(scratch)
+    assert engine_fact_set(net) == engine_fact_set(scratch)
 
 
 @pytest.mark.parametrize("seed", [11, 23])
@@ -388,30 +366,30 @@ def test_identical_builds_export_identically():
     assert exports[0] == exports[1]
 
 
-class _Untouchable(dict):
-    def _refuse(self, *args, **kwargs):
-        raise AssertionError("derivation_index was read")
-
-    __iter__ = __getitem__ = __contains__ = get = items = values = keys = _refuse
-
-
-def test_noop_rederive_leaves_derivation_index_alone():
-    net = large_network(random.Random(5))
-    derive_fixpoint(net)
-    net.derivation_index = _Untouchable(net.derivation_index)
-    assert derive_fixpoint(net) == ([], [])
-
-
-def test_each_firing_is_enumerated_once(monkeypatch):
-    enumerated = []
+def _count_matches(monkeypatch):
+    """Patch match_atoms to record each call; returns the list of results."""
+    calls = []
     real_match = rules.match_atoms
 
     def counting_match(*args, **kwargs):
         found = real_match(*args, **kwargs)
-        enumerated.extend(found)
+        calls.append(found)
         return found
 
     monkeypatch.setattr(rules, "match_atoms", counting_match)
+    return calls
+
+
+def test_noop_rederive_joins_nothing(monkeypatch):
+    net = large_network(random.Random(5))
+    derive_fixpoint(net)
+    calls = _count_matches(monkeypatch)
+    assert derive_fixpoint(net) == ([], [])
+    assert calls == []
+
+
+def test_each_firing_is_enumerated_once(monkeypatch):
+    calls = _count_matches(monkeypatch)
     net = Network()
     for i in range(30):
         net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
@@ -423,4 +401,4 @@ def test_each_firing_is_enumerated_once(monkeypatch):
     _add_rule(net, "twin", (("?x", "pre", "?y"), ("?y", "pre", "?z")), (("?x", "pre", "?z"),))
     derive_fixpoint(net)
     # A path i < j < k is one firing of each rule.
-    assert len(enumerated) == 2 * math.comb(30, 3)
+    assert sum(map(len, calls)) == 2 * math.comb(30, 3)

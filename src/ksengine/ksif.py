@@ -12,7 +12,8 @@ and never emitted on export.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import re
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .concepts import Concept
 from .discovery import (
@@ -48,7 +49,7 @@ from .sln import (
     SemanticLink,
     SemanticNode,
 )
-from .space import Dimension, Space
+from .space import Space
 from .state import EngineState, new_state
 from .taxonomy import CategoryTree
 
@@ -75,28 +76,23 @@ def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def unescape_field(text: str, line: int) -> str:
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise MalformedRecord(line, "dangling backslash escape")
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "\\":
-                out.append("\\")
-            else:
-                raise MalformedRecord(line, f"unknown escape \\{nxt}")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    if "\\" not in text:
+        return text
+
+    def unescape(match: re.Match) -> str:
+        escaped = match.group(1)
+        if escaped in _UNESCAPED:
+            return _UNESCAPED[escaped]
+        if escaped == "":
+            raise MalformedRecord(line, "dangling backslash escape")
+        raise MalformedRecord(line, f"unknown escape \\{escaped}")
+
+    return _ESCAPE.sub(unescape, text)
 
 
 def _record_line(kind: str, fields: Sequence[str]) -> str:
@@ -615,21 +611,50 @@ def export_space_fragment(space: Space) -> str:
 
 # ===== import =====
 
-def _group_records(records: Iterable[ParsedRecord]) -> Dict[str, List[Tuple[int, List[str]]]]:
-    grouped: Dict[str, List[Tuple[int, List[str]]]] = {kind: [] for kind in KIND_ORDER}
-    for line, kind, fields in records:
-        grouped[kind].append((line, fields))
-    return grouped
+# kind -> (decoder, key, noun used in messages). A key is (id, *namespace):
+# one key seen twice within a kind is a duplicate. Network and space
+# categories are separate id namespaces, so a CAT key says if an owner is set.
+_KINDS = {
+    "LINKTYPE": (_dec_linktype, lambda lt: (lt.id,), "link type"),
+    "NODE": (_dec_node, lambda node: (node.id,), "node"),
+    "LINK": (_dec_link, lambda link: (link.id,), "link"),
+    "RULE": (_dec_rule, lambda rule: (rule.id,), "rule"),
+    "DIM": (_dec_dim, lambda dim: (dim[0],), "dimension"),
+    "CAT": (_dec_cat, lambda cat: (cat[0], cat[1] is None), "category"),
+    "PLACE": (_dec_place, lambda place: (place[0],), "resource"),
+    "CONCEPT": (_dec_concept, lambda concept: (concept.id,), "concept"),
+    "LEXEME": (_dec_lexeme, lambda lexeme: (lexeme[0],), "word"),
+    "PROBLEM": (_dec_problem, lambda problem: (problem.id,), "problem"),
+    "ANOMALYRULE": (_dec_anomaly, lambda rule: (rule.id,), "anomaly rule"),
+}
+
+Records = Dict[str, List[Tuple[int, object]]]  # kind -> (line, decoded record)
 
 
-def _build_network(
-    grouped: Dict[str, List[Tuple[int, List[str]]]], net: Network
-) -> None:
+def _read(text: str, kinds: Sequence[str], what: str) -> Records:
+    """Decode every record once, in file order, grouped by kind.
+
+    A record of a kind outside kinds is malformed in this document (what
+    names it in the message); a key repeated within a kind is a DuplicateId.
+    """
+    records: Records = {kind: [] for kind in kinds}
+    seen: Dict[str, Set[tuple]] = {kind: set() for kind in kinds}
+    for line, kind, fields in records_from_text(text):
+        if kind not in records:
+            raise MalformedRecord(line, f"{kind} not allowed in {what}")
+        decode, key_of, noun = _KINDS[kind]
+        record = decode(line, fields)
+        key = key_of(record)
+        if key in seen[kind]:
+            raise DuplicateId(f"line {line}: {noun} {key[0]!r} defined twice")
+        seen[kind].add(key)
+        records[kind].append((line, record))
+    return records
+
+
+def _build_network(records: Records, net: Network) -> None:
     pending_parents: List[Tuple[int, str, str]] = []
-    for line, fields in grouped["LINKTYPE"]:
-        lt = _dec_linktype(line, fields)
-        if lt.id in net.link_types:
-            raise DuplicateId(f"line {line}: link type {lt.id!r} defined twice")
+    for line, lt in records["LINKTYPE"]:
         net.add_link_type(lt.rep, lt.transitive, lt.symmetric, parent=None, type_id=lt.id)
         if lt.parent is not None:
             pending_parents.append((line, lt.id, lt.parent))
@@ -637,22 +662,13 @@ def _build_network(
         if parent not in net.link_types:
             raise DanglingReference(parent, f"line {line}: parent of link type {tid!r}")
         net.set_type_parent(tid, parent)
-    for line, fields in grouped["NODE"]:
-        node = _dec_node(line, fields)
-        if node.id in net.nodes:
-            raise DuplicateId(f"line {line}: node {node.id!r} defined twice")
+    for _line, node in records["NODE"]:
         net.add_node(node.rep, node.attributes, node_id=node.id)
         net.nodes[node.id].rank = node.rank
-    for line, fields in grouped["RULE"]:
-        rule = _dec_rule(line, fields)
-        if rule.id in net.rules:
-            raise DuplicateId(f"line {line}: rule {rule.id!r} defined twice")
+    for _line, rule in records["RULE"]:
         net.rules[rule.id] = rule
     derived_premises: List[Tuple[int, str, Tuple[str, ...]]] = []
-    for line, fields in grouped["LINK"]:
-        link = _dec_link(line, fields)
-        if link.id in net.links:
-            raise DuplicateId(f"line {line}: link {link.id!r} defined twice")
+    for line, link in records["LINK"]:
         for endpoint, name in ((link.source, "source"), (link.target, "target")):
             if endpoint not in net.nodes:
                 raise DanglingReference(
@@ -702,20 +718,18 @@ def _build_network(
 
 
 def _build_space(
-    grouped: Dict[str, List[Tuple[int, List[str]]]],
+    records: Records,
     space: Space,
     space_cat_rows: Dict[str, List[Tuple[int, str, Optional[str], str]]],
 ) -> None:
     dims: Dict[str, Tuple[int, str]] = {}
-    for line, fields in grouped["DIM"]:
-        did, name = _dec_dim(line, fields)
-        if did in dims:
-            raise DuplicateId(f"line {line}: dimension {did!r} defined twice")
-        clash = [d for d, (_l, n) in dims.items() if n == name]
-        if clash:
+    named: Dict[str, str] = {}
+    for line, (did, name) in records["DIM"]:
+        if name in named:
             raise DimensionNameClash(
-                f"line {line}: dimensions {clash[0]!r} and {did!r} both named {name!r}"
+                f"line {line}: dimensions {named[name]!r} and {did!r} both named {name!r}"
             )
+        named[name] = did
         dims[did] = (line, name)
     for owner in sorted(space_cat_rows):
         if owner not in dims:
@@ -732,29 +746,23 @@ def _build_space(
         if not rows:
             raise MalformedRecord(line, f"dimension {did!r} has no categories")
         tree = CategoryTree.from_rows(rows, missing_parent_error=DanglingReference)
-        dim = Dimension(did, name, tree)
-        space._dims[did] = dim
-        space._order.append(did)
-        for cid in tree.ids():
-            space._cat_owner[cid] = did
-    for line, fields in grouped["PLACE"]:
-        resource, coords = _dec_place(line, fields)
-        if resource in space.placements:
-            raise DuplicateId(f"line {line}: resource {resource!r} placed twice")
+        space.add_tree(name, tree, did)
+    trees = {dim.id: dim.tree for dim in space.dimensions()}
+    for line, (resource, coords) in records["PLACE"]:
         point: Dict[str, str] = {}
         for dim_id, cat_id in coords:
-            if dim_id not in space._dims:
+            if dim_id not in trees:
                 raise DanglingReference(
                     dim_id, f"line {line}: placement dimension for {resource!r}"
                 )
-            if cat_id not in space._dims[dim_id].tree:
+            if cat_id not in trees[dim_id]:
                 raise DanglingReference(
                     cat_id, f"line {line}: placement category for {resource!r}"
                 )
             if dim_id in point:
                 raise MalformedRecord(line, f"dimension {dim_id!r} repeated")
             point[dim_id] = cat_id
-        uncovered = [d for d in space._order if d not in point]
+        uncovered = [d for d in trees if d not in point]
         if uncovered:
             raise MalformedRecord(
                 line, f"placement of {resource!r} lacks dimensions {uncovered}"
@@ -762,91 +770,56 @@ def _build_space(
         space.place(resource, point)
 
 
-def _build_concepts(state: EngineState, decoded: List[Tuple[int, Concept]]) -> None:
+def _build_lexicon(state: EngineState, records: Records) -> None:
+    """Add decoded concepts as they are, then class links and lexemes."""
     store = state.concepts
-    for line, concept in decoded:
+    classes: List[List[str]] = []
+    for line, concept in records["CONCEPT"]:
         if concept.id in store:
             raise DuplicateId(f"line {line}: concept {concept.id!r} defined twice")
-        store.add_concept(
-            concept.name, concept_id=concept.id, priori=concept.priori,
-            link_type=concept.link_type,
-        )
-    for line, concept in decoded:
-        live = store.get(concept.id)
-        for parent in concept.structure.classes:
+        classes.append(concept.structure.classes)
+        concept.structure.classes = []
+        store.concepts[concept.id] = concept
+    for (line, concept), parents in zip(records["CONCEPT"], classes):
+        for parent in parents:
             if parent not in store:
                 raise DanglingReference(
                     parent, f"line {line}: class of concept {concept.id!r}"
                 )
             store.add_class_link(concept.id, parent)
-        for (label, target), weight in concept.structure.relations.items():
+        for (_label, target) in concept.structure.relations:
             if target not in store:
                 raise DanglingReference(
                     target, f"line {line}: relation target of {concept.id!r}"
                 )
-            live.structure.relations[(label, target)] = weight
-        live.structure.attributes = dict(concept.structure.attributes)
-        live.structure.instances = list(concept.structure.instances)
-        live.services.interfaces = list(concept.services.interfaces)
-        live.services.processes = list(concept.services.processes)
-        live.experiences.use_cases = list(concept.experiences.use_cases)
-        live.experiences.objects = list(concept.experiences.objects)
-        live.experiences.events = list(concept.experiences.events)
-        live.rules = list(concept.rules)
-        live.sense.media = list(concept.sense.media)
-        live.sense.language = list(concept.sense.language)
-
-
-def import_state(text: str) -> EngineState:
-    records = records_from_text(text)
-    grouped = _group_records(records)
-    state = new_state()
-    _build_network(grouped, state.network)
-    net_cat_rows: List[Tuple[str, Optional[str], str]] = []
-    space_cat_rows: Dict[str, List[Tuple[int, str, Optional[str], str]]] = {}
-    seen_net_cats: Set[str] = set()
-    seen_space_cats: Set[str] = set()
-    for line, fields in grouped["CAT"]:
-        cid, owner, parent, name = _dec_cat(line, fields)
-        if owner is None:
-            if cid in seen_net_cats:
-                raise DuplicateId(f"line {line}: category {cid!r} defined twice")
-            seen_net_cats.add(cid)
-            net_cat_rows.append((cid, parent, name))
-        else:
-            if cid in seen_space_cats:
-                raise DuplicateId(f"line {line}: category {cid!r} defined twice")
-            seen_space_cats.add(cid)
-            space_cat_rows.setdefault(owner, []).append((line, cid, parent, name))
-    state.network.categories = CategoryTree.from_rows(
-        net_cat_rows, missing_parent_error=DanglingReference
-    )
-    _build_space(grouped, state.space, space_cat_rows)
-    decoded_concepts = [
-        (line, _dec_concept(line, fields)) for line, fields in grouped["CONCEPT"]
-    ]
-    _build_concepts(state, decoded_concepts)
-    seen_words: Set[str] = set()
-    for line, fields in grouped["LEXEME"]:
-        word, candidates = _dec_lexeme(line, fields)
-        if word in seen_words:
-            raise DuplicateId(f"line {line}: word {word!r} defined twice")
-        seen_words.add(word)
+    for line, (word, candidates) in records["LEXEME"]:
         for cid in candidates:
-            if cid not in state.concepts:
+            if cid not in store:
                 raise DanglingReference(
                     cid, f"line {line}: candidate for word {word!r}"
                 )
         state.lexicon.set_candidates(word, candidates)
-    for line, fields in grouped["PROBLEM"]:
-        problem = _dec_problem(line, fields)
-        if problem.id in state.problems:
-            raise DuplicateId(f"line {line}: problem {problem.id!r} defined twice")
+
+
+def import_state(text: str) -> EngineState:
+    records = _read(text, KIND_ORDER, "a state")
+    state = new_state()
+    _build_network(records, state.network)
+    net_cat_rows: List[Tuple[str, Optional[str], str]] = []
+    space_cat_rows: Dict[str, List[Tuple[int, str, Optional[str], str]]] = {}
+    for line, (cid, owner, parent, name) in records["CAT"]:
+        if owner is None:
+            net_cat_rows.append((cid, parent, name))
+        else:
+            space_cat_rows.setdefault(owner, []).append((line, cid, parent, name))
+    state.network.categories = CategoryTree.from_rows(
+        net_cat_rows, missing_parent_error=DanglingReference
+    )
+    _build_space(records, state.space, space_cat_rows)
+    _build_lexicon(state, records)
+    for _line, problem in records["PROBLEM"]:
         state.problems[problem.id] = problem
-    for line, fields in grouped["ANOMALYRULE"]:
-        rule = _dec_anomaly(line, fields)
-        if rule.id in state.anomaly_rules:
-            raise DuplicateId(f"line {line}: anomaly rule {rule.id!r} defined twice")
+    for _line, rule in records["ANOMALYRULE"]:
         state.anomaly_rules[rule.id] = rule
     _check_anchors(state)
     return state
@@ -854,7 +827,8 @@ def import_state(text: str) -> EngineState:
 
 def _check_anchors(state: EngineState) -> None:
     pool: Set[str] = set(state.network.categories.ids())
-    pool.update(state.space._cat_owner)
+    for dim in state.space.dimensions():
+        pool.update(dim.tree.ids())
     pool.update(state.concepts.concepts)
     bundles = [node.rep for node in state.network.nodes.values()]
     bundles += [lt.rep for lt in state.network.link_types.values()]
@@ -869,33 +843,12 @@ def _check_anchors(state: EngineState) -> None:
 
 def fragment_to_increment(text: str) -> IncrementFragment:
     """Parse a network-only document into an additive increment."""
-    fragment = IncrementFragment()
-    seen: Dict[str, Set[str]] = {k: set() for k in ("LINKTYPE", "NODE", "RULE", "LINK")}
-    for line, kind, fields in records_from_text(text):
-        if kind not in seen:
-            raise MalformedRecord(line, f"{kind} not allowed in a network increment")
-        if kind == "LINKTYPE":
-            lt = _dec_linktype(line, fields)
-            key = lt.id
-            fragment.link_types.append(lt)
-        elif kind == "NODE":
-            node = _dec_node(line, fields)
-            key = node.id
-            fragment.nodes.append(node)
-        elif kind == "RULE":
-            rule = _dec_rule(line, fields)
-            key = rule.id
-            fragment.rules.append(rule)
-        else:
-            link = _dec_link(line, fields)
-            if not link.is_explicit:
-                raise MalformedRecord(line, "increments carry explicit links only")
-            key = link.id
-            fragment.links.append(link)
-        if key in seen[kind]:
-            raise DuplicateId(f"line {line}: {kind} {key!r} defined twice")
-        seen[kind].add(key)
-    return fragment
+    kinds = ("LINKTYPE", "NODE", "RULE", "LINK")  # IncrementFragment's field order
+    records = _read(text, kinds, "a network increment")
+    for line, link in records["LINK"]:
+        if not link.is_explicit:
+            raise MalformedRecord(line, "increments carry explicit links only")
+    return IncrementFragment(*([record for _line, record in records[kind]] for kind in kinds))
 
 
 def parse_candidates(text: str) -> List[Candidate]:
@@ -917,15 +870,8 @@ def parse_candidates(text: str) -> List[Candidate]:
 
 
 def parse_anomaly_rules(text: str) -> Dict[str, AnomalyRule]:
-    rules: Dict[str, AnomalyRule] = {}
-    for line, kind, fields in records_from_text(text):
-        if kind != "ANOMALYRULE":
-            raise MalformedRecord(line, f"{kind} is not an anomaly rule record")
-        rule = _dec_anomaly(line, fields)
-        if rule.id in rules:
-            raise DuplicateId(f"line {line}: anomaly rule {rule.id!r} defined twice")
-        rules[rule.id] = rule
-    return rules
+    records = _read(text, ("ANOMALYRULE",), "an anomaly rule file")
+    return {rule.id: rule for _line, rule in records["ANOMALYRULE"]}
 
 
 def merge_lexicon_fragment(state: EngineState, text: str) -> Tuple[int, int]:
@@ -935,26 +881,6 @@ def merge_lexicon_fragment(state: EngineState, text: str) -> Tuple[int, int]:
     any previous candidate list for the same word. Returns (concepts added,
     words set).
     """
-    decoded_concepts: List[Tuple[int, Concept]] = []
-    lexemes: List[Tuple[int, str, List[str]]] = []
-    for line, kind, fields in records_from_text(text):
-        if kind == "CONCEPT":
-            decoded_concepts.append((line, _dec_concept(line, fields)))
-        elif kind == "LEXEME":
-            word, candidates = _dec_lexeme(line, fields)
-            lexemes.append((line, word, candidates))
-        else:
-            raise MalformedRecord(line, f"{kind} not allowed in a lexicon fragment")
-    _build_concepts(state, decoded_concepts)
-    seen_words: Set[str] = set()
-    for line, word, candidates in lexemes:
-        if word in seen_words:
-            raise DuplicateId(f"line {line}: word {word!r} defined twice")
-        seen_words.add(word)
-        for cid in candidates:
-            if cid not in state.concepts:
-                raise DanglingReference(
-                    cid, f"line {line}: candidate for word {word!r}"
-                )
-        state.lexicon.set_candidates(word, candidates)
-    return (len(decoded_concepts), len(lexemes))
+    records = _read(text, ("CONCEPT", "LEXEME"), "a lexicon fragment")
+    _build_lexicon(state, records)
+    return (len(records["CONCEPT"]), len(records["LEXEME"]))

@@ -9,7 +9,6 @@ the capacity comparison can_hold.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -137,6 +136,30 @@ class Space:
         self._cat_owner[cat_id] = dim_id
         return cat_id
 
+    def add_tree(
+        self, name: str, tree: CategoryTree, dim_id: Optional[str] = None
+    ) -> Dict[str, str]:
+        """Add a dimension holding a copy of tree; returns old -> new category ids.
+
+        A dimension or category id already taken in this space gets a fresh
+        one, handed out parent before child as topological_ids orders them.
+        """
+        if dim_id in self._dims:
+            dim_id = None
+        root, *below = tree.topological_ids()
+        dim = self.add_dimension(
+            name, dim_id, root_id=None if root in self._cat_owner else root,
+            root_name=tree.get(root).name,
+        )
+        cat_map = {root: dim.root}
+        for cat_id in below:
+            node = tree.get(cat_id)
+            cat_map[cat_id] = self.add_category(
+                dim.id, node.name, cat_map[node.parent],
+                None if cat_id in self._cat_owner else cat_id,
+            )
+        return cat_map
+
     # ===== placement =====
 
     def _check_point(self, point: Dict[str, str]) -> Dict[str, str]:
@@ -253,11 +276,7 @@ class Space:
         out = Space(name)
         for dim_id in dim_ids:
             src = self._dims[dim_id]
-            dim = Dimension(dim_id, src.name, copy.deepcopy(src.tree))
-            out._dims[dim_id] = dim
-            out._order.append(dim_id)
-            for cat_id in src.tree.ids():
-                out._cat_owner[cat_id] = dim_id
+            out.add_tree(src.name, src.tree, dim_id)
         for resource, point in self.placements.items():
             out.placements[resource] = {d: point[d] for d in dim_ids}
         return out
@@ -341,22 +360,8 @@ def join_spaces(a: Space, b: Space) -> Tuple[Space, List[str]]:
     dim_map: Dict[str, str] = {}
     cat_map: Dict[str, str] = {}
     for dim in b.dimensions():
-        new_dim_id = dim.id
-        if new_dim_id in out._dims:
-            new_dim_id = fresh_id(out._counters, "d", out._dims)
-        dim_map[dim.id] = new_dim_id
-        new_dim = Dimension(new_dim_id, dim.name)
-        out._dims[new_dim_id] = new_dim
-        out._order.append(new_dim_id)
-        for cat_id in dim.tree.topological_ids():
-            node = dim.tree.get(cat_id)
-            new_cat_id = cat_id
-            if new_cat_id in out._cat_owner:
-                new_cat_id = fresh_id(out._counters, "g", out._cat_owner)
-            cat_map[cat_id] = new_cat_id
-            parent = cat_map[node.parent] if node.parent is not None else None
-            new_dim.tree.add(new_cat_id, node.name, parent)
-            out._cat_owner[new_cat_id] = new_dim_id
+        cat_map.update(out.add_tree(dim.name, dim.tree, dim.id))
+        dim_map[dim.id] = out.dimension_by_name(dim.name).id
     warnings: List[str] = []
     shared = set(a.placements) & set(b.placements)
     for resource in sorted(set(a.placements) - shared):

@@ -30,6 +30,7 @@ class CategoryTree:
 
     def __init__(self) -> None:
         self._nodes: Dict[str, CategoryNode] = {}
+        self._children: Dict[str, List[str]] = {}
         self.root: Optional[str] = None
 
     def __contains__(self, cat_id: str) -> bool:
@@ -57,13 +58,15 @@ class CategoryTree:
             raise DanglingReference(parent, f"parent of category {cat_id!r}")
         node = CategoryNode(cat_id, name, parent)
         self._nodes[cat_id] = node
+        if parent is not None:
+            self._children.setdefault(parent, []).append(cat_id)
         return node
 
     def parent(self, cat_id: str) -> Optional[str]:
         return self._nodes[cat_id].parent
 
     def children(self, cat_id: str) -> List[str]:
-        return sorted(c.id for c in self._nodes.values() if c.parent == cat_id)
+        return sorted(self._children.get(cat_id, ()))
 
     def is_within(self, cat_id: str, ancestor: str) -> bool:
         """True when cat_id equals ancestor or sits below it."""
@@ -118,38 +121,27 @@ class CategoryTree:
                 root = cat_id
         if root is None:
             raise MalformedTree("no root category (every node has a parent)")
+        children: Dict[str, List[str]] = {}
         for cat_id, (parent, _name) in by_id.items():
-            if parent is not None and parent not in by_id:
+            if parent is None:
+                continue
+            if parent not in by_id:
                 if missing_parent_error is DanglingReference:
                     raise DanglingReference(parent, f"parent of category {cat_id!r}")
                 raise missing_parent_error(
                     f"category {cat_id!r} references missing parent {parent!r}"
                 )
-        # Everything must hang off the root; a stray cycle is unreachable.
-        reachable = {root}
+            children.setdefault(parent, []).append(cat_id)
+        # One walk down from the root; whatever it misses is stray (a cycle).
+        tree = cls()
+        tree.add(root, by_id[root][1], None)
         frontier = [root]
-        children: Dict[str, List[str]] = {}
-        for cat_id, (parent, _name) in by_id.items():
-            if parent is not None:
-                children.setdefault(parent, []).append(cat_id)
         while frontier:
             cur = frontier.pop()
             for child in children.get(cur, ()):
-                if child not in reachable:
-                    reachable.add(child)
-                    frontier.append(child)
-        if len(reachable) != len(by_id):
-            stray = sorted(set(by_id) - reachable)
+                tree.add(child, by_id[child][1], cur)
+                frontier.append(child)
+        if len(tree) != len(by_id):
+            stray = sorted(c for c in by_id if c not in tree)
             raise MalformedTree(f"categories not reachable from root: {stray}")
-        tree = cls()
-        tree.add(root, by_id[root][1], None)
-        pending = sorted(set(by_id) - {root})
-        while pending:
-            progressed = []
-            for cat_id in pending:
-                parent, name = by_id[cat_id]
-                if parent in tree:
-                    tree.add(cat_id, name, parent)
-                    progressed.append(cat_id)
-            pending = [c for c in pending if c not in set(progressed)]
         return tree

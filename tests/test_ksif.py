@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from ksengine.cli import main
 from ksengine.errors import (
     BadHeader,
     DanglingReference,
     DuplicateId,
+    KsError,
     MalformedRecord,
     UnknownKind,
 )
@@ -193,6 +195,27 @@ def test_duplicate_node_reports_line():
         import_state(broken)
     assert "line" in str(err.value)
     assert "'a'" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", KIND_ORDER)
+def test_repeated_key_reports_its_line(kind):
+    doc = export_state(random_state(random.Random(2)))  # holds every kind
+    record = next(l for l in doc.split("\n") if l.startswith(kind + "\t"))
+    broken = doc + record + "\n"
+    line = broken.count("\n")
+    with pytest.raises(DuplicateId) as err:
+        import_state(broken)
+    assert str(err.value).startswith(f"line {line}: ")
+    assert "defined twice" in str(err.value)
+
+
+def test_network_and_space_categories_may_share_an_id():
+    state = minimal_state()
+    state.network.categories.add("c1", "knowledge", None)
+    state.space.add_dimension("axis", root_id="c1")
+    doc = export_state(state)
+    assert doc.count("CAT\tc1\t") == 2
+    assert export_state(import_state(doc)) == doc
 
 
 def test_unknown_kind_reports_line():
@@ -474,3 +497,65 @@ def test_space_fragment_round_trip():
         doc = export_space_fragment(space)
         rebuilt = import_state(doc)
         assert export_space_fragment(rebuilt.space) == doc
+
+
+# ----- mutation fuzzing -----
+
+AWKWARD = ("", "x", "0", "1", "-1", "nan", "inf", "E", "D", "S", "\\q", "\\", "?a")
+
+
+def mutate(rng: random.Random, doc: str) -> str:
+    """One seeded edit: a record line dropped, duplicated or swapped with
+    another, or one field replaced, dropped or inserted."""
+    lines = doc.split("\n")
+    i, j = rng.randrange(1, len(lines) - 1), rng.randrange(1, len(lines) - 1)
+    edit = rng.choice(("drop", "copy", "swap", "replace", "cut", "insert"))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "copy":
+        lines.insert(j, lines[i])
+    elif edit == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        fields = lines[i].split("\t")
+        k = rng.randrange(1, len(fields)) if len(fields) > 1 else 0
+        value = rng.choice(AWKWARD + tuple(lines[j].split("\t")))
+        if edit == "replace":
+            fields[k] = value
+        elif edit == "cut":
+            del fields[k]
+        else:
+            fields.insert(k, value)
+        lines[i] = "\t".join(fields)
+    return "\n".join(lines)
+
+
+def test_mutated_documents_import_or_raise_an_engine_error():
+    rng = random.Random(4242)
+    imported = rejected = 0
+    for index in range(50):
+        doc = export_state(random_state(rng, torture=index % 2 == 1))
+        for _ in range(20):
+            try:
+                state = import_state(mutate(rng, doc))
+            except KsError:
+                rejected += 1
+                continue
+            imported += 1
+            canonical = export_state(state)
+            assert export_state(import_state(canonical)) == canonical
+    assert imported > 100 and rejected > 100
+
+
+def test_cli_import_of_mutated_documents_exits_cleanly(capsys, tmp_path):
+    rng = random.Random(17)
+    codes = set()
+    for index in range(12):
+        source = tmp_path / f"mutant{index}.ksif"
+        source.write_text(mutate(rng, export_state(random_state(rng))), encoding="utf-8")
+        code = main(["import", str(source), "--state", str(tmp_path / "kb.ksif")])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        codes.add(code)
+    assert codes == {0, 2}

@@ -231,6 +231,24 @@ def test_join_restores_split():
     assert joined.placements == space.placements
 
 
+def test_split_and_join_results_share_no_trees():
+    space, topic, year, _ = small_space()
+    selected, rest = space.split(["topic"])
+    joined, _warnings = join_spaces(rest, selected)
+    spaces = (space, selected, rest, joined)
+
+    def rows():
+        return [[dim.tree.to_rows() for dim in s.dimensions()] for s in spaces]
+
+    for grown in spaces[1:]:
+        before = rows()
+        for dim in grown.dimensions():
+            grown.add_category(dim.id, "extra", dim.root)
+        after = rows()
+        for s, old, new in zip(spaces, before, after):
+            assert (old == new) == (s is not grown)
+
+
 def test_join_rejects_shared_names():
     a = Space("a")
     a.add_dimension("topic")

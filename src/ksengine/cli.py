@@ -446,7 +446,7 @@ def _cmd_ability(args) -> int:
         questions.append(parse_pattern(line))
     increments = [fragment_to_increment(_read_file(f)) for f in args.increments]
     report = ability_report(
-        state.copy().network, questions, increments, state.anomaly_rules.values()
+        state.network, questions, increments, state.anomaly_rules.values()
     )
     for entry in report.entries:
         print(f"{entry.increment}\t{entry.answered}\t{entry.questions}\t{entry.problems}")

@@ -1,7 +1,8 @@
 """Discovery loop: verification, problem finding, analogy, and ability reports.
 
-Everything here is deterministic: candidate decisions re-derive on scratch
-copies, problems come out in sorted order, the analogy search visits nodes in
+Everything here is deterministic: verification and analogy each derive one
+scratch copy of the caller's network once and reuse that saturated copy,
+problems come out in sorted order, the analogy search visits nodes in
 a fixed order, and ability reports replay the same measurements per increment.
 """
 
@@ -89,12 +90,15 @@ def verify_knowledge(
     instantiation must already be derivable, a concept's classes must exist.
     consistency: additionally accept when adding the candidate and re-deriving
     produces no contradiction against the configured exclusivity pairs.
+
+    A link or rule candidate is checked on one scratch copy of the network,
+    derived once; consistency mode adds the candidate to that saturated copy
+    and derives again. The caller's network is never changed.
     """
     if mode not in ("literal", "consistency"):
         raise ValueError(f"mode must be 'literal' or 'consistency', got {mode!r}")
-    pairs = list(exclusive_pairs)
+    payload = candidate.payload
     if candidate.kind == "link":
-        payload = candidate.payload
         if not isinstance(payload, LinkCandidate):
             raise InvalidCandidate(f"link candidate payload is {type(payload).__name__}")
         if not payload.weight >= 0:
@@ -104,21 +108,7 @@ def verify_knowledge(
                 return Verdict(False, f"unknown endpoint {endpoint!r}", mode)
         if payload.type not in network.link_types:
             return Verdict(False, f"unknown link type {payload.type!r}", mode)
-        work = copy.deepcopy(network)
-        derive_fixpoint(work)
-        if work.has_fact(payload.source, payload.type, payload.target):
-            return Verdict(True, None, "literal")
-        if mode == "literal":
-            return Verdict(False, "not derivable from current knowledge", "literal")
-        work = copy.deepcopy(network)
-        work.assert_link(payload.source, payload.type, payload.target, payload.weight)
-        derive_fixpoint(work)
-        conflict = _contradiction(work, pairs)
-        if conflict:
-            return Verdict(False, conflict, "consistency")
-        return Verdict(True, None, "consistency")
-    if candidate.kind == "rule":
-        payload = candidate.payload
+    elif candidate.kind == "rule":
         if not isinstance(payload, Rule):
             raise InvalidCandidate(f"rule candidate payload is {type(payload).__name__}")
         structural = validate_rule(payload)
@@ -127,29 +117,7 @@ def verify_knowledge(
         semantic = validate_rule(payload, network)
         if semantic:
             return Verdict(False, "; ".join(semantic), mode)
-        work = copy.deepcopy(network)
-        derive_fixpoint(work)
-        rows = rows_from_network(work)
-        missing: List[Tuple[str, str, str]] = []
-        for env, _premises in match_atoms(rows, payload.body):
-            for head in payload.head:
-                triple = head.substituted(env)
-                if not work.has_fact(*triple) and triple not in missing:
-                    missing.append(triple)
-        if not missing:
-            return Verdict(True, None, "literal")
-        if mode == "literal":
-            s, tid, t = missing[0]
-            return Verdict(False, f"head {tid}({s},{t}) is not derivable", "literal")
-        work = copy.deepcopy(network)
-        work.rules[payload.id] = payload
-        derive_fixpoint(work)
-        conflict = _contradiction(work, pairs)
-        if conflict:
-            return Verdict(False, conflict, "consistency")
-        return Verdict(True, None, "consistency")
-    if candidate.kind == "concept":
-        payload = candidate.payload
+    elif candidate.kind == "concept":
         if not hasattr(payload, "structure"):
             raise InvalidCandidate(
                 f"concept candidate payload is {type(payload).__name__}"
@@ -160,7 +128,37 @@ def verify_knowledge(
             if class_id not in concepts:
                 return Verdict(False, f"unknown class {class_id!r}", mode)
         return Verdict(True, None, "literal")
-    raise InvalidCandidate(f"unknown candidate kind {candidate.kind!r}")
+    else:
+        raise InvalidCandidate(f"unknown candidate kind {candidate.kind!r}")
+    work = copy.deepcopy(network)
+    derive_fixpoint(work)
+    if candidate.kind == "link":
+        triple = (payload.source, payload.type, payload.target)
+        unsupported = None if work.has_fact(*triple) else "not derivable from current knowledge"
+    else:
+        unsupported = _first_missing_head(work, payload)
+    if unsupported is None:
+        return Verdict(True, None, "literal")
+    if mode == "literal":
+        return Verdict(False, unsupported, "literal")
+    if candidate.kind == "link":
+        work.assert_link(*triple, payload.weight)
+    else:
+        work.rules[payload.id] = payload
+    derive_fixpoint(work)
+    conflict = _contradiction(work, exclusive_pairs)
+    return Verdict(conflict is None, conflict, "consistency")
+
+
+def _first_missing_head(network: Network, rule: Rule) -> Optional[str]:
+    """Why the rule is not yet derivable on a saturated network: its first
+    head instance (in match order) that is not a fact, or None."""
+    for env, _premises in match_atoms(rows_from_network(network), rule.body):
+        for head in rule.head:
+            s, tid, t = head.substituted(env)
+            if not network.has_fact(s, tid, t):
+                return f"head {tid}({s},{t}) is not derivable"
+    return None
 
 
 # ===== cause-effect tracing =====
@@ -206,24 +204,20 @@ def trace_cause_effect(
     for idx, (src, _label, tgt, _w) in enumerate(edges):
         forward.setdefault(src, []).append(idx)
         backward.setdefault(tgt, []).append(idx)
-    reached_f = set(goal_list)
-    frontier = list(goal_list)
-    while frontier:
-        cur = frontier.pop()
-        for idx in forward.get(cur, ()):
-            nxt = edges[idx][2]
-            if nxt not in reached_f:
-                reached_f.add(nxt)
-                frontier.append(nxt)
-    reached_b = set(goal_list)
-    frontier = list(goal_list)
-    while frontier:
-        cur = frontier.pop()
-        for idx in backward.get(cur, ()):
-            nxt = edges[idx][0]
-            if nxt not in reached_b:
-                reached_b.add(nxt)
-                frontier.append(nxt)
+
+    def reach(index: Dict[str, List[int]], end: int) -> Set[str]:
+        reached = set(goal_list)
+        frontier = list(goal_list)
+        while frontier:
+            for idx in index.get(frontier.pop(), ()):
+                nxt = edges[idx][end]
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+        return reached
+
+    reached_f = reach(forward, 2)
+    reached_b = reach(backward, 0)
     out_edges: List[CauseEffectEdge] = []
     for src, label, tgt, weight in edges:
         directions = []
@@ -581,7 +575,14 @@ def analogize(
     max_nodes: int = 10,
 ) -> AnalogyResult:
     """Map the source's solution into the target by isomorphism, generalized
-    types, or conjecture–verification (in that order)."""
+    types, or conjecture–verification (in that order).
+
+    Conjectures are checked against one copy of the target, derived once:
+    a mapped relation is present, derivable, or conjectured; then the
+    conjectures are asserted into that copy and it is derived again, so
+    impact is exactly what the conjectures add, fixpoint(target +
+    conjectures) - fixpoint(target) - conjectures.
+    """
     s_nodes = sorted(source.nodes)
     t_nodes = sorted(target.nodes)
     if not s_nodes:
@@ -600,27 +601,10 @@ def analogize(
     t_triple_set = set(t_triples)
     t_out, t_in = _degree_tables(t_nodes, t_triples)
 
-    # Stage 1: exact, label-preserving.
-    node_map = _search_injection(s_nodes, s_triples, t_nodes, t_triple_set, t_out, t_in)
-    if node_map is not None:
-        mapped = [
-            (node_map[source.links[lid].source], source.links[lid].type,
-             node_map[source.links[lid].target])
-            for lid in solution_ids
-        ]
-        return AnalogyResult("exact", node_map, mapped)
-
-    # Stage 2: lift source link types one hierarchy level per round.
+    # Exact search first, then lift source link types one hierarchy level
+    # per round until a map is found or nothing lifts.
     type_map = {tid: tid for tid in sorted({t for _s, t, _t in s_triples})}
     while True:
-        lifted = {
-            tid: (source.link_types[cur].parent or cur)
-            if cur in source.link_types else cur
-            for tid, cur in type_map.items()
-        }
-        if lifted == type_map:
-            break
-        type_map = lifted
         lifted_triples = [(s, type_map[tid], t) for s, tid, t in s_triples]
         node_map = _search_injection(
             s_nodes, lifted_triples, t_nodes, t_triple_set, t_out, t_in
@@ -635,20 +619,28 @@ def analogize(
                  node_map[source.links[lid].target])
                 for lid in solution_ids
             ]
-            return AnalogyResult("generalized", node_map, mapped,
-                                 generalization=generalization)
+            return AnalogyResult("generalized" if generalization else "exact",
+                                 node_map, mapped, generalization=generalization)
+        lifted = {
+            tid: (source.link_types[cur].parent or cur)
+            if cur in source.link_types else cur
+            for tid, cur in type_map.items()
+        }
+        if lifted == type_map:
+            break
+        type_map = lifted
 
-    # Stage 3: conjecture and verify.
+    # Conjecture and verify, on one saturated copy of the target.
     node_map, _count = _best_partial_map(s_nodes, s_triples, t_nodes, t_triple_set)
     if node_map is None:
         return AnalogyResult("none")
-    fix = copy.deepcopy(target)
-    derive_fixpoint(fix)
+    work = copy.deepcopy(target)
+    derive_fixpoint(work)
 
     def status_of(triple: Tuple[str, str, str]) -> str:
         if triple in t_triple_set:
             return "present"
-        if triple[1] in fix.link_types and fix.has_fact(*triple):
+        if work.has_fact(*triple):
             return "derivable"
         return "conjectured"
 
@@ -669,25 +661,19 @@ def analogize(
             if rs.status == "conjectured"
         }
     )
-    impact: List[Tuple[str, str, str]] = []
-    if conjectured:
-        scratch = copy.deepcopy(target)
-        conjecture_ids: Set[str] = set()
-        for s, tid, t in conjectured:
-            if tid not in scratch.link_types:
-                src_type = source.link_types[tid]
-                scratch.add_link_type(
-                    src_type.rep, src_type.transitive, src_type.symmetric,
-                    parent=None, type_id=tid,
-                )
-            if not scratch.has_fact(s, tid, t):
-                conjecture_ids.add(scratch.assert_link(s, tid, t))
-        derive_fixpoint(scratch)
-        dependent = scratch.provenance_closure(conjecture_ids)
-        impact = sorted(
-            scratch.links[lid].triple()
-            for lid in dependent - conjecture_ids
-        )
+    for s, tid, t in conjectured:
+        if tid not in work.link_types:
+            src_type = source.link_types[tid]
+            work.add_link_type(
+                src_type.rep, src_type.transitive, src_type.symmetric,
+                parent=None, type_id=tid,
+            )
+        if not work.has_fact(s, tid, t):
+            work.assert_link(s, tid, t)
+    # work held the target's fixpoint, so the links this derive adds are
+    # exactly what the conjectures add.
+    new_links, _provenance = derive_fixpoint(work)
+    impact = sorted(link.triple() for link in new_links)
     mapped = [rs.triple for rs in solution_relations]
     return AnalogyResult(
         "conjecture",

@@ -29,6 +29,7 @@ which restores, under fresh ids, anything another firing still supports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import (
@@ -338,6 +339,7 @@ def match_atoms(
 TRANSITIVE_PREFIX = "sys.transitive."
 
 
+@functools.lru_cache(maxsize=None)  # shared by every caller: never mutate the result
 def _transitive_rule(type_id: str) -> Rule:
     return Rule(
         id=f"{TRANSITIVE_PREFIX}{type_id}",
@@ -473,7 +475,7 @@ def _reconstruct_substitution(
                 return out
         return None
 
-    env = walk(0, {})
+    env = walk(0, {}) if len(premises) == len(rule.body) else None
     if env is None:
         raise InvalidRule(
             f"premises {premises} do not satisfy the body of rule {rule.id!r}"

@@ -219,6 +219,28 @@ def test_explain_unknown_link_is_data_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_explain_of_short_premise_list_is_data_error(capsys, tmp_path):
+    src = tmp_path / "short.ksif"
+    src.write_text(
+        "KSIF 1\n"
+        "LINKTYPE\tt\t1\t0\t\tS\t\tt\t\t0\n"
+        "NODE\ta\t0.0\tS\t\ta\t\t0\t0\n"
+        "NODE\tb\t0.0\tS\t\tb\t\t0\t0\n"
+        "NODE\tc\t0.0\tS\t\tc\t\t0\t0\n"
+        "LINK\tk1\ta\tt\tb\t1.0\tE\n"
+        "LINK\tk2\tb\tt\tc\t1.0\tE\n"
+        "LINK\tk3\ta\tt\tc\t1.0\tD\tsys.transitive.t\t1\tk1\n",
+        encoding="utf-8",
+    )
+    state_file = tmp_path / "state.ksif"
+    code, _out, _err = run(capsys, ["import", str(src), "--state", str(state_file)])
+    assert code == 0
+    code, _out, err = run(capsys, ["explain", "k3", "--state", str(state_file)])
+    assert code == 2
+    assert "premises ('k1',) do not satisfy the body of rule 'sys.transitive.t'" in err
+    assert "Traceback" not in err
+
+
 # ===== space commands =====
 
 def test_place_then_locate(capsys, tmp_path):

@@ -12,6 +12,7 @@ from ksengine.discovery import (
     IncrementFragment,
     LinkCandidate,
     Problem,
+    Verdict,
     ability_report,
     analogize,
     detect_co_occurrence,
@@ -43,7 +44,7 @@ from ksengine.sln import Explicit, Network, QueryPattern, RepBundle, SemanticLin
 from ksengine.taxonomy import CategoryTree
 
 import oracles
-from generators import random_network
+from generators import network_as_tuples, random_network
 
 
 def net_from_triples(triples, type_flags=None, type_parents=None):
@@ -187,6 +188,72 @@ def test_verify_concept_candidate():
     assert "unknown class" in verdict.reason
     verdict = verify_knowledge(net, Candidate("concept", child))
     assert not verdict.accepted
+
+
+def test_verify_rule_reusing_a_stored_id_keeps_its_consequences():
+    # The stored rule r gives u(a,b); the candidate r gives v(a,b), which
+    # clashes with it, whether or not the caller derived first.
+    net = net_from_triples([("a", "t", "b")])
+    for tid in ("u", "v"):
+        net.add_link_type(RepBundle(word=tid), type_id=tid)
+    net.rules["r"] = Rule("r", RepBundle(word="r"), (PatternAtom("?x", "t", "?y"),),
+                          (PatternAtom("?x", "u", "?y"),))
+    candidate = Candidate("rule", Rule(
+        "r", RepBundle(word="r"), (PatternAtom("?x", "t", "?y"),),
+        (PatternAtom("?x", "v", "?y"),),
+    ))
+    saturated = copy.deepcopy(net)
+    derive_fixpoint(saturated)
+    for network in (net, saturated):
+        verdict = verify_knowledge(network, candidate, mode="consistency",
+                                   exclusive_pairs=[("u", "v")])
+        assert verdict == Verdict(False, "u(a,b) conflicts with v(a,b)", "consistency")
+
+
+def test_verify_link_consistency_matches_naive_fixpoint():
+    rng = random.Random(5150)
+    for _ in range(60):
+        net = random_network(rng, max_nodes=6)
+        explicit, rules, symmetric, transitive = network_as_tuples(net)
+        facts = oracles.naive_fixpoint(explicit, rules, symmetric, transitive)
+        types = sorted(net.link_types)
+        pairs = [(rng.choice(types), rng.choice(types)) for _ in range(2)]
+        for _ in range(4):
+            triple = (rng.choice(sorted(net.nodes)), rng.choice(types),
+                      rng.choice(sorted(net.nodes)))
+            verdict = verify_knowledge(net, Candidate("link", LinkCandidate(*triple)),
+                                       mode="consistency", exclusive_pairs=pairs)
+            if triple in facts:
+                assert verdict == Verdict(True, None, "literal")
+                continue
+            grown = oracles.naive_fixpoint(explicit + [triple], rules, symmetric, transitive)
+            clash = any((s, t2, t) in grown
+                        for t1, t2 in pairs for s, tid, t in grown if tid == t1)
+            assert verdict.accepted == (not clash), (triple, pairs, verdict)
+            assert verdict.mode == "consistency"
+
+
+def _count_deepcopies(monkeypatch):
+    """Count top-level copy.deepcopy calls (copy recurses with a memo)."""
+    calls = []
+    real = copy.deepcopy
+
+    def counting(obj, memo=None, *rest):
+        if memo is None:
+            calls.append(type(obj).__name__)
+        return real(obj, memo, *rest)
+
+    monkeypatch.setattr(copy, "deepcopy", counting)
+    return calls
+
+
+def test_verify_consistency_copies_the_network_once(monkeypatch):
+    net = chain_rule_net()
+    calls = _count_deepcopies(monkeypatch)
+    verdict = verify_knowledge(net, Candidate("link", LinkCandidate("c", "u", "a")),
+                               mode="consistency")
+    assert verdict == Verdict(True, None, "consistency")
+    assert calls == ["Network"]
 
 
 # ----- cause-effect tracing -----
@@ -523,6 +590,78 @@ def test_stage_one_matches_permutation_search():
         else:
             assert result.outcome == "exact"
             assert oracles.replay_map(result.node_map, s_triples, t_triples)
+
+
+def cocite_analogy():
+    """A source whose best map into the target conjectures two citations
+    that only re-derive what the target's co-citation rule already gives."""
+    source = net_from_triples([
+        ("s1", "cites", "s3"), ("s2", "cites", "s3"),
+        ("s1", "cites", "s4"), ("s2", "cites", "s4"),
+    ])
+    target = net_from_triples([("a", "cites", "rb"), ("b", "cites", "rb")])
+    target.add_node(RepBundle(word="ra"), node_id="ra")
+    target.add_link_type(RepBundle(word="same"), type_id="same")
+    target.rules["cocite"] = Rule(
+        "cocite", RepBundle(word="cocite"),
+        (PatternAtom("?x", "cites", "?z"), PatternAtom("?y", "cites", "?z")),
+        (PatternAtom("?x", "same", "?y"),),
+    )
+    return source, target
+
+
+def test_analogize_impact_leaves_out_what_already_holds():
+    source, target = cocite_analogy()
+    saturated = copy.deepcopy(target)
+    derive_fixpoint(saturated)
+    results = [analogize(source, [], network) for network in (target, saturated)]
+    assert results[0] == results[1]
+    conjectured = [rs.triple for rs in results[0].problem_relations
+                   if rs.status == "conjectured"]
+    assert conjectured == [("a", "cites", "ra"), ("b", "cites", "ra")]
+    assert results[0].impact == []
+
+
+def test_analogize_conjecture_copies_the_target_once(monkeypatch):
+    source, target = cocite_analogy()
+    calls = _count_deepcopies(monkeypatch)
+    assert analogize(source, [], target).outcome == "conjecture"
+    assert calls == ["Network"]
+
+
+def _symmetric_closure(triples, symmetric):
+    return set(triples) | {(t, tid, s) for s, tid, t in triples if tid in symmetric}
+
+
+def test_analogize_impact_is_what_the_conjectures_add():
+    rng = random.Random(777)
+    conjecture_cases = 0
+    for _ in range(200):
+        source = random_network(rng, max_nodes=4, max_types=3, max_rules=0)
+        target = random_network(rng, max_nodes=5, max_types=2, max_rules=3)
+        solution = [lid for lid in sorted(source.links) if rng.random() < 0.5]
+        result = analogize(source, solution, target)
+        if result.outcome != "conjecture":
+            continue
+        conjectures = sorted({rs.triple for rs in result.problem_relations
+                              + result.solution_relations if rs.status == "conjectured"})
+        if not conjectures:
+            continue
+        conjecture_cases += 1
+        explicit, rules, symmetric, transitive = network_as_tuples(target)
+        # A conjectured type the target lacks comes with the source's flags.
+        for tid in {tid for _s, tid, _t in conjectures} - set(target.link_types):
+            if source.link_types[tid].symmetric:
+                symmetric.add(tid)
+            if source.link_types[tid].transitive:
+                transitive.add(tid)
+        before = oracles.naive_fixpoint(explicit, rules, symmetric, transitive)
+        after = oracles.naive_fixpoint(explicit + conjectures, rules, symmetric, transitive)
+        assert len(result.impact) == len(set(result.impact))
+        assert _symmetric_closure(result.impact, symmetric) == (
+            after - before - _symmetric_closure(conjectures, symmetric)
+        )
+    assert conjecture_cases >= 50
 
 
 # ----- ability over increments -----

@@ -2,7 +2,9 @@
 
 One state file holds everything (network, space, concepts, lexicon, problems,
 anomaly rules); its path comes from --state or the KSENGINE_STATE environment
-variable. Mutating commands rewrite the file atomically. Exit codes: 0 on
+variable. Each call loads the state once, runs one command on it and, for a
+write command, saves it once: the new file replaces the old atomically, and
+the command's output is printed only after the save succeeds. Exit codes: 0 on
 success, 1 for usage problems, 2 for data errors, 3 when verification rejects
 a candidate or an analogy finds no mapping.
 """
@@ -10,9 +12,11 @@ a candidate or an analogy finds no mapping.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .discovery import (
     ability_report,
@@ -36,8 +40,8 @@ from .ksif import (
 )
 from .rules import derive_fixpoint, explain
 from .sln import parse_pattern
-from .space import can_hold, join_spaces
-from .state import EngineState, new_state
+from .space import Space, can_hold, join_spaces
+from .state import new_state
 
 
 class _UsageError(Exception):
@@ -144,43 +148,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# ===== state handling =====
-
-def _state_path(args: argparse.Namespace) -> str:
-    path = getattr(args, "state", None) or os.environ.get("KSENGINE_STATE")
-    if not path:
-        raise _UsageError("no state file: pass --state or set KSENGINE_STATE")
-    return path
-
-
-def _load_state(args: argparse.Namespace) -> Tuple[EngineState, str]:
-    path = _state_path(args)
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return import_state(handle.read()), path
-    return new_state(), path
-
-
-def _save_state(state: EngineState, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(export_state(state))
-    os.replace(tmp, path)
-
+# ===== input helpers =====
 
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
 
-def _parse_coords(tokens: Sequence[str]) -> Dict[str, str]:
-    point: Dict[str, str] = {}
+def _read_lines(path: str) -> List[str]:
+    """A file's stripped lines, skipping blank lines and # comments."""
+    lines = (raw.strip() for raw in _read_file(path).split("\n"))
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _point(space: Space, tokens: Sequence[str]) -> Dict[str, str]:
+    """DIM=CAT tokens as {dimension id: category}; DIM is an id or a name."""
+    pairs = []
     for token in tokens:
         dim, sep, cat = token.partition("=")
         if not sep or not dim or not cat:
             raise _UsageError(f"coordinate {token!r} must look like DIM=CAT")
-        point[dim] = cat
-    return point
+        pairs.append((dim, cat))
+    return {space.resolve_dimension(dim).id: cat for dim, cat in pairs}
 
 
 def _split_csv(text: str) -> List[str]:
@@ -188,32 +177,22 @@ def _split_csv(text: str) -> List[str]:
 
 
 # ===== commands =====
+# Each command is an operation on the loaded state; `main` loads and saves it.
 
-def _cmd_import(args) -> int:
-    path = _state_path(args)
-    state = import_state(_read_file(args.file))
-    _save_state(state, path)
-    return 0
-
-
-def _cmd_export(args) -> int:
-    state, _path = _load_state(args)
+def _cmd_export(state, _args) -> int:
     sys.stdout.write(export_state(state))
     return 0
 
 
-def _cmd_derive(args) -> int:
-    state, path = _load_state(args)
+def _cmd_derive(state, _args) -> int:
     new_links, _derivations = derive_fixpoint(state.network)
-    _save_state(state, path)
     print(f"{len(new_links)} new links")
     for link in sorted(new_links, key=lambda l: l.id):
         print(f"{link.id}\t{link.source}\t{link.type}\t{link.target}\t{link.weight!r}")
     return 0
 
 
-def _cmd_query(args) -> int:
-    state, _path = _load_state(args)
+def _cmd_query(state, args) -> int:
     pattern = parse_pattern(args.pattern)
     try:
         bindings = state.network.answer_query(pattern)
@@ -237,39 +216,23 @@ def _print_explanation(node, depth: int = 0) -> None:
         _print_explanation(child, depth + 1)
 
 
-def _cmd_explain(args) -> int:
-    state, _path = _load_state(args)
-    tree = explain(state.network, args.link_id)
-    _print_explanation(tree)
+def _cmd_explain(state, args) -> int:
+    _print_explanation(explain(state.network, args.link_id))
     return 0
 
 
-def _cmd_place(args) -> int:
-    state, path = _load_state(args)
-    point_by_token = _parse_coords(args.coords)
-    point = {
-        state.space.resolve_dimension(token).id: cat
-        for token, cat in point_by_token.items()
-    }
-    state.space.place(args.resource, point, replace=args.replace)
-    _save_state(state, path)
+def _cmd_place(state, args) -> int:
+    state.space.place(args.resource, _point(state.space, args.coords), replace=args.replace)
     return 0
 
 
-def _cmd_locate(args) -> int:
-    state, _path = _load_state(args)
-    spec_by_token = _parse_coords(args.coords)
-    spec = {
-        state.space.resolve_dimension(token).id: cat
-        for token, cat in spec_by_token.items()
-    }
-    for resource in state.space.locate(spec, mode=args.mode):
+def _cmd_locate(state, args) -> int:
+    for resource in state.space.locate(_point(state.space, args.coords), mode=args.mode):
         print(resource)
     return 0
 
 
-def _cmd_nf_check(args) -> int:
-    state, _path = _load_state(args)
+def _cmd_nf_check(state, _args) -> int:
     report = state.space.check_normal_forms()
     if report.clean:
         print("clean")
@@ -283,36 +246,26 @@ def _cmd_nf_check(args) -> int:
     return 0
 
 
-def _cmd_split(args) -> int:
-    state, path = _load_state(args)
-    selected, rest = state.space.split(_split_csv(args.dims))
-    state.space = rest
-    _save_state(state, path)
+def _cmd_split(state, args) -> int:
+    selected, state.space = state.space.split(_split_csv(args.dims))
     sys.stdout.write(export_space_fragment(selected))
     return 0
 
 
-def _cmd_join(args) -> int:
-    state, path = _load_state(args)
+def _cmd_join(state, args) -> int:
     other = import_state(_read_file(args.file)).space
-    joined, warnings = join_spaces(state.space, other)
-    state.space = joined
-    _save_state(state, path)
+    state.space, warnings = join_spaces(state.space, other)
     for warning in warnings:
         print(warning, file=sys.stderr)
     return 0
 
 
-def _cmd_merge_dims(args) -> int:
-    state, path = _load_state(args)
-    merged = state.space.merge_dimensions(args.dim1, args.dim2)
-    _save_state(state, path)
-    print(merged)
+def _cmd_merge_dims(state, args) -> int:
+    print(state.space.merge_dimensions(args.dim1, args.dim2))
     return 0
 
 
-def _cmd_read(args) -> int:
-    state, path = _load_state(args)
+def _cmd_read(state, args) -> int:
     if args.lexicon:
         merge_lexicon_fragment(state, _read_file(args.lexicon))
     tokens = args.text.split()
@@ -320,7 +273,6 @@ def _cmd_read(args) -> int:
         state.concepts, tokens, state.lexicon,
         goals=_split_csv(args.goals), radius=args.radius,
     )
-    _save_state(state, path)
     s = trace.summary
     print(
         f"tokens={s.tokens} resolved={s.resolved} skipped={s.skipped} "
@@ -332,8 +284,7 @@ def _cmd_read(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    state, _path = _load_state(args)
+def _cmd_verify(state, args) -> int:
     pairs = []
     for item in _split_csv(args.exclusive):
         first, sep, second = item.partition(":")
@@ -341,6 +292,9 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"exclusive pair {item!r} must look like T1:T2")
         pairs.append((first, second))
     candidates = parse_candidates(_read_file(args.file))
+    # Saturate once: each candidate's scratch copy then carries the derive
+    # mark, so its own derive costs nothing.
+    derive_fixpoint(state.network)
     any_rejected = False
     for index, candidate in enumerate(candidates, start=1):
         verdict = verify_knowledge(
@@ -353,26 +307,19 @@ def _cmd_verify(args) -> int:
     return 3 if any_rejected else 0
 
 
-def _cmd_co_occur(args) -> int:
-    state, path = _load_state(args)
+def _cmd_co_occur(state, args) -> int:
     events = []
-    for raw in _read_file(args.file).split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _read_lines(args.file):
         tokens = line.split()
         events.append((tokens[0], tokens[1:]))
     problems = detect_co_occurrence(events, args.min_support)
     for problem in problems:
         state.problems[problem.id] = problem
-    _save_state(state, path)
-    for problem in problems:
         print(f"{problem.id}\t{problem.statement}")
     return 0
 
 
-def _cmd_find_problem(args) -> int:
-    state, path = _load_state(args)
+def _cmd_find_problem(state, args) -> int:
     if args.rules:
         rules = parse_anomaly_rules(_read_file(args.rules))
     else:
@@ -381,14 +328,11 @@ def _cmd_find_problem(args) -> int:
     problems = find_problem(links, rules.values())
     for problem in problems:
         state.problems[problem.id] = problem
-    _save_state(state, path)
-    for problem in problems:
         print(f"{problem.id}\t{problem.kind}\t{problem.statement}")
     return 0
 
 
-def _cmd_solve(args) -> int:
-    state, _path = _load_state(args)
+def _cmd_solve(state, args) -> int:
     problem = state.problems.get(args.problem_id)
     if problem is None:
         print(f"error: problem {args.problem_id!r} not found", file=sys.stderr)
@@ -400,8 +344,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_recommend(args) -> int:
-    state, _path = _load_state(args)
+def _cmd_recommend(state, args) -> int:
     types = _split_csv(args.solution_types)
     pairs = [
         (problem, find_solution(state.concepts, problem, types))
@@ -414,7 +357,7 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _cmd_analogy(args) -> int:
+def _cmd_analogy(_state, args) -> int:
     source = import_state(_read_file(args.source)).network
     target = import_state(_read_file(args.target)).network
     result = analogize(
@@ -436,14 +379,8 @@ def _cmd_analogy(args) -> int:
     return 3 if result.outcome == "none" else 0
 
 
-def _cmd_ability(args) -> int:
-    state, _path = _load_state(args)
-    questions = []
-    for raw in _read_file(args.questions).split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        questions.append(parse_pattern(line))
+def _cmd_ability(state, args) -> int:
+    questions = [parse_pattern(line) for line in _read_lines(args.questions)]
     increments = [fragment_to_increment(_read_file(f)) for f in args.increments]
     report = ability_report(
         state.network, questions, increments, state.anomaly_rules.values()
@@ -453,32 +390,40 @@ def _cmd_ability(args) -> int:
     return 0
 
 
-def _cmd_capacity(args) -> int:
+def _cmd_capacity(_state, args) -> int:
     print("true" if can_hold(args.x, args.n) else "false")
     return 0
 
 
+# ===== state lifecycle =====
+
+# Where a command's state comes from: the --state file (a fresh state when the
+# file does not exist yet), the KSIF file named by the command's `file`
+# argument, or nothing (an empty state the command ignores).
+_STATE_FILE, _FILE_ARG, _EMPTY = "state-file", "file-arg", "empty"
+
+# command -> (operation, state source, whether the state is saved back)
 _COMMANDS = {
-    "import": _cmd_import,
-    "export": _cmd_export,
-    "derive": _cmd_derive,
-    "query": _cmd_query,
-    "explain": _cmd_explain,
-    "place": _cmd_place,
-    "locate": _cmd_locate,
-    "nf-check": _cmd_nf_check,
-    "split": _cmd_split,
-    "join": _cmd_join,
-    "merge-dims": _cmd_merge_dims,
-    "read": _cmd_read,
-    "verify": _cmd_verify,
-    "co-occur": _cmd_co_occur,
-    "find-problem": _cmd_find_problem,
-    "solve": _cmd_solve,
-    "recommend": _cmd_recommend,
-    "analogy": _cmd_analogy,
-    "ability": _cmd_ability,
-    "capacity": _cmd_capacity,
+    "import": (lambda _state, _args: 0, _FILE_ARG, True),
+    "export": (_cmd_export, _STATE_FILE, False),
+    "derive": (_cmd_derive, _STATE_FILE, True),
+    "query": (_cmd_query, _STATE_FILE, False),
+    "explain": (_cmd_explain, _STATE_FILE, False),
+    "place": (_cmd_place, _STATE_FILE, True),
+    "locate": (_cmd_locate, _STATE_FILE, False),
+    "nf-check": (_cmd_nf_check, _STATE_FILE, False),
+    "split": (_cmd_split, _STATE_FILE, True),
+    "join": (_cmd_join, _STATE_FILE, True),
+    "merge-dims": (_cmd_merge_dims, _STATE_FILE, True),
+    "read": (_cmd_read, _STATE_FILE, True),
+    "verify": (_cmd_verify, _STATE_FILE, False),
+    "co-occur": (_cmd_co_occur, _STATE_FILE, True),
+    "find-problem": (_cmd_find_problem, _STATE_FILE, True),
+    "solve": (_cmd_solve, _STATE_FILE, False),
+    "recommend": (_cmd_recommend, _STATE_FILE, False),
+    "analogy": (_cmd_analogy, _EMPTY, False),
+    "ability": (_cmd_ability, _STATE_FILE, False),
+    "capacity": (_cmd_capacity, _EMPTY, False),
 }
 
 
@@ -494,20 +439,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    operation, source, saved = _COMMANDS[args.command]
+    held_out, held_err = io.StringIO(), io.StringIO()
     try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+        path = args.state or os.environ.get("KSENGINE_STATE")
+        if not path and (source == _STATE_FILE or saved):
+            raise _UsageError("no state file: pass --state or set KSENGINE_STATE")
+        if source == _STATE_FILE and os.path.exists(path):
+            state = import_state(_read_file(path))
+        elif source == _FILE_ARG:
+            state = import_state(_read_file(args.file))
+        else:
+            state = new_state()
+        if not saved:
+            return operation(state, args)
+        with contextlib.redirect_stdout(held_out), contextlib.redirect_stderr(held_err):
+            code = operation(state, args)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(export_state(state))
+        os.replace(tmp, path)
+    except (_UsageError, MalformedPattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MalformedPattern as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KsError as exc:
+    except (KsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sys.stdout.write(held_out.getvalue())
+    sys.stderr.write(held_err.getvalue())
+    return code
 
 
 if __name__ == "__main__":

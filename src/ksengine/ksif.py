@@ -745,7 +745,7 @@ def _build_space(
         ]
         if not rows:
             raise MalformedRecord(line, f"dimension {did!r} has no categories")
-        tree = CategoryTree.from_rows(rows, missing_parent_error=DanglingReference)
+        tree = CategoryTree.from_rows(rows)
         space.add_tree(name, tree, did)
     trees = {dim.id: dim.tree for dim in space.dimensions()}
     for line, (resource, coords) in records["PLACE"]:
@@ -812,9 +812,7 @@ def import_state(text: str) -> EngineState:
             net_cat_rows.append((cid, parent, name))
         else:
             space_cat_rows.setdefault(owner, []).append((line, cid, parent, name))
-    state.network.categories = CategoryTree.from_rows(
-        net_cat_rows, missing_parent_error=DanglingReference
-    )
+    state.network.categories = CategoryTree.from_rows(net_cat_rows)
     _build_space(records, state.space, space_cat_rows)
     _build_lexicon(state, records)
     for _line, problem in records["PROBLEM"]:

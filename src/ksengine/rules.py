@@ -504,13 +504,21 @@ def explain(network: Network, link_id: str) -> Explanation:
 
 
 def verify_explanation(network: Network, node: Explanation) -> bool:
-    """Replay an explanation: every step must reproduce its link exactly."""
+    """Replay an explanation: every step must reproduce its link exactly.
+
+    Each node must name a stored link carrying its triple, and a derived
+    node's children must be the proofs of its premises, one per premise.
+    """
+    stored = network.links.get(node.link_id)
+    if stored is None or stored.triple() != node.triple:
+        return False
     if node.kind == "explicit":
-        link = network.links.get(node.link_id)
-        return link is not None and link.is_explicit and link.triple() == node.triple
+        return stored.is_explicit
     rule = get_rule(network, node.rule_id)
     env = node.substitution or {}
     if len(node.premises) != len(rule.body):
+        return False
+    if [child.link_id for child in node.children] != list(node.premises):
         return False
     for atom, pid in zip(rule.body, node.premises):
         s, tid, t = atom.substituted(env)

@@ -96,15 +96,12 @@ class CategoryTree:
         ]
 
     @classmethod
-    def from_rows(
-        cls,
-        rows,
-        missing_parent_error=MalformedTree,
-    ) -> "CategoryTree":
+    def from_rows(cls, rows) -> "CategoryTree":
         """Build a tree from (id, parent_or_None, name) rows in any order.
 
-        Raises MultipleRoots for a second root, MalformedTree for an empty or
-        disconnected structure, and missing_parent_error for an absent parent.
+        Raises MultipleRoots for a second root, MalformedTree for a rootless
+        or disconnected structure, and DanglingReference (as `add` does) for
+        an absent parent.
         """
         rows = list(rows)
         if not rows:
@@ -126,11 +123,7 @@ class CategoryTree:
             if parent is None:
                 continue
             if parent not in by_id:
-                if missing_parent_error is DanglingReference:
-                    raise DanglingReference(parent, f"parent of category {cat_id!r}")
-                raise missing_parent_error(
-                    f"category {cat_id!r} references missing parent {parent!r}"
-                )
+                raise DanglingReference(parent, f"parent of category {cat_id!r}")
             children.setdefault(parent, []).append(cat_id)
         # One walk down from the root; whatever it misses is stray (a cycle).
         tree = cls()

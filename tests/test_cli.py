@@ -1,9 +1,11 @@
 """Command line behaviour: exit codes, output formats, state round trips."""
 
+import argparse
 import random
 
 import pytest
 
+from ksengine import cli
 from ksengine.cli import main
 from ksengine.discovery import AnomalyRule, Problem
 from ksengine.ksif import export_state, import_state
@@ -796,3 +798,66 @@ def test_capacity_rejects_nonpositive_tree(capsys):
     code, _out, err = run(capsys, ["capacity", "0", "3"])
     assert code == 2
     assert "error:" in err
+
+
+# ===== lifecycle =====
+
+def _subcommands():
+    parser = cli._build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derive"], ["place", "res1", "topic=ai", "year=y1936"]],
+    ids=["derive", "place"],
+)
+def test_failed_save_prints_nothing_and_keeps_state(capsys, tmp_path, argv):
+    state_file = tmp_path / "state.ksif"
+    state = space_state()
+    state.network = chain_state().network
+    write_state(state_file, state)
+    before = state_file.read_bytes()
+    (tmp_path / "state.ksif.tmp").mkdir()
+    code, out, err = run(capsys, argv + ["--state", str(state_file)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert state_file.read_bytes() == before
+
+
+def test_every_command_without_state_ends_in_documented_code(capsys, tmp_path):
+    source_file, target_file = analogy_files(tmp_path, target_nodes=2)
+    text = tmp_path / "lines.txt"
+    text.write_text("r1 x y\n", encoding="utf-8")
+    argvs = {
+        "import": ["import", str(source_file)],
+        "export": ["export"],
+        "derive": ["derive"],
+        "query": ["query", "(a, t, ?)"],
+        "explain": ["explain", "k1"],
+        "place": ["place", "res1", "topic=ai"],
+        "locate": ["locate", "topic=ai"],
+        "nf-check": ["nf-check"],
+        "split": ["split", "topic"],
+        "join": ["join", str(source_file)],
+        "merge-dims": ["merge-dims", "topic", "year"],
+        "read": ["read", "cat on mat"],
+        "verify": ["verify", str(source_file)],
+        "co-occur": ["co-occur", str(text)],
+        "find-problem": ["find-problem"],
+        "solve": ["solve", "p1"],
+        "recommend": ["recommend"],
+        "analogy": ["analogy", "--source", str(source_file), "--target", str(target_file)],
+        "ability": ["ability", "--questions", str(text)],
+        "capacity": ["capacity", "2", "3"],
+    }
+    assert sorted(argvs) == _subcommands()
+    for command, argv in argvs.items():
+        code, _out, err = run(capsys, argv)
+        if command in ("analogy", "capacity"):
+            assert code in (0, 3), command
+        else:
+            assert code == 1, command
+            assert "no state file" in err, command

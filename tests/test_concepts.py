@@ -17,6 +17,7 @@ from ksengine.concepts import (
 )
 from ksengine.errors import (
     CyclicHierarchy,
+    DanglingReference,
     DuplicateId,
     TooFewConcepts,
     UnknownCompartment,
@@ -287,6 +288,13 @@ def test_import_category_hierarchy_links_children():
     assert not store.get("leaf").priori
     assert store.get("leaf").structure.classes == ["mid"]
     assert store.is_class_ancestor("root", "leaf")
+
+
+def test_import_category_hierarchy_names_missing_parent():
+    rows = [("root", None, "everything"), ("leaf", "ghost", "detail")]
+    with pytest.raises(DanglingReference) as info:
+        import_category_hierarchy(ConceptStore(), rows)
+    assert info.value.ref == "ghost"
 
 
 def test_generalize_concepts_shares_attributes():

@@ -1,5 +1,6 @@
 """Rule validation, fixpoint derivation, explanations, and maintenance."""
 
+import dataclasses
 import math
 import random
 
@@ -174,6 +175,38 @@ def test_tampered_explanation_fails():
     tree = explain(net, new_links[0].id)
     tree.substitution["?y"] = "c"
     assert not verify_explanation(net, tree)
+
+
+def _forge_no_children(net, tree):
+    return dataclasses.replace(tree, children=[])
+
+
+def _forge_children_from_k3(net, tree):
+    k3_proof = explain(net, "k3")
+    return dataclasses.replace(tree, children=[k3_proof, k3_proof])
+
+
+def _forge_link_id(net, tree):
+    return dataclasses.replace(tree, link_id="nope")
+
+
+@pytest.mark.parametrize(
+    "forge", [_forge_no_children, _forge_children_from_k3, _forge_link_id],
+    ids=["no-children", "children-from-k3", "unknown-link-id"],
+)
+def test_forged_explanation_fails(forge):
+    net = Network()
+    for w in "abcd":
+        net.add_node(RepBundle(word=w), node_id=w)
+    t = net.add_link_type(RepBundle(word="t"), transitive=True, type_id="t")
+    net.assert_link("a", t, "b", link_id="k1")
+    net.assert_link("b", t, "c", link_id="k2")
+    net.assert_link("c", t, "d", link_id="k3")
+    derive_fixpoint(net)
+    (ac,) = [l for l in net.derived_links() if l.triple() == ("a", "t", "c")]
+    tree = explain(net, ac.id)
+    assert verify_explanation(net, tree)
+    assert not verify_explanation(net, forge(net, tree))
 
 
 def test_explicit_assert_upgrades_derived():

@@ -1,129 +1,59 @@
 """A knowledge-space engine: semantic link networks with rule inference,
 multi-dimensional classification spaces, concept networks grown from text,
-a problem discovery loop, and canonical text persistence."""
+a problem discovery loop, and canonical text persistence.
 
-from .concepts import (
-    Concept,
-    ConceptStore,
-    Lexicon,
-    ObservationScope,
-    ReadTrace,
-    enrich_concept,
-    generalize_concepts,
-    import_category_hierarchy,
-    read_text,
-)
-from .discovery import (
-    AbilityReport,
-    AnalogyResult,
-    AnomalyRule,
-    Candidate,
-    IncrementFragment,
-    LinkCandidate,
-    Problem,
-    Recommendation,
-    Verdict,
-    ability_report,
-    analogize,
-    detect_co_occurrence,
-    detect_limitation,
-    find_problem,
-    find_solution,
-    generalize_problem,
-    recommend,
-    specialize_problem,
-    trace_cause_effect,
-    verify_knowledge,
-)
-from .errors import KsError, KsifError
-from .fixtures import build_reference_network, build_reference_state
-from .ksif import export_space_fragment, export_state, import_state
-from .rules import (
-    Explanation,
-    PatternAtom,
-    Rule,
-    derive_fixpoint,
-    explain,
-    retract_with_maintenance,
-    validate_rule,
-    verify_explanation,
-)
-from .sln import (
-    ClassRef,
-    FileRef,
-    LinkType,
-    Network,
-    QueryPattern,
-    RepBundle,
-    SemanticLink,
-    SemanticNode,
-    parse_pattern,
-)
-from .space import NormalFormReport, Space, can_hold, join_spaces
-from .state import EngineState, new_state
-from .taxonomy import CategoryTree
+Every public name is listed once, under the module that defines it, and is
+imported from there the first time it is used (PEP 562): `import ksengine`
+loads no engine module, and a name's module loads only when someone asks
+for it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbilityReport",
-    "AnalogyResult",
-    "AnomalyRule",
-    "Candidate",
-    "CategoryTree",
-    "ClassRef",
-    "Concept",
-    "ConceptStore",
-    "EngineState",
-    "Explanation",
-    "FileRef",
-    "IncrementFragment",
-    "KsError",
-    "KsifError",
-    "Lexicon",
-    "LinkCandidate",
-    "LinkType",
-    "Network",
-    "NormalFormReport",
-    "ObservationScope",
-    "PatternAtom",
-    "Problem",
-    "QueryPattern",
-    "ReadTrace",
-    "Recommendation",
-    "RepBundle",
-    "Rule",
-    "SemanticLink",
-    "SemanticNode",
-    "Space",
-    "Verdict",
-    "ability_report",
-    "analogize",
-    "build_reference_network",
-    "build_reference_state",
-    "can_hold",
-    "derive_fixpoint",
-    "detect_co_occurrence",
-    "detect_limitation",
-    "enrich_concept",
-    "explain",
-    "export_space_fragment",
-    "export_state",
-    "find_problem",
-    "find_solution",
-    "generalize_concepts",
-    "generalize_problem",
-    "import_category_hierarchy",
-    "import_state",
-    "join_spaces",
-    "new_state",
-    "parse_pattern",
-    "read_text",
-    "recommend",
-    "retract_with_maintenance",
-    "specialize_problem",
-    "trace_cause_effect",
-    "validate_rule",
-    "verify_explanation",
-    "verify_knowledge",
-]
+_EXPORTS = {
+    "concepts": (
+        "Concept", "ConceptStore", "Lexicon", "ObservationScope", "ReadTrace",
+        "enrich_concept", "generalize_concepts", "import_category_hierarchy",
+        "read_text",
+    ),
+    "discovery": (
+        "AbilityReport", "AnalogyResult", "Candidate", "IncrementFragment",
+        "LinkCandidate", "Recommendation", "Verdict", "ability_report",
+        "analogize", "detect_co_occurrence", "detect_limitation", "find_problem",
+        "find_solution", "generalize_problem", "recommend", "specialize_problem",
+        "trace_cause_effect", "verify_knowledge",
+    ),
+    "errors": ("KsError", "KsifError"),
+    "fixtures": ("build_reference_network", "build_reference_state"),
+    "ksif": ("export_space_fragment", "export_state", "import_state"),
+    "rules": (
+        "Explanation", "PatternAtom", "Rule", "derive_fixpoint", "explain",
+        "retract_with_maintenance", "validate_rule", "verify_explanation",
+    ),
+    "sln": (
+        "ClassRef", "FileRef", "LinkType", "Network", "QueryPattern", "RepBundle",
+        "SemanticLink", "SemanticNode", "parse_pattern",
+    ),
+    "space": ("NormalFormReport", "Space", "can_hold", "join_spaces"),
+    "state": ("AnomalyRule", "EngineState", "Problem", "new_state"),
+    "taxonomy": ("CategoryTree",),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

@@ -18,15 +18,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .discovery import (
-    ability_report,
-    analogize,
-    detect_co_occurrence,
-    find_problem,
-    find_solution,
-    recommend,
-    verify_knowledge,
-)
 from .concepts import read_text
 from .errors import KsError, MalformedPattern
 from .ksif import (
@@ -178,6 +169,8 @@ def _split_csv(text: str) -> List[str]:
 
 # ===== commands =====
 # Each command is an operation on the loaded state; `main` loads and saves it.
+# A discovery command imports the discovery toolkit when it runs, so the
+# other commands never load it.
 
 def _cmd_export(state, _args) -> int:
     sys.stdout.write(export_state(state))
@@ -285,6 +278,7 @@ def _cmd_read(state, args) -> int:
 
 
 def _cmd_verify(state, args) -> int:
+    from .discovery import verify_knowledge
     pairs = []
     for item in _split_csv(args.exclusive):
         first, sep, second = item.partition(":")
@@ -308,6 +302,7 @@ def _cmd_verify(state, args) -> int:
 
 
 def _cmd_co_occur(state, args) -> int:
+    from .discovery import detect_co_occurrence
     events = []
     for line in _read_lines(args.file):
         tokens = line.split()
@@ -320,6 +315,7 @@ def _cmd_co_occur(state, args) -> int:
 
 
 def _cmd_find_problem(state, args) -> int:
+    from .discovery import find_problem
     if args.rules:
         rules = parse_anomaly_rules(_read_file(args.rules))
     else:
@@ -333,6 +329,7 @@ def _cmd_find_problem(state, args) -> int:
 
 
 def _cmd_solve(state, args) -> int:
+    from .discovery import find_solution
     problem = state.problems.get(args.problem_id)
     if problem is None:
         print(f"error: problem {args.problem_id!r} not found", file=sys.stderr)
@@ -345,6 +342,7 @@ def _cmd_solve(state, args) -> int:
 
 
 def _cmd_recommend(state, args) -> int:
+    from .discovery import find_solution, recommend
     types = _split_csv(args.solution_types)
     pairs = [
         (problem, find_solution(state.concepts, problem, types))
@@ -358,6 +356,7 @@ def _cmd_recommend(state, args) -> int:
 
 
 def _cmd_analogy(_state, args) -> int:
+    from .discovery import analogize
     source = import_state(_read_file(args.source)).network
     target = import_state(_read_file(args.target)).network
     result = analogize(
@@ -380,6 +379,7 @@ def _cmd_analogy(_state, args) -> int:
 
 
 def _cmd_ability(state, args) -> int:
+    from .discovery import ability_report
     questions = [parse_pattern(line) for line in _read_lines(args.questions)]
     increments = [fragment_to_increment(_read_file(f)) for f in args.increments]
     report = ability_report(

@@ -11,9 +11,8 @@ strengthen windowed co-occurrence links.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     CyclicHierarchy,
@@ -241,9 +240,6 @@ class ConceptStore:
                 if target == concept_id:
                     count += 1
         return count
-
-    def copy(self) -> "ConceptStore":
-        return copy.deepcopy(self)
 
 
 def import_category_hierarchy(

@@ -4,6 +4,11 @@ Everything here is deterministic: verification and analogy each derive one
 scratch copy of the caller's network once and reuse that saturated copy,
 problems come out in sorted order, the analogy search visits nodes in
 a fixed order, and ability reports replay the same measurements per increment.
+
+The problem records a state keeps, `Problem` and `AnomalyRule`, are defined
+in `state`; this module raises and evaluates them, and `from
+ksengine.discovery import AnomalyRule, Problem` still works. Only the CLI
+commands that run a discovery tool load this module.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .errors import (
     NonPositiveInput,
 )
 from .rules import (
-    PatternAtom,
     Rule,
     derive_fixpoint,
     match_atoms,
@@ -37,10 +41,9 @@ from .rules import (
     rows_from_network,
     validate_rule,
 )
-from .sln import LinkType, Network, QueryPattern, RepBundle, SemanticLink, SemanticNode
+from .sln import LinkType, Network, QueryPattern, SemanticLink, SemanticNode
+from .state import AnomalyRule, Problem, validate_anomaly_rule
 from .taxonomy import CategoryTree
-
-PROBLEM_KINDS = ("anomaly", "relationship", "generalized", "specialized", "limitation")
 
 
 # ===== verification =====
@@ -234,16 +237,6 @@ def trace_cause_effect(
 
 # ===== problems =====
 
-@dataclass
-class Problem:
-    id: str
-    kind: str
-    statement: str
-    evidence: Tuple[str, ...] = ()
-    category: Optional[str] = None
-    concepts: Tuple[str, ...] = ()  # the entities the problem is about
-
-
 def detect_co_occurrence(
     events: Sequence[Tuple[str, Iterable[str]]], min_support: int
 ) -> List[Problem]:
@@ -331,40 +324,6 @@ def detect_limitation(rule: Rule, observations: Sequence[SemanticLink]) -> List[
     return problems
 
 
-@dataclass
-class AnomalyRule:
-    """Human-assigned pattern + threshold that turns observations into a Problem."""
-
-    id: str
-    atoms: Tuple[PatternAtom, ...]
-    metric: str  # count | freq
-    op: str  # ge | gt | le | lt | eq
-    threshold: float
-    template: str
-
-
-_OPS = {
-    "ge": lambda v, t: v >= t,
-    "gt": lambda v, t: v > t,
-    "le": lambda v, t: v <= t,
-    "lt": lambda v, t: v < t,
-    "eq": lambda v, t: v == t,
-}
-
-
-def validate_anomaly_rule(rule: AnomalyRule) -> List[str]:
-    problems = []
-    if not 1 <= len(rule.atoms) <= 4:
-        problems.append(f"condition must have 1..4 atoms, found {len(rule.atoms)}")
-    if rule.metric not in ("count", "freq"):
-        problems.append(f"metric must be count or freq, got {rule.metric!r}")
-    if rule.op not in _OPS:
-        problems.append(f"op must be one of {sorted(_OPS)}, got {rule.op!r}")
-    if not isinstance(rule.threshold, (int, float)) or isinstance(rule.threshold, bool):
-        problems.append(f"threshold must be numeric, got {rule.threshold!r}")
-    return problems
-
-
 class _Defaulting(dict):
     def __missing__(self, key: str) -> str:
         return "{" + key + "}"
@@ -392,7 +351,7 @@ def find_problem(
         evidence = sorted({pid for _env, premises in matches for pid in premises})
         share = count / total if total else 0.0
         value = count if rule.metric == "count" else share
-        if not _OPS[rule.op](value, rule.threshold) or not evidence:
+        if not rule.fires(value) or not evidence:
             continue
         statement = rule.template.format_map(
             _Defaulting(count=count, share=share, total=total)

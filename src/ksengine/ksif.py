@@ -13,28 +13,21 @@ and never emitted on export.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .concepts import Concept
-from .discovery import (
-    AnomalyRule,
-    Candidate,
-    IncrementFragment,
-    LinkCandidate,
-    PROBLEM_KINDS,
-    Problem,
-    validate_anomaly_rule,
-)
 from .errors import (
     BadHeader,
     DanglingReference,
     DimensionNameClash,
     DuplicateId,
     InvalidRep,
+    InvalidRule,
+    KsError,
     MalformedRecord,
     UnknownKind,
 )
-from .rules import PatternAtom, Rule, get_rule, validate_rule
+from .rules import PatternAtom, Rule, get_rule, reconstruct_substitution, validate_rule
 from .sln import (
     ClassRef,
     Derived,
@@ -50,8 +43,18 @@ from .sln import (
     SemanticNode,
 )
 from .space import Space
-from .state import EngineState, new_state
+from .state import (
+    PROBLEM_KINDS,
+    AnomalyRule,
+    EngineState,
+    Problem,
+    new_state,
+    validate_anomaly_rule,
+)
 from .taxonomy import CategoryTree
+
+if TYPE_CHECKING:
+    from .discovery import Candidate, IncrementFragment
 
 HEADER = "KSIF 1"
 
@@ -715,12 +718,33 @@ def _build_network(records: Records, net: Network) -> None:
             raise MalformedRecord(
                 line, f"provenance of link {lid!r} rests on a premise cycle"
             )
+    # Each step must hold as `explain` replays it: the rule's body matches
+    # the premises and a head atom gives the link's triple.
+    for line, lid, _premises in derived_premises:
+        try:
+            reconstruct_substitution(net, net.links[lid])
+        except InvalidRule as exc:
+            raise MalformedRecord(line, f"link {lid!r}: {exc}") from None
+
+
+CatRow = Tuple[int, str, Optional[str], str]  # (line, category id, parent, name)
+
+
+def _tree(rows: List[CatRow]) -> CategoryTree:
+    """The tree of one dimension's (or the network's) CAT rows; a fault
+    names the line of the category at fault."""
+    try:
+        return CategoryTree.from_rows(row[1:] for row in rows)
+    except KsError as exc:
+        line = next(row[0] for row in rows if row[1] == exc.category)
+        exc.args = (f"line {line}: {exc}",)
+        raise
 
 
 def _build_space(
     records: Records,
     space: Space,
-    space_cat_rows: Dict[str, List[Tuple[int, str, Optional[str], str]]],
+    space_cat_rows: Dict[str, List[CatRow]],
 ) -> None:
     dims: Dict[str, Tuple[int, str]] = {}
     named: Dict[str, str] = {}
@@ -739,14 +763,10 @@ def _build_space(
             )
     for did in sorted(dims):
         line, name = dims[did]
-        rows = [
-            (cid, parent, cname)
-            for (_l, cid, parent, cname) in space_cat_rows.get(did, [])
-        ]
+        rows = space_cat_rows.get(did, [])
         if not rows:
             raise MalformedRecord(line, f"dimension {did!r} has no categories")
-        tree = CategoryTree.from_rows(rows)
-        space.add_tree(name, tree, did)
+        space.add_tree(name, _tree(rows), did)
     trees = {dim.id: dim.tree for dim in space.dimensions()}
     for line, (resource, coords) in records["PLACE"]:
         point: Dict[str, str] = {}
@@ -805,42 +825,40 @@ def import_state(text: str) -> EngineState:
     records = _read(text, KIND_ORDER, "a state")
     state = new_state()
     _build_network(records, state.network)
-    net_cat_rows: List[Tuple[str, Optional[str], str]] = []
-    space_cat_rows: Dict[str, List[Tuple[int, str, Optional[str], str]]] = {}
+    cat_rows: Dict[Optional[str], List[CatRow]] = {}  # owner dimension -> rows
     for line, (cid, owner, parent, name) in records["CAT"]:
-        if owner is None:
-            net_cat_rows.append((cid, parent, name))
-        else:
-            space_cat_rows.setdefault(owner, []).append((line, cid, parent, name))
-    state.network.categories = CategoryTree.from_rows(net_cat_rows)
-    _build_space(records, state.space, space_cat_rows)
+        cat_rows.setdefault(owner, []).append((line, cid, parent, name))
+    state.network.categories = _tree(cat_rows.pop(None, []))
+    _build_space(records, state.space, cat_rows)
     _build_lexicon(state, records)
     for _line, problem in records["PROBLEM"]:
         state.problems[problem.id] = problem
     for _line, rule in records["ANOMALYRULE"]:
         state.anomaly_rules[rule.id] = rule
-    _check_anchors(state)
+    _check_anchors(records)
     return state
 
 
-def _check_anchors(state: EngineState) -> None:
-    pool: Set[str] = set(state.network.categories.ids())
-    for dim in state.space.dimensions():
-        pool.update(dim.tree.ids())
-    pool.update(state.concepts.concepts)
-    bundles = [node.rep for node in state.network.nodes.values()]
-    bundles += [lt.rep for lt in state.network.link_types.values()]
-    bundles += [rule.rep for rule in state.network.rules.values()]
-    for rep in bundles:
-        for anchor in rep.rep_k:
-            if anchor not in pool:
-                raise DanglingReference(anchor, "representation anchor")
+def _check_anchors(records: Records) -> None:
+    """Every representation anchor names a category or a concept."""
+    pool = {cat[0] for _line, cat in records["CAT"]}
+    pool.update(concept.id for _line, concept in records["CONCEPT"])
+    for kind in ("NODE", "LINKTYPE", "RULE"):
+        for line, record in records[kind]:
+            for anchor in record.rep.rep_k:
+                if anchor not in pool:
+                    raise DanglingReference(
+                        anchor, f"line {line}: representation anchor"
+                    )
 
 
 # ===== fragment helpers for the CLI =====
+# Increments and candidates are discovery records; the helpers that build
+# them import discovery when they run, so loading a state never does.
 
 def fragment_to_increment(text: str) -> IncrementFragment:
     """Parse a network-only document into an additive increment."""
+    from .discovery import IncrementFragment
     kinds = ("LINKTYPE", "NODE", "RULE", "LINK")  # IncrementFragment's field order
     records = _read(text, kinds, "a network increment")
     for line, link in records["LINK"]:
@@ -851,6 +869,7 @@ def fragment_to_increment(text: str) -> IncrementFragment:
 
 def parse_candidates(text: str) -> List[Candidate]:
     """LINK and RULE records read as verification candidates, in file order."""
+    from .discovery import Candidate, LinkCandidate
     candidates: List[Candidate] = []
     for line, kind, fields in records_from_text(text):
         if kind == "LINK":

@@ -36,7 +36,7 @@ from typing import (
     Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
-from .errors import InvalidId, InvalidRule, UnknownLink
+from .errors import InvalidRule
 from .sln import (
     Derived,
     ID_PATTERN,
@@ -437,45 +437,56 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
 
 # ===== explanation =====
 
-def _reconstruct_substitution(
+def _search_substitution(
     network: Network,
     rule: Rule,
     premises: Tuple[str, ...],
     triple: Tuple[str, str, str],
-) -> Dict[str, str]:
-    """Rebuild the substitution by unifying body atoms with premise triples.
-
-    A premise of a symmetric type may have matched in reverse orientation,
-    and one premise tuple can satisfy a body in more than one way, so the
-    search backtracks until some head atom reproduces the derived triple.
-    """
-
-    def walk(idx: int, env: Dict[str, str]) -> Optional[Dict[str, str]]:
-        if idx == len(rule.body):
-            if any(head.substituted(env) == triple for head in rule.head):
-                return env
-            return None
-        atom = rule.body[idx]
-        link = network.link(premises[idx])
-        orientations = [(link.source, link.type, link.target)]
-        if network.link_types[link.type].symmetric and link.source != link.target:
-            orientations.append((link.target, link.type, link.source))
-        for s, tid, t in orientations:
-            env_t = _unify(atom.type, tid, env)
-            if env_t is None:
-                continue
-            env_s = _unify(atom.source, s, env_t)
-            if env_s is None:
-                continue
-            env_st = _unify(atom.target, t, env_s)
-            if env_st is None:
-                continue
-            out = walk(idx + 1, env_st)
-            if out is not None:
-                return out
+    idx: int,
+    env: Dict[str, str],
+) -> Optional[Dict[str, str]]:
+    """Bind body atoms idx.. to premises idx.., depth first, until some head
+    atom reproduces triple. Module-level rather than nested: a nested
+    recursive function is a reference cycle on every call, and import
+    replays every derived link."""
+    if idx == len(rule.body):
+        if any(head.substituted(env) == triple for head in rule.head):
+            return env
         return None
+    atom = rule.body[idx]
+    premise = network.link(premises[idx])
+    orientations = [premise.triple()]
+    if network.link_types[premise.type].symmetric and premise.source != premise.target:
+        orientations.append((premise.target, premise.type, premise.source))
+    for s, tid, t in orientations:
+        env_t = _unify(atom.type, tid, env)
+        if env_t is None:
+            continue
+        env_s = _unify(atom.source, s, env_t)
+        if env_s is None:
+            continue
+        env_st = _unify(atom.target, t, env_s)
+        if env_st is None:
+            continue
+        out = _search_substitution(network, rule, premises, triple, idx + 1, env_st)
+        if out is not None:
+            return out
+    return None
 
-    env = walk(0, {}) if len(premises) == len(rule.body) else None
+
+def reconstruct_substitution(network: Network, link: SemanticLink) -> Dict[str, str]:
+    """Replay a derived link's step: the substitution under which its rule's
+    body matches its premises and a head atom reproduces its triple.
+
+    Raises InvalidRule when none does. A premise of a symmetric type may have
+    matched in reverse orientation, and one premise tuple can satisfy a body
+    in more than one way, so the search backtracks.
+    """
+    rule = get_rule(network, link.provenance.rule_id)
+    premises, triple = link.provenance.premises, link.triple()
+    env = None
+    if len(premises) == len(rule.body):
+        env = _search_substitution(network, rule, premises, triple, 0, {})
     if env is None:
         raise InvalidRule(
             f"premises {premises} do not satisfy the body of rule {rule.id!r}"
@@ -489,8 +500,7 @@ def explain(network: Network, link_id: str) -> Explanation:
     if link.is_explicit:
         return Explanation(link.id, link.triple(), "explicit")
     prov = link.provenance
-    rule = get_rule(network, prov.rule_id)
-    env = _reconstruct_substitution(network, rule, prov.premises, link.triple())
+    env = reconstruct_substitution(network, link)
     children = [explain(network, pid) for pid in prov.premises]
     return Explanation(
         link.id,

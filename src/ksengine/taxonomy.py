@@ -8,9 +8,15 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     DanglingReference,
     DuplicateId,
+    KsError,
     MalformedTree,
     MultipleRoots,
 )
+
+
+def _at(cat_id: str, exc: KsError) -> KsError:
+    exc.category = cat_id
+    return exc
 
 
 @dataclass
@@ -101,7 +107,9 @@ class CategoryTree:
 
         Raises MultipleRoots for a second root, MalformedTree for a rootless
         or disconnected structure, and DanglingReference (as `add` does) for
-        an absent parent.
+        an absent parent. The error's `category` names the row at fault (the
+        first row of a rootless tree), so a caller that knows where each row
+        came from can say where.
         """
         rows = list(rows)
         if not rows:
@@ -110,20 +118,20 @@ class CategoryTree:
         root = None
         for cat_id, parent, name in rows:
             if cat_id in by_id:
-                raise DuplicateId(f"category {cat_id!r} defined twice")
+                raise _at(cat_id, DuplicateId(f"category {cat_id!r} defined twice"))
             by_id[cat_id] = (parent, name)
             if parent is None:
                 if root is not None:
-                    raise MultipleRoots(f"both {root!r} and {cat_id!r} are roots")
+                    raise _at(cat_id, MultipleRoots(f"both {root!r} and {cat_id!r} are roots"))
                 root = cat_id
         if root is None:
-            raise MalformedTree("no root category (every node has a parent)")
+            raise _at(rows[0][0], MalformedTree("no root category (every node has a parent)"))
         children: Dict[str, List[str]] = {}
         for cat_id, (parent, _name) in by_id.items():
             if parent is None:
                 continue
             if parent not in by_id:
-                raise DanglingReference(parent, f"parent of category {cat_id!r}")
+                raise _at(cat_id, DanglingReference(parent, f"parent of category {cat_id!r}"))
             children.setdefault(parent, []).append(cat_id)
         # One walk down from the root; whatever it misses is stray (a cycle).
         tree = cls()
@@ -136,5 +144,5 @@ class CategoryTree:
                 frontier.append(child)
         if len(tree) != len(by_id):
             stray = sorted(c for c in by_id if c not in tree)
-            raise MalformedTree(f"categories not reachable from root: {stray}")
+            raise _at(stray[0], MalformedTree(f"categories not reachable from root: {stray}"))
         return tree

@@ -8,9 +8,10 @@ import pytest
 from ksengine import cli
 from ksengine.cli import main
 from ksengine.discovery import AnomalyRule, Problem
+from ksengine.errors import KsError
 from ksengine.ksif import export_state, import_state
-from ksengine.rules import PatternAtom
-from ksengine.sln import RepBundle
+from ksengine.rules import PatternAtom, explain
+from ksengine.sln import Derived, RepBundle
 from ksengine.state import new_state
 
 from generators import random_state
@@ -235,12 +236,21 @@ def test_explain_of_short_premise_list_is_data_error(capsys, tmp_path):
         encoding="utf-8",
     )
     state_file = tmp_path / "state.ksif"
-    code, _out, _err = run(capsys, ["import", str(src), "--state", str(state_file)])
-    assert code == 0
-    code, _out, err = run(capsys, ["explain", "k3", "--state", str(state_file)])
+    code, _out, err = run(capsys, ["import", str(src), "--state", str(state_file)])
     assert code == 2
+    assert "line 8:" in err
     assert "premises ('k1',) do not satisfy the body of rule 'sys.transitive.t'" in err
     assert "Traceback" not in err
+    assert not state_file.exists()
+    # Import refuses the step; a network built in process can still hold it,
+    # and explain then reports it as an engine (data) error.
+    net = chain_state().network
+    net.add_derived("a", "t", "c", 1.0, Derived("sys.transitive.t", ("k1",)), link_id="k3")
+    with pytest.raises(KsError) as caught:
+        explain(net, "k3")
+    assert "premises ('k1',) do not satisfy the body of rule 'sys.transitive.t'" in str(
+        caught.value
+    )
 
 
 # ===== space commands =====

@@ -137,13 +137,13 @@ def test_reading_prefers_activated_candidate():
     lex.add("anchor", anchor)
     lex.set_candidates("word", [plain, linked])
     # without context the first candidate wins
-    solo = read_text(store.copy(), ["word"], lex)
+    solo = read_text(copy.deepcopy(store), ["word"], lex)
     assert solo.events[0].concept == plain
     # an anchor mention inside the window flips the choice
-    ctx = read_text(store.copy(), ["anchor", "word"], lex)
+    ctx = read_text(copy.deepcopy(store), ["anchor", "word"], lex)
     assert ctx.events[1].concept == linked
     # goals act as standing context even with no nearby mention
-    goal = read_text(store.copy(), ["word"], lex, goals=[anchor])
+    goal = read_text(copy.deepcopy(store), ["word"], lex, goals=[anchor])
     assert goal.events[0].concept == linked
 
 
@@ -158,9 +158,9 @@ def test_reading_activation_respects_radius():
     lex.add("the", store.add_concept("filler").id)
     lex.set_candidates("word", [plain, linked])
     # anchor sits three tokens back with radius 2: out of scope
-    trace = read_text(store.copy(), ["anchor", "the", "the", "word"], lex, radius=2)
+    trace = read_text(copy.deepcopy(store), ["anchor", "the", "the", "word"], lex, radius=2)
     assert trace.events[3].concept == plain
-    trace = read_text(store.copy(), ["anchor", "the", "the", "word"], lex, radius=3)
+    trace = read_text(copy.deepcopy(store), ["anchor", "the", "the", "word"], lex, radius=3)
     assert trace.events[3].concept == linked
 
 
@@ -243,7 +243,7 @@ def test_cooccurrence_weights_match_window_recount():
         store, lexicon, _ = reading_fixture(rng)
         tokens = random_text(rng, store, lexicon, max_tokens=80)
         radius = rng.choice((1, 2, 3))
-        before = store.copy()
+        before = copy.deepcopy(store)
         trace = read_text(store, tokens, lexicon, radius=radius)
         entity_positions = [
             (e.position, e.concept)
@@ -270,8 +270,8 @@ def test_reading_is_deterministic():
     rng = random.Random(271)
     store, lexicon, _ = reading_fixture(rng)
     tokens = random_text(rng, store, lexicon, max_tokens=60)
-    t1 = read_text(store.copy(), tokens, lexicon)
-    t2 = read_text(store.copy(), tokens, lexicon)
+    t1 = read_text(copy.deepcopy(store), tokens, lexicon)
+    t2 = read_text(copy.deepcopy(store), tokens, lexicon)
     assert t1 == t2
 
 

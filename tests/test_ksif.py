@@ -1,6 +1,7 @@
 """Canonical text persistence: export shape, import checks, round trips."""
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,8 @@ from ksengine.errors import (
     DuplicateId,
     KsError,
     MalformedRecord,
+    MalformedTree,
+    MultipleRoots,
     UnknownKind,
 )
 from ksengine.fixtures import build_reference_state
@@ -316,6 +319,38 @@ def test_derived_link_provenance_must_be_well_founded(old, new, line):
     assert "k000001" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new", [
+    # (b t b) is not what flip makes of k1 = (a t b).
+    ("LINK\tk000001\tb\tt\ta\t", "LINK\tk000001\tb\tt\tb\t"),
+    # flip has one body atom, so it cannot cite two premises.
+    ("\tD\tflip\t1\tk1\n", "\tD\tflip\t2\tk1\tk1\n"),
+], ids=["wrong-triple", "extra-premise"])
+def test_derived_step_must_hold(old, new):
+    doc = export_state(flip_state())
+    assert doc.split("\n")[4].startswith("LINK\tk000001\t")
+    with pytest.raises(MalformedRecord) as err:
+        import_state(swap(doc, old, new))
+    assert err.value.line == 5
+    assert "do not satisfy the body of rule 'flip'" in str(err.value)
+
+
+@pytest.mark.parametrize("records, error, line", [
+    ("CAT\tn1\t\tn2\tx\nCAT\tn2\t\tn1\ty\n", MalformedTree, 2),
+    ("DIM\td1\taxis\nCAT\tc1\td1\tc2\tx\nCAT\tc2\td1\tc1\ty\n", MalformedTree, 3),
+    ("DIM\td1\taxis\nCAT\tc1\td1\t\tr\nCAT\tc2\td1\t\tq\n", MultipleRoots, 4),
+    ("DIM\td1\taxis\nCAT\tc1\td1\t\tr\nCAT\tc2\td1\tc9\tx\n", DanglingReference, 4),
+    # c2 and c3 are each other's parent, out of the root's reach.
+    ("CAT\tc1\t\t\tr\nCAT\tc3\t\tc2\tx\nCAT\tc2\t\tc3\ty\n", MalformedTree, 4),
+    ("NODE\ta\t0.0\tS\t\ta\t\t1\tnowhere\t0\n", DanglingReference, 2),
+    ("LINKTYPE\tt\t0\t0\t\tS\t\tt\t\t1\tnowhere\n", DanglingReference, 2),
+], ids=["net-rootless", "dim-rootless", "second-root", "absent-parent", "stray-cycle",
+        "node-anchor", "linktype-anchor"])
+def test_tree_and_anchor_faults_name_their_line(records, error, line):
+    with pytest.raises(error) as err:
+        import_state(HEADER + "\n" + records)
+    assert re.search(rf"\bline {line}: ", str(err.value))
+
+
 def test_malformed_records():
     base = HEADER + "\n"
     with pytest.raises(MalformedRecord):
@@ -538,7 +573,11 @@ def test_mutated_documents_import_or_raise_an_engine_error():
         for _ in range(20):
             try:
                 state = import_state(mutate(rng, doc))
-            except KsError:
+            except BadHeader:
+                rejected += 1
+                continue
+            except KsError as exc:
+                assert re.search(r"\bline \d+", str(exc)), exc
                 rejected += 1
                 continue
             imported += 1

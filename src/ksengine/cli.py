@@ -3,16 +3,20 @@
 One state file holds everything (network, space, concepts, lexicon, problems,
 anomaly rules); its path comes from --state or the KSENGINE_STATE environment
 variable. Each call loads the state once, runs one command on it and, for a
-write command, saves it once: the new file replaces the old atomically, and
-the command's output is printed only after the save succeeds. Exit codes: 0 on
-success, 1 for usage problems, 2 for data errors, 3 when verification rejects
-a candidate or an analogy finds no mapping.
+write command, saves it once. A write command holds an exclusive lock on
+<state>.lock from before the load until after the save, so concurrent writers
+take turns and none loses an update; the new file is written beside the old
+one, fsynced and renamed over it, and the command's output is printed only
+after the save succeeds. Exit codes: 0 on success, 1 for usage problems, 2
+for data errors, 3 when verification rejects a candidate or an analogy finds
+no mapping.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import io
 import os
 import sys
@@ -427,6 +431,30 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _write_lock(path: str):
+    """Hold an exclusive advisory lock on <path>.lock; closing it releases it."""
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        yield
+
+
+def _save(path: str, text: str) -> None:
+    """Write text to a temp file beside path (named for this process), fsync
+    it and rename it over path; on any failure the temp file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -445,20 +473,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         path = args.state or os.environ.get("KSENGINE_STATE")
         if not path and (source == _STATE_FILE or saved):
             raise _UsageError("no state file: pass --state or set KSENGINE_STATE")
-        if source == _STATE_FILE and os.path.exists(path):
-            state = import_state(_read_file(path))
-        elif source == _FILE_ARG:
-            state = import_state(_read_file(args.file))
-        else:
-            state = new_state()
-        if not saved:
-            return operation(state, args)
-        with contextlib.redirect_stdout(held_out), contextlib.redirect_stderr(held_err):
-            code = operation(state, args)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(export_state(state))
-        os.replace(tmp, path)
+        with _write_lock(path) if saved else contextlib.nullcontext():
+            if source == _STATE_FILE and os.path.exists(path):
+                state = import_state(_read_file(path))
+            elif source == _FILE_ARG:
+                state = import_state(_read_file(args.file))
+            else:
+                state = new_state()
+            if not saved:
+                return operation(state, args)
+            with contextlib.redirect_stdout(held_out), contextlib.redirect_stderr(held_err):
+                code = operation(state, args)
+            _save(path, export_state(state))
     except (_UsageError, MalformedPattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

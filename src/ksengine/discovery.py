@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -104,8 +105,9 @@ def verify_knowledge(
     if candidate.kind == "link":
         if not isinstance(payload, LinkCandidate):
             raise InvalidCandidate(f"link candidate payload is {type(payload).__name__}")
-        if not payload.weight >= 0:
-            raise InvalidCandidate(f"negative candidate weight {payload.weight!r}")
+        if not 0 <= payload.weight <= sys.float_info.max:
+            raise InvalidCandidate(
+                f"candidate weight must be a finite number >= 0, got {payload.weight!r}")
         for endpoint in (payload.source, payload.target):
             if endpoint not in network.nodes:
                 return Verdict(False, f"unknown endpoint {endpoint!r}", mode)
@@ -536,6 +538,10 @@ def analogize(
     """Map the source's solution into the target by isomorphism, generalized
     types, or conjecture–verification (in that order).
 
+    Maps are searched, and types lifted, over explicit links only (on the
+    source, also over the named solution links), so the answer does not
+    depend on whether either network was derived first: a mapped relation
+    stored only as a derived link reads "derivable", not "present".
     Conjectures are checked against one copy of the target, derived once:
     a mapped relation is present, derivable, or conjectured; then the
     conjectures are asserted into that copy and it is derived again, so
@@ -554,9 +560,11 @@ def analogize(
     for lid in solution_ids:
         if lid not in source.links:
             raise UnknownLink(f"solution link {lid!r} not in source")
-    s_links = [source.links[lid] for lid in sorted(source.links)]
+    solution_set = set(solution_ids)
+    s_links = [link for lid, link in sorted(source.links.items())
+               if link.is_explicit or lid in solution_set]
     s_triples = [l.triple() for l in s_links]
-    t_triples = [target.links[lid].triple() for lid in sorted(target.links)]
+    t_triples = [link.triple() for link in target.explicit_links()]
     t_triple_set = set(t_triples)
     t_out, t_in = _degree_tables(t_nodes, t_triples)
 
@@ -603,7 +611,6 @@ def analogize(
             return "derivable"
         return "conjectured"
 
-    solution_set = set(solution_ids)
     problem_relations: List[RelationStatus] = []
     solution_relations: List[RelationStatus] = []
     for link in s_links:

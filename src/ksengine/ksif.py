@@ -12,6 +12,7 @@ and never emitted on export.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -178,9 +179,18 @@ class _Cursor:
     def take_float(self, what: str) -> float:
         value = self.take(what)
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise MalformedRecord(self.line, f"{what} {value!r} is not a number") from None
+        if not math.isfinite(number):
+            raise MalformedRecord(self.line, f"{what} {value!r} is not a finite number")
+        return number
+
+    def take_weight(self, what: str) -> float:
+        number = self.take_float(what)
+        if number < 0:
+            raise MalformedRecord(self.line, f"{what} must be >= 0, got {number!r}")
+        return number
 
     def take_bool(self, what: str) -> bool:
         value = self.take(what)
@@ -337,7 +347,7 @@ def _dec_link(line: int, fields: List[str]) -> SemanticLink:
     source = cur.take_id("source")
     tid = cur.take_id("link type")
     target = cur.take_id("target")
-    weight = cur.take_float("weight")
+    weight = cur.take_weight("weight")
     tag = cur.take("provenance tag")
     if tag == "E":
         cur.finish()

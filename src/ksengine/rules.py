@@ -12,12 +12,13 @@ per body position: the atom at that position goes first and sees only the
 delta, atoms before it see only old facts, and atoms after it see old and
 delta facts, so each firing is enumerated exactly once per derive. An atom
 with its source or target already bound probes the network's (type, source)
-or (type, target) index instead of scanning the type. At the fixpoint
-the network keeps a mark: the rule/type signature, its removal epoch and its
-link count. The next derive starts from the links inserted since the mark, or
-from all links if a rule, a symmetric flag or the removal epoch changed, so a
-re-derive with nothing new joins nothing. Iteration is deterministic, so
-identical inputs give identical ids and provenance.
+or (type, target) index instead of scanning the type; Network.rows is that
+probe and Network.readings says how a stored link reads. At the fixpoint the
+network keeps a mark: the rule/type signature and its link count. The next
+derive starts from the links inserted since the mark, or from all links if a
+rule or a symmetric flag changed or a link was removed (a removal voids the
+mark), so a re-derive with nothing new joins nothing. Iteration is
+deterministic, so identical inputs give identical ids and provenance.
 
 A derived link keeps one provenance: the rule id and premise link ids (in
 body order) of the firing that first produced it, which is what KSIF saves,
@@ -133,8 +134,9 @@ def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
 
 FactRows = Dict[str, List[Tuple[str, str, str]]]  # type id -> (source, target, link id)
 Row = Tuple[str, str, str]
-# (type id, bound source or None, bound target or None, stamp limit) -> rows
-Probe = Callable[[str, Optional[str], Optional[str], int], Sequence[Row]]
+# (type id, bound source or None, bound target or None, stamp limit or None)
+# -> rows; Network.rows is one.
+Probe = Callable[[str, Optional[str], Optional[str], Optional[int]], Sequence[Row]]
 Match = Tuple[Dict[str, str], Tuple[str, ...]]
 
 
@@ -145,7 +147,8 @@ def rows_from_network(network: Network) -> FactRows:
 
 def rows_from_links(links: Iterable[SemanticLink], symmetric: Collection[str] = ()) -> FactRows:
     """Per-type rows over a loose link collection, sorted; links of a type in
-    symmetric also appear reversed (self-loops once)."""
+    symmetric also appear reversed (self-loops once), as Network.readings
+    reads them."""
     rows: FactRows = {}
     for link in links:
         bucket = rows.setdefault(link.type, [])
@@ -168,64 +171,13 @@ def _unify(term: str, value: str, env: Dict[str, str]) -> Optional[Dict[str, str
     return env if term == value else None
 
 
-_NO_ENDS: Dict[str, str] = {}  # stands in for a missing index bucket; never written
-
-
-def _network_probe(network: Network) -> Probe:
-    """Rows of one type read through the network's (type, source) and (type,
-    target) indexes, keeping links stamped below the limit.
-
-    A bound source or target is looked up, never scanned. A symmetric type
-    also yields each stored link read backwards, except self-loops.
-    """
-    by_source, by_target, stamp = network._by_source, network._by_target, network._stamp
-    symmetric = {tid for tid, lt in network.link_types.items() if lt.symmetric}
-
-    def probe(tid: str, s: Optional[str], t: Optional[str], limit: int) -> List[Row]:
-        forward = by_source.get(tid)
-        if forward is None:
-            return []
-        sym = tid in symmetric
-        rows: List[Row] = []
-        if s is not None and t is not None:
-            for a, b in ((s, t), (t, s)) if sym and s != t else ((s, t),):
-                lid = forward.get(a, _NO_ENDS).get(b)
-                if lid is not None and stamp[lid] < limit:
-                    rows.append((s, t, lid))
-        elif s is not None:
-            for end, lid in forward.get(s, _NO_ENDS).items():
-                if stamp[lid] < limit:
-                    rows.append((s, end, lid))
-            if sym:
-                for end, lid in by_target[tid].get(s, _NO_ENDS).items():
-                    if end != s and stamp[lid] < limit:
-                        rows.append((s, end, lid))
-        elif t is not None:
-            for end, lid in by_target[tid].get(t, _NO_ENDS).items():
-                if stamp[lid] < limit:
-                    rows.append((end, t, lid))
-            if sym:
-                for end, lid in forward.get(t, _NO_ENDS).items():
-                    if end != t and stamp[lid] < limit:
-                        rows.append((end, t, lid))
-        else:
-            for source, targets in forward.items():
-                for target, lid in targets.items():
-                    if stamp[lid] < limit:
-                        rows.append((source, target, lid))
-                        if sym and source != target:
-                            rows.append((target, source, lid))
-        return rows
-
-    return probe
-
-
 def _rows_probe(rows: FactRows) -> Probe:
     """Probe over plain rows (the limit is ignored); rows of a type are
     grouped by source or by target on first use, keeping their order."""
     groups: Dict[Tuple[str, int], Dict[str, List[Row]]] = {}
 
-    def probe(tid: str, s: Optional[str], t: Optional[str], _limit: int) -> Sequence[Row]:
+    def probe(tid: str, s: Optional[str], t: Optional[str], _limit: Optional[int]
+              ) -> Sequence[Row]:
         bucket = rows.get(tid, ())
         if s is None and t is None:
             return bucket
@@ -257,8 +209,8 @@ def match_atoms(
 ) -> List[Match]:
     """All substitutions satisfying the atom conjunction, in deterministic order.
 
-    facts is a Network, probed through its indexes wherever an atom's source
-    or target is bound, or plain per-type rows. When delta_rows/delta_pos are
+    facts is a Network, read through Network.rows (an index lookup wherever
+    an atom's source or target is bound), or plain per-type rows. When delta_rows/delta_pos are
     given, the atom at delta_pos is matched first and only against delta_rows
     (the semi-naive restriction); the other atoms follow in body order. With
     split = (delta_from, new_from), a Network's atoms before delta_pos see only
@@ -267,13 +219,9 @@ def match_atoms(
     enumerated once. Premises come back in atom order.
     """
     if isinstance(facts, Network):
-        probe = _network_probe(facts)
-        types = sorted(facts.link_types)
-        limit = facts._next_stamp
+        probe, types = facts.rows, sorted(facts.link_types)
     else:
-        probe = _rows_probe(facts)
-        types = sorted(facts)
-        limit = 0
+        probe, types = _rows_probe(facts), sorted(facts)
     order = list(range(len(atoms)))
     if delta_rows is not None:
         order.remove(delta_pos)
@@ -294,44 +242,45 @@ def match_atoms(
             tgt_mode = _READ
         bound.add(atom.target)
         if pos == delta_pos and delta_rows is not None:
-            step_probe, step_types, step_limit = _rows_probe(delta_rows), sorted(delta_rows), 0
+            step_probe, step_types, step_limit = _rows_probe(delta_rows), sorted(delta_rows), None
         else:
-            step_probe, step_types = probe, types
-            step_limit = limit
+            step_probe, step_types, step_limit = probe, types, None
             if split is not None:
                 step_limit = split[0] if pos < delta_pos else split[1]
         steps.append((pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types,
                       step_limit))
 
     results: List[Match] = []
-    env: Dict[str, str] = {}
-    premises = [""] * len(atoms)
-    last = len(steps) - 1
-
-    # Variables bound at a step are overwritten, never unbound: no later step
-    # reads them before binding them again on the current path.
-    def walk(k: int) -> None:
-        pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types, step_limit = steps[k]
-        for tid in step_types if type_fresh else (env.get(atom.type, atom.type),):
-            if type_fresh:
-                env[atom.type] = tid
-            s = None if src_mode == _BIND else env.get(atom.source, atom.source)
-            t = None if tgt_mode != _READ else env.get(atom.target, atom.target)
-            for row_s, row_t, lid in step_probe(tid, s, t, step_limit):
-                if src_mode == _BIND:
-                    env[atom.source] = row_s
-                if tgt_mode == _BIND:
-                    env[atom.target] = row_t
-                elif tgt_mode == _SAME and row_t != row_s:
-                    continue
-                premises[pos] = lid
-                if k == last:
-                    results.append((dict(env), tuple(premises)))
-                else:
-                    walk(k + 1)
-
-    walk(0)
+    _walk(steps, 0, {}, [""] * len(atoms), results)
     return results
+
+
+def _walk(steps: list, k: int, env: Dict[str, str], premises: List[str],
+          results: List[Match]) -> None:
+    """Extend env through steps k.., appending each full match to results.
+    Variables bound at a step are overwritten, never unbound: no later step
+    reads them before binding them again on the current path. Module-level,
+    as a nested recursive function would be a reference cycle holding the
+    network until the cyclic collector runs."""
+    pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types, step_limit = steps[k]
+    last = k == len(steps) - 1
+    for tid in step_types if type_fresh else (env.get(atom.type, atom.type),):
+        if type_fresh:
+            env[atom.type] = tid
+        s = None if src_mode == _BIND else env.get(atom.source, atom.source)
+        t = None if tgt_mode != _READ else env.get(atom.target, atom.target)
+        for row_s, row_t, lid in step_probe(tid, s, t, step_limit):
+            if src_mode == _BIND:
+                env[atom.source] = row_s
+            if tgt_mode == _BIND:
+                env[atom.target] = row_t
+            elif tgt_mode == _SAME and row_t != row_s:
+                continue
+            premises[pos] = lid
+            if last:
+                results.append((dict(env), tuple(premises)))
+            else:
+                _walk(steps, k + 1, env, premises, results)
 
 
 # ===== synthesized flag rules =====
@@ -403,9 +352,9 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
         return new_links, []
     signature = _signature(network, rules)
     mark = network.derive_mark
-    if mark is not None and mark[:2] == (signature, network.removal_epoch):
+    if mark is not None and mark[0] == signature:
         # The links up to the mark are closed under these rules already.
-        delta = list(itertools.islice(network.links.values(), mark[2], None))
+        delta = list(itertools.islice(network.links.values(), mark[1], None))
     else:
         delta = list(network.links.values())
     symmetric = signature[1]
@@ -431,7 +380,7 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
                         new_links.append(link)
                         round_new.append(link)
         delta = round_new
-    network.derive_mark = (signature, network.removal_epoch, len(network.links))
+    network.derive_mark = (signature, len(network.links))
     return new_links, [link.provenance for link in new_links]
 
 
@@ -455,13 +404,10 @@ def _search_substitution(
         return None
     atom = rule.body[idx]
     premise = network.link(premises[idx])
-    orientations = [premise.triple()]
-    if network.link_types[premise.type].symmetric and premise.source != premise.target:
-        orientations.append((premise.target, premise.type, premise.source))
-    for s, tid, t in orientations:
-        env_t = _unify(atom.type, tid, env)
-        if env_t is None:
-            continue
+    env_t = _unify(atom.type, premise.type, env)
+    if env_t is None:
+        return None
+    for s, t in network.readings(premise):
         env_s = _unify(atom.source, s, env_t)
         if env_s is None:
             continue
@@ -533,13 +479,7 @@ def verify_explanation(network: Network, node: Explanation) -> bool:
     for atom, pid in zip(rule.body, node.premises):
         s, tid, t = atom.substituted(env)
         link = network.links.get(pid)
-        if link is None or link.type != tid:
-            return False
-        forward = (link.source, link.target) == (s, t)
-        backward = (
-            network.link_types[tid].symmetric and (link.target, link.source) == (s, t)
-        )
-        if not (forward or backward):
+        if link is None or link.type != tid or (s, t) not in network.readings(link):
             return False
     if all(head.substituted(env) != node.triple for head in rule.head):
         return False

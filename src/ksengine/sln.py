@@ -10,12 +10,14 @@ implicit chain rule (the rule engine synthesizes it).
 All mutation goes through the public methods so the link indexes (by type and
 source, by type and target) stay a pure function of the link set, and
 identical operation sequences on empty networks produce identical canonical
-exports.
+exports. Other modules read links through Network.rows and Network.readings,
+never through the indexes.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -99,6 +101,15 @@ class RepBundle:
             if anchor not in seen:
                 seen.append(anchor)
         object.__setattr__(self, "rep_k", tuple(seen))
+
+
+def _check_weight(weight: float) -> float:
+    """A link weight as a float; it must be a finite number >= 0."""
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not (
+        0 <= weight <= sys.float_info.max
+    ):
+        raise NegativeWeight(f"weight must be a finite number >= 0, got {weight!r}")
+    return float(weight)
 
 
 def _check_scalar(value: Scalar, what: str) -> Scalar:
@@ -212,10 +223,8 @@ class Network:
         # delta is every link stamped at or after the round's first new link.
         self._stamp: Dict[str, int] = {}
         self._next_stamp = 0
-        # Bumped by every link removal; a derive mark from an older epoch is void.
-        self.removal_epoch = 0
-        # (rule/type signature, removal epoch, link count) at the last fixpoint;
-        # written and read by rules.derive_fixpoint.
+        # (rule/type signature, link count) at the last fixpoint, written and
+        # read by rules.derive_fixpoint; any link removal voids it.
         self.derive_mark: Optional[tuple] = None
         self._counters: Dict[str, int] = {}
 
@@ -316,7 +325,7 @@ class Network:
                 if not per_type:
                     del index[link.type]
         del self._stamp[link.id]
-        self.removal_epoch += 1
+        self.derive_mark = None
 
     def _find_stored(self, source: str, type_id: str, target: str) -> Optional[SemanticLink]:
         """Stored link answering the triple, honoring symmetric completion."""
@@ -345,9 +354,7 @@ class Network:
             raise UnknownNode(f"node {target!r} not found")
         if type_id not in self.link_types:
             raise UnknownLinkType(f"link type {type_id!r} not found")
-        if not (isinstance(weight, (int, float)) and not isinstance(weight, bool) and weight >= 0):
-            raise NegativeWeight(f"weight must be >= 0, got {weight!r}")
-        weight = float(weight)
+        weight = _check_weight(weight)
         existing = self._find_stored(source, type_id, target)
         if existing is not None:
             if existing.is_explicit:
@@ -387,6 +394,7 @@ class Network:
             raise UnknownNode(f"derived link endpoint missing: {source!r}/{target!r}")
         if type_id not in self.link_types:
             raise UnknownLinkType(f"link type {type_id!r} not found")
+        weight = _check_weight(weight)
         if self._find_stored(source, type_id, target) is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
         if link_id is None:
@@ -395,7 +403,7 @@ class Network:
             check_id(link_id, "link id")
             if link_id in self.links:
                 raise DuplicateId(f"link {link_id!r} already exists")
-        link = SemanticLink(link_id, source, type_id, target, float(weight), provenance)
+        link = SemanticLink(link_id, source, type_id, target, weight, provenance)
         self.links[link_id] = link
         self._index_add(link)
         return link_id
@@ -435,19 +443,70 @@ class Network:
 
     # ===== queries =====
 
+    def readings(self, link: SemanticLink) -> List[Tuple[str, str]]:
+        """The (source, target) pairs a stored link answers: its own, and for
+        a symmetric type also the reverse, except on a self-loop."""
+        if self.link_types[link.type].symmetric and link.source != link.target:
+            return [(link.source, link.target), (link.target, link.source)]
+        return [(link.source, link.target)]
+
+    def rows(
+        self,
+        type_id: str,
+        source: Optional[str] = None,
+        target: Optional[str] = None,
+        before: Optional[int] = None,
+    ) -> List[Tuple[str, str, str]]:
+        """(source, target, link id) rows of one type, each stored link read
+        as self.readings says, restricted to a bound source and/or target and
+        to links stamped below before (all links when None).
+
+        A bound source or target is looked up in the (type, source) or (type,
+        target) index, never scanned; rows come in index order.
+        """
+        forward = self._by_source.get(type_id)
+        if forward is None:
+            return []
+        limit = self._next_stamp if before is None else before
+        stamp = self._stamp
+        sym = self.link_types[type_id].symmetric
+        rows: List[Tuple[str, str, str]] = []
+        if source is not None and target is not None:
+            for a, b in (source, target), (target, source):
+                lid = forward.get(a, _NO_ENDS).get(b)
+                if lid is not None and stamp[lid] < limit:
+                    rows.append((source, target, lid))
+                if not sym or source == target:
+                    break
+        elif source is not None:
+            for end, lid in forward.get(source, _NO_ENDS).items():
+                if stamp[lid] < limit:
+                    rows.append((source, end, lid))
+            if sym:
+                for end, lid in self._by_target[type_id].get(source, _NO_ENDS).items():
+                    if end != source and stamp[lid] < limit:
+                        rows.append((source, end, lid))
+        elif target is not None:
+            for end, lid in self._by_target[type_id].get(target, _NO_ENDS).items():
+                if stamp[lid] < limit:
+                    rows.append((end, target, lid))
+            if sym:
+                for end, lid in forward.get(target, _NO_ENDS).items():
+                    if end != target and stamp[lid] < limit:
+                        rows.append((end, target, lid))
+        else:
+            for a, targets in forward.items():
+                for b, lid in targets.items():
+                    if stamp[lid] < limit:
+                        rows.append((a, b, lid))
+                        if sym and a != b:
+                            rows.append((b, a, lid))
+        return rows
+
     def links_between(self, source: str, target: str) -> List[SemanticLink]:
         self.node(source)
         self.node(target)
-        found: Set[str] = set()
-        for tid, by_source in self._by_source.items():
-            pairs = [(source, target)]
-            if self.link_types[tid].symmetric:
-                # Flipping a type to symmetric can leave both orientations stored.
-                pairs.append((target, source))
-            for a, b in pairs:
-                lid = by_source.get(a, _NO_ENDS).get(b)
-                if lid is not None:
-                    found.add(lid)
+        found = [lid for tid in self._by_source for _s, _t, lid in self.rows(tid, source, target)]
         return [self.links[lid] for lid in sorted(found)]
 
     def has_fact(self, source: str, type_id: str, target: str) -> bool:
@@ -457,15 +516,7 @@ class Network:
 
     def type_facts(self, type_id: str) -> List[Tuple[str, str, str]]:
         """(source, target, link id) rows for one type, symmetric view included."""
-        rows = []
-        symmetric = self.link_types[type_id].symmetric
-        for source, targets in self._by_source.get(type_id, _NO_ENDS).items():
-            for target, lid in targets.items():
-                rows.append((source, target, lid))
-                if symmetric and source != target:
-                    rows.append((target, source, lid))
-        rows.sort()
-        return rows
+        return sorted(self.rows(type_id))
 
     def answer_query(self, pattern: QueryPattern) -> List[str]:
         """Bindings for the pattern's hole, ascending, duplicates removed."""

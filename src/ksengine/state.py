@@ -11,6 +11,7 @@ or saving a state then never loads the discovery toolkit.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -65,8 +66,9 @@ def validate_anomaly_rule(rule: AnomalyRule) -> List[str]:
         problems.append(f"metric must be count or freq, got {rule.metric!r}")
     if rule.op not in _OPS:
         problems.append(f"op must be one of {sorted(_OPS)}, got {rule.op!r}")
-    if not isinstance(rule.threshold, (int, float)) or isinstance(rule.threshold, bool):
-        problems.append(f"threshold must be numeric, got {rule.threshold!r}")
+    if (not isinstance(rule.threshold, (int, float)) or isinstance(rule.threshold, bool)
+            or not abs(rule.threshold) <= sys.float_info.max):
+        problems.append(f"threshold must be a finite number, got {rule.threshold!r}")
     return problems
 
 

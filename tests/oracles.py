@@ -118,6 +118,24 @@ def brute_index(links: Iterable[Tuple[str, str, str, str]]) -> Tuple[
     return by_source, by_target
 
 
+def brute_rows(links: Iterable[Tuple[str, str, str, str, int]], symmetric: Set[str],
+               tid: str, source: Optional[str], target: Optional[str],
+               before: Optional[int]) -> List[Tuple[str, str, str]]:
+    """(source, target, id) readings of one type from (id, source, type,
+    target, stamp) rows, sorted: a symmetric type's link also reads reversed
+    (a self-loop once), None binds nothing, and only stamps below before
+    count when it is given."""
+    out = []
+    for lid, s, ty, t, stamp in links:
+        if ty != tid or (before is not None and stamp >= before):
+            continue
+        readings = [(s, t)] + ([(t, s)] if ty in symmetric and s != t else [])
+        for a, b in readings:
+            if source in (None, a) and target in (None, b):
+                out.append((a, b, lid))
+    return sorted(out)
+
+
 def brute_answer(facts: Iterable[Triple], pattern: Triple) -> List[Triple]:
     """All facts matching a pattern whose holes are written as "?"."""
     hits = []

@@ -1,7 +1,10 @@
 """Command line behaviour: exit codes, output formats, state round trips."""
 
 import argparse
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from ksengine.cli import main
 from ksengine.discovery import AnomalyRule, Problem
 from ksengine.errors import KsError
 from ksengine.ksif import export_state, import_state
-from ksengine.rules import PatternAtom, explain
+from ksengine.rules import PatternAtom, derive_fixpoint, explain
 from ksengine.sln import Derived, RepBundle
 from ksengine.state import new_state
 
@@ -823,18 +826,54 @@ def _subcommands():
     [["derive"], ["place", "res1", "topic=ai", "year=y1936"]],
     ids=["derive", "place"],
 )
-def test_failed_save_prints_nothing_and_keeps_state(capsys, tmp_path, argv):
+def test_failed_save_prints_nothing_and_keeps_state(capsys, monkeypatch, tmp_path, argv):
     state_file = tmp_path / "state.ksif"
     state = space_state()
     state.network = chain_state().network
     write_state(state_file, state)
     before = state_file.read_bytes()
-    (tmp_path / "state.ksif.tmp").mkdir()
+
+    def failing_replace(_src, _dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
     code, out, err = run(capsys, argv + ["--state", str(state_file)])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert state_file.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ksif", "state.ksif.lock"]
+
+
+def test_concurrent_writers_lose_no_update(tmp_path):
+    state = space_state()
+    net = state.network
+    net.add_link_type(RepBundle(word="before"), transitive=True, type_id="t")
+    nodes = [net.add_node(RepBundle(word=f"n{i}"), node_id=f"n{i:02d}") for i in range(80)]
+    for a, b in zip(nodes, nodes[1:]):
+        net.assert_link(a, "t", b)
+    derive_fixpoint(net)
+    assert len(net.links) == 3160
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, state)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("KSENGINE_STATE", None)
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-m", "ksengine", "place", f"r{i}", "topic=ai", "year=y1936",
+             "--state", str(state_file)],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for i in range(8)
+    ]
+    for writer in writers:
+        _out, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+    saved = load_state(state_file)
+    assert sorted(saved.space.placements) == [f"r{i}" for i in range(8)]
+    assert len(saved.network.links) == 3160
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ksif", "state.ksif.lock"]
 
 
 def test_every_command_without_state_ends_in_documented_code(capsys, tmp_path):

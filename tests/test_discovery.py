@@ -41,6 +41,7 @@ from ksengine.errors import (
 )
 from ksengine.rules import PatternAtom, Rule, derive_fixpoint
 from ksengine.sln import Explicit, Network, QueryPattern, RepBundle, SemanticLink
+from ksengine.state import validate_anomaly_rule
 from ksengine.taxonomy import CategoryTree
 
 import oracles
@@ -107,6 +108,16 @@ def test_verify_link_structural_unknowns_are_rejections():
             verdict = verify_knowledge(net, Candidate("link", payload), mode=mode)
             assert not verdict.accepted
             assert "unknown" in verdict.reason
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), 10 ** 400],
+                         ids=["inf", "nan", "huge-int"])
+def test_verify_link_rejects_non_finite_weight(weight):
+    net = chain_rule_net()
+    for mode in ("literal", "consistency"):
+        with pytest.raises(InvalidCandidate):
+            verify_knowledge(net, Candidate("link", LinkCandidate("a", "t", "b", weight)),
+                             mode=mode)
 
 
 def test_verify_link_bad_payload_raises():
@@ -379,6 +390,14 @@ def test_detect_limitation_rejects_bad_rule():
 
 
 # ----- anomaly rules -----
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_anomaly_threshold_must_be_finite(threshold):
+    rule = AnomalyRule("w", (PatternAtom("?x", "t", "?y"),), "count", "ge", threshold, "x")
+    assert validate_anomaly_rule(rule) == [f"threshold must be a finite number, got {threshold!r}"]
+    rule.threshold = -2
+    assert validate_anomaly_rule(rule) == []
 
 def observations_net():
     return net_from_triples([
@@ -662,6 +681,44 @@ def test_analogize_impact_is_what_the_conjectures_add():
             after - before - _symmetric_closure(conjectures, symmetric)
         )
     assert conjecture_cases >= 50
+
+
+def test_analogize_answers_do_not_depend_on_saturation():
+    def saturated(net):
+        out = copy.deepcopy(net)
+        derive_fixpoint(out)
+        return out
+
+    rng = random.Random(777)
+    with_derived = 0
+    outcomes = set()
+    for _ in range(300):
+        source = random_network(rng, max_nodes=4, max_types=3, max_rules=2)
+        target = random_network(rng, max_nodes=6, max_types=3, max_rules=3)
+        solution = [lid for lid in sorted(source.links) if rng.random() < 0.5]
+        full_source, full_target = saturated(source), saturated(target)
+        with_derived += (len(full_source.links) > len(source.links)
+                         or len(full_target.links) > len(target.links))
+        raw = analogize(source, solution, target)
+        outcomes.add(raw.outcome)
+        assert analogize(full_source, solution, target) == raw
+        assert analogize(source, solution, full_target) == raw
+        assert analogize(full_source, solution, full_target) == raw
+    assert with_derived >= 100
+    assert {"exact", "conjecture"} <= outcomes
+
+
+def test_analogize_reads_a_derived_target_relation_as_derivable():
+    source = net_from_triples([("p1", "cites", "p2"), ("p2", "cites", "p3"),
+                               ("p1", "cites", "p3")])
+    target = net_from_triples([("q1", "cites", "q2"), ("q2", "cites", "q3")])
+    target.link_types["cites"].transitive = True
+    derive_fixpoint(target)
+    assert target.has_fact("q1", "cites", "q3")
+    result = analogize(source, [], target)
+    assert result.outcome == "conjecture"
+    statuses = {rs.triple: rs.status for rs in result.problem_relations}
+    assert statuses[("q1", "cites", "q3")] == "derivable"
 
 
 # ----- ability over increments -----

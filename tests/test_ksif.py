@@ -334,6 +334,61 @@ def test_derived_step_must_hold(old, new):
     assert "do not satisfy the body of rule 'flip'" in str(err.value)
 
 
+def numbers_state():
+    """flip_state plus a concept relation and an anomaly rule, so that each
+    number import checks appears once: a rank, an explicit and a derived link
+    weight, a relation weight and a threshold."""
+    from ksengine.rules import PatternAtom
+    from ksengine.state import AnomalyRule
+
+    state = flip_state()
+    state.concepts.add_concept("x", concept_id="x")
+    state.concepts.add_concept("y", concept_id="y")
+    state.concepts.add_relation("x", "near", "y", 2.5)
+    state.anomaly_rules["w1"] = AnomalyRule(
+        "w1", (PatternAtom("?x", "t", "?y"),), "count", "ge", 3.0, "{count} hits")
+    return state
+
+
+_NUMBER_FIELDS = {
+    # field: (text before the value, text after it, the record's line)
+    "rank": ("NODE\ta\t", "\tS", 3),
+    "weight": ("LINK\tk1\ta\tt\tb\t", "\tE", 6),
+    "derived weight": ("LINK\tk000001\tb\tt\ta\t", "\tD", 5),
+    "relation weight": ("\tnear\ty\t", "\t0", 8),
+    "threshold": ("\tge\t", "\t{count}", 10),
+}
+
+
+def set_number(doc: str, field: str, value: str) -> str:
+    before, after, _line = _NUMBER_FIELDS[field]
+    old = re.search(re.escape(before) + r"[^\t]*" + re.escape(after), doc).group(0)
+    return swap(doc, old, before + value + after)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank", "nan"), ("rank", "inf"), ("rank", "-inf"), ("rank", "1e400"),
+    ("weight", "-1.0"), ("weight", "inf"), ("weight", "nan"), ("weight", "1e400"),
+    ("derived weight", "-5.0"), ("derived weight", "inf"), ("derived weight", "nan"),
+    ("relation weight", "nan"), ("relation weight", "inf"), ("relation weight", "-inf"),
+    ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-1e400"),
+])
+def test_bad_numbers_are_rejected_at_their_line(field, value):
+    with pytest.raises(MalformedRecord) as err:
+        import_state(set_number(export_state(numbers_state()), field, value))
+    assert err.value.line == _NUMBER_FIELDS[field][2]
+    assert value in str(err.value)
+
+
+def test_numbers_at_their_bounds_import():
+    doc = export_state(numbers_state())
+    for field, value in (("weight", "0.0"), ("derived weight", "0.0"),
+                         ("rank", "-0.5"), ("relation weight", "-2.0"),
+                         ("threshold", "-3.0"), ("weight", "1.7976931348623157e+308")):
+        state = import_state(set_number(doc, field, value))
+        assert export_state(import_state(export_state(state))) == export_state(state)
+
+
 @pytest.mark.parametrize("records, error, line", [
     ("CAT\tn1\t\tn2\tx\nCAT\tn2\t\tn1\ty\n", MalformedTree, 2),
     ("DIM\td1\taxis\nCAT\tc1\td1\tc2\tx\nCAT\tc2\td1\tc1\ty\n", MalformedTree, 3),

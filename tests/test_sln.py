@@ -103,6 +103,22 @@ def test_assert_link_validates_everything():
         net.assert_link(a, t, b)
 
 
+@pytest.mark.parametrize("weight", [
+    -1.0, float("inf"), float("-inf"), float("nan"), 10 ** 400, True, "1.0",
+], ids=["negative", "inf", "-inf", "nan", "huge-int", "bool", "text"])
+def test_link_mutators_reject_bad_weights(weight):
+    net = Network()
+    a = net.add_node(RepBundle(word="a"))
+    b = net.add_node(RepBundle(word="b"))
+    t = net.add_link_type(RepBundle(word="t"))
+    with pytest.raises(NegativeWeight):
+        net.assert_link(a, t, b, weight=weight)
+    with pytest.raises(NegativeWeight):
+        net.add_derived(a, t, b, weight, Derived(rule_id="r", premises=()))
+    assert net.links == {}
+    assert net.links[net.assert_link(a, t, b, weight=0)].weight == 0.0
+
+
 def test_assert_link_duplicate_through_symmetry():
     net = Network()
     a = net.add_node(RepBundle(word="a"))
@@ -145,13 +161,13 @@ def test_retract_removes_dependents_transitively():
     d1 = net.add_derived(b, t, c, 1.0, Derived(rule_id="r", premises=(base,)))
     d2 = net.add_derived(a, t, c, 1.0, Derived(rule_id="r", premises=(d1,)))
     keeper = net.assert_link(c, t, a)
-    epoch = net.removal_epoch
+    net.derive_mark = ("signature", len(net.links))
     removed = net.retract_link(base)
     assert removed[0] == base
     assert set(removed) == {base, d1, d2}
     assert keeper in net.links
     assert base not in net.links and d1 not in net.links and d2 not in net.links
-    assert net.removal_epoch > epoch
+    assert net.derive_mark is None
 
 
 def test_links_between_includes_symmetric_reverse():
@@ -290,3 +306,86 @@ def test_index_agrees_with_brute_grouping():
             assert net._by_source == by_source
             assert net._by_target == by_target
             assert set(net._stamp) == set(net.links)
+
+
+def _indexed_network(rng, size):
+    """A seeded network of `size` nodes: a symmetric, a plain and a
+    transitive type, self-loops, derived links, and gaps left by retraction."""
+    net = Network()
+    nodes = [net.add_node(RepBundle(word=f"node {i}"), node_id=f"n{i:03d}")
+             for i in range(size)]
+    net.add_link_type(RepBundle(word="sym"), symmetric=True, type_id="sym")
+    net.add_link_type(RepBundle(word="rel"), type_id="rel")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    for _ in range(2 * size):
+        source = rng.choice(nodes)
+        tid = rng.choice(("sym", "rel", "pre"))
+        target = source if rng.random() < 0.1 else rng.choice(nodes)
+        if tid == "pre":
+            i = nodes.index(source)
+            target = nodes[min(i + rng.randint(0, 2), size - 1)]
+        try:
+            net.assert_link(source, tid, target)
+        except DuplicateExplicitLink:
+            pass
+    derive_fixpoint(net)
+    for link in rng.sample(net.explicit_links(), 5):
+        net.retract_link(link.id)
+    derive_fixpoint(net)
+    return net
+
+
+def _check_rows(net, rng):
+    stamped = [(l.id, l.source, l.type, l.target, net._stamp[l.id])
+               for l in net.links.values()]
+    symmetric = {tid for tid, lt in net.link_types.items() if lt.symmetric}
+    top = max(stamp for *_rest, stamp in stamped) + 1
+    for tid in sorted(net.link_types):
+        ends = sorted({end for l in net.links.values() if l.type == tid
+                       for end in (l.source, l.target)})
+        picks = [None] + rng.sample(ends, min(6, len(ends))) + rng.sample(sorted(net.nodes), 2)
+        for source in picks:
+            for target in picks:
+                for before in (None, rng.randrange(top + 1), top):
+                    got = net.rows(tid, source, target, before)
+                    assert sorted(got) == oracles.brute_rows(
+                        stamped, symmetric, tid, source, target, before
+                    ), (tid, source, target, before)
+    for tid in sorted(net.link_types):
+        assert net.type_facts(tid) == oracles.brute_rows(
+            stamped, symmetric, tid, None, None, None)
+
+
+def test_rows_match_brute_filter():
+    rng = random.Random(5150)
+    for size in (55, 70):
+        net = _indexed_network(rng, size)
+        _check_rows(net, rng)
+        # Flipped to symmetric, a type holds both orientations of a pair.
+        net.add_link_type(RepBundle(word="flip"), type_id="flip")
+        a, b, c = sorted(net.nodes)[:3]
+        for source, target in ((a, b), (b, a), (c, c), (b, c)):
+            net.assert_link(source, "flip", target)
+        net.link_types["flip"].symmetric = True
+        assert len(net.rows("flip", a, b)) == 2
+        _check_rows(net, rng)
+
+
+def test_rows_of_unlinked_type_are_empty():
+    net = Network()
+    a = net.add_node(RepBundle(word="a"))
+    t = net.add_link_type(RepBundle(word="t"), symmetric=True)
+    assert net.rows(t) == [] and net.rows(t, a, a) == []
+
+
+def test_readings_follow_symmetry():
+    net = Network()
+    a = net.add_node(RepBundle(word="a"))
+    b = net.add_node(RepBundle(word="b"))
+    s = net.add_link_type(RepBundle(word="s"), symmetric=True)
+    t = net.add_link_type(RepBundle(word="t"))
+    links = net.links
+    assert net.readings(links[net.assert_link(a, s, b)]) == [(a, b), (b, a)]
+    assert net.readings(links[net.assert_link(b, s, b)]) == [(b, b)]
+    assert net.readings(links[net.assert_link(b, t, a)]) == [(b, a)]
+    assert net.readings(links[net.assert_link(a, t, a)]) == [(a, a)]

@@ -200,17 +200,19 @@ def _cmd_query(state, args) -> int:
     return 0
 
 
-def _print_explanation(node, depth: int = 0) -> None:
-    indent = "  " * depth
-    s, t, o = node.triple
-    if node.kind == "explicit":
-        print(f"{indent}{node.link_id} ({s}, {t}, {o}) explicit")
-        return
-    env = node.substitution or {}
-    bound = " ".join(f"{k}={env[k]}" for k in sorted(env))
-    print(f"{indent}{node.link_id} ({s}, {t}, {o}) by {node.rule_id} [{bound}]")
-    for child in node.children:
-        _print_explanation(child, depth + 1)
+def _print_explanation(root) -> None:
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        indent = "  " * depth
+        s, t, o = node.triple
+        if node.kind == "explicit":
+            print(f"{indent}{node.link_id} ({s}, {t}, {o}) explicit")
+            continue
+        env = node.substitution or {}
+        bound = " ".join(f"{k}={env[k]}" for k in sorted(env))
+        print(f"{indent}{node.link_id} ({s}, {t}, {o}) by {node.rule_id} [{bound}]")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def _cmd_explain(state, args) -> int:

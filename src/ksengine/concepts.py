@@ -11,12 +11,14 @@ strengthen windowed co-occurrence links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     CyclicHierarchy,
     DuplicateId,
+    NonFiniteWeight,
     TooFewConcepts,
     UnknownCompartment,
     UnknownConcept,
@@ -209,11 +211,21 @@ class ConceptStore:
     def add_relation(
         self, source: str, label: str, target: str, increment: float = 1.0
     ) -> float:
+        """Add increment to a relation's weight; returns the new weight.
+
+        Raises NonFiniteWeight, leaving the weight as it was, when the
+        increment or the sum is nan or infinite: KSIF import refuses those.
+        """
         src = self.get(source)
         self.get(target)
         key = (label, target)
-        src.structure.relations[key] = src.structure.relations.get(key, 0.0) + increment
-        return src.structure.relations[key]
+        total = src.structure.relations.get(key, 0.0) + increment
+        if not math.isfinite(total):
+            raise NonFiniteWeight(
+                f"relation ({source}, {label}, {target}) plus {increment!r} is {total!r}"
+            )
+        src.structure.relations[key] = total
+        return total
 
     def relation_weight(self, source: str, label: str, target: str) -> float:
         return self.get(source).structure.relations.get((label, target), 0.0)

@@ -45,6 +45,10 @@ class NegativeWeight(KsError):
     pass
 
 
+class NonFiniteWeight(KsError):
+    """A weight is nan or infinite, or a sum of weights overflowed."""
+
+
 class CannotRetractDerived(KsError):
     """Only explicit links can be retracted directly."""
 

@@ -20,6 +20,16 @@ rule or a symmetric flag changed or a link was removed (a removal voids the
 mark), so a re-derive with nothing new joins nothing. Iteration is
 deterministic, so identical inputs give identical ids and provenance.
 
+A transitive type t is evaluated as linear recursion, not as the chain rule
+?x t ?y, ?y t ?z -> ?x t ?z. The synthesized rule's first atom is a BaseAtom:
+it reads only base t links, those the rule did not derive itself (explicit
+links and links of user rules), while the second reads every stored t link.
+Each closure link then has exactly one firing, so an n-chain costs O(n^2)
+join results rather than O(n^3), and a closure link's proof is one base step
+plus one closure step, about n levels deep on an n-chain; explain and
+verify_explanation walk it with an explicit stack. Any stored premise pair
+that satisfies the chain rule still replays, so KSIF is unchanged.
+
 A derived link keeps one provenance: the rule id and premise link ids (in
 body order) of the firing that first produced it, which is what KSIF saves,
 so a network and its reload hold the same information. A firing whose head
@@ -34,7 +44,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from .errors import InvalidRule
@@ -81,6 +91,14 @@ class PatternAtom:
         )
 
 
+@dataclass(frozen=True)
+class BaseAtom(PatternAtom):
+    """A body atom that reads only base links: links the rule named skip did
+    not derive. It makes the synthesized transitive rule linear."""
+
+    skip: str
+
+
 @dataclass
 class Rule:
     id: str
@@ -105,6 +123,8 @@ class Explanation:
 def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
     """Collect contract violations; an empty list means the rule is valid."""
     problems: List[str] = []
+    if rule.id.startswith(TRANSITIVE_PREFIX):
+        problems.append(f"rule id {rule.id!r} is reserved for transitive flags")
     if not 1 <= len(rule.body) <= 4:
         problems.append(f"body must have 1..4 atoms, found {len(rule.body)}")
     if not 1 <= len(rule.head) <= 2:
@@ -161,7 +181,7 @@ def rows_from_links(links: Iterable[SemanticLink], symmetric: Collection[str] = 
 
 
 def _unify(term: str, value: str, env: Dict[str, str]) -> Optional[Dict[str, str]]:
-    if is_variable(term):
+    if term.startswith("?"):  # is_variable; terms of a stored rule are text
         bound = env.get(term)
         if bound is None:
             out = dict(env)
@@ -210,13 +230,16 @@ def match_atoms(
     """All substitutions satisfying the atom conjunction, in deterministic order.
 
     facts is a Network, read through Network.rows (an index lookup wherever
-    an atom's source or target is bound), or plain per-type rows. When delta_rows/delta_pos are
-    given, the atom at delta_pos is matched first and only against delta_rows
-    (the semi-naive restriction); the other atoms follow in body order. With
-    split = (delta_from, new_from), a Network's atoms before delta_pos see only
-    links stamped below delta_from (old facts) and atoms after it only links
-    stamped below new_from (old and delta facts), so each firing of a round is
-    enumerated once. Premises come back in atom order.
+    an atom's source or target is bound), or plain per-type rows; on a
+    Network a BaseAtom reads only the links its skip rule did not derive,
+    from the delta rows and from Network.rows alike. When delta_rows and
+    delta_pos are given, the atom at delta_pos is matched first and only
+    against delta_rows (the semi-naive restriction); the other atoms follow
+    in body order. With split = (delta_from, new_from), a Network's atoms
+    before delta_pos see only links stamped below delta_from (old facts) and
+    atoms after it only links stamped below new_from (old and delta facts),
+    so each firing of a round is enumerated once. Premises come back in atom
+    order.
     """
     if isinstance(facts, Network):
         probe, types = facts.rows, sorted(facts.link_types)
@@ -241,10 +264,17 @@ def match_atoms(
         else:
             tgt_mode = _READ
         bound.add(atom.target)
+        base_only = isinstance(atom, BaseAtom) and isinstance(facts, Network)
         if pos == delta_pos and delta_rows is not None:
-            step_probe, step_types, step_limit = _rows_probe(delta_rows), sorted(delta_rows), None
+            rows = delta_rows
+            if base_only:
+                rows = {tid: [row for row in bucket if not facts.derived_by(row[2], atom.skip)]
+                        for tid, bucket in delta_rows.items()}
+            step_probe, step_types, step_limit = _rows_probe(rows), sorted(rows), None
         else:
             step_probe, step_types, step_limit = probe, types, None
+            if base_only:
+                step_probe = functools.partial(facts.rows, skip=atom.skip)
             if split is not None:
                 step_limit = split[0] if pos < delta_pos else split[1]
         steps.append((pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types,
@@ -290,11 +320,15 @@ TRANSITIVE_PREFIX = "sys.transitive."
 
 @functools.lru_cache(maxsize=None)  # shared by every caller: never mutate the result
 def _transitive_rule(type_id: str) -> Rule:
+    """?x t ?y, ?y t ?z -> ?x t ?z as linear recursion: the first atom reads
+    only base t links (explicit ones and those of user rules), the second
+    every stored t link, so each closure link has one firing."""
+    rule_id = f"{TRANSITIVE_PREFIX}{type_id}"
     return Rule(
-        id=f"{TRANSITIVE_PREFIX}{type_id}",
+        id=rule_id,
         rep=RepBundle(word=f"transitive closure of {type_id}"),
         body=(
-            PatternAtom("?x", type_id, "?y"),
+            BaseAtom("?x", type_id, "?y", rule_id),
             PatternAtom("?y", type_id, "?z"),
         ),
         head=(PatternAtom("?x", type_id, "?z"),),
@@ -441,30 +475,53 @@ def reconstruct_substitution(network: Network, link: SemanticLink) -> Dict[str, 
 
 
 def explain(network: Network, link_id: str) -> Explanation:
-    """Explanation tree for a link; leaves are explicit links."""
-    link = network.link(link_id)
-    if link.is_explicit:
-        return Explanation(link.id, link.triple(), "explicit")
-    prov = link.provenance
-    env = reconstruct_substitution(network, link)
-    children = [explain(network, pid) for pid in prov.premises]
-    return Explanation(
-        link.id,
-        link.triple(),
-        "derived",
-        rule_id=prov.rule_id,
-        substitution=env,
-        premises=prov.premises,
-        children=children,
-    )
+    """Explanation tree for a link; leaves are explicit links.
 
-
-def verify_explanation(network: Network, node: Explanation) -> bool:
-    """Replay an explanation: every step must reproduce its link exactly.
-
-    Each node must name a stored link carrying its triple, and a derived
-    node's children must be the proofs of its premises, one per premise.
+    Built depth first with an explicit stack, so proof depth is not bounded by
+    the interpreter's recursion limit. A premise cited more than once gets
+    one subtree, shared by each citation. Steps are replayed in pre-order, so
+    the first bad step raises. Raises InvalidRule when a link's provenance
+    leads back to the link itself.
     """
+    built: Dict[str, Explanation] = {}
+    open_ids: Set[str] = set()  # links whose subtree is being built
+    root: List[Explanation] = []
+    # (link id, list to append its node to), or (link id, None) to close it
+    stack: List[Tuple[str, Optional[List[Explanation]]]] = [(link_id, root)]
+    while stack:
+        lid, siblings = stack.pop()
+        if siblings is None:
+            open_ids.discard(lid)
+            continue
+        if lid in open_ids:
+            raise InvalidRule(f"link {lid!r} is among its own premises")
+        node = built.get(lid)
+        if node is None:
+            link = network.link(lid)
+            if link.is_explicit:
+                node = Explanation(link.id, link.triple(), "explicit")
+            else:
+                prov = link.provenance
+                node = Explanation(
+                    link.id,
+                    link.triple(),
+                    "derived",
+                    rule_id=prov.rule_id,
+                    substitution=reconstruct_substitution(network, link),
+                    premises=prov.premises,
+                )
+                open_ids.add(lid)
+                stack.append((lid, None))
+                stack.extend((pid, node.children) for pid in reversed(prov.premises))
+            built[lid] = node
+        siblings.append(node)
+    return root[0]
+
+
+def _step_holds(network: Network, node: Explanation) -> bool:
+    """One explanation node, its children aside: it names a stored link
+    carrying its triple, and a derived node's rule, substitution and premise
+    ids reproduce that triple."""
     stored = network.links.get(node.link_id)
     if stored is None or stored.triple() != node.triple:
         return False
@@ -481,9 +538,39 @@ def verify_explanation(network: Network, node: Explanation) -> bool:
         link = network.links.get(pid)
         if link is None or link.type != tid or (s, t) not in network.readings(link):
             return False
-    if all(head.substituted(env) != node.triple for head in rule.head):
-        return False
-    return all(verify_explanation(network, child) for child in node.children)
+    return any(head.substituted(env) == node.triple for head in rule.head)
+
+
+def verify_explanation(network: Network, node: Explanation) -> bool:
+    """Replay an explanation: every step must reproduce its link exactly.
+
+    Each node must name a stored link carrying its triple, and a derived
+    node's children must be the proofs of its premises, one per premise.
+    Nodes are checked in pre-order with an explicit stack, each node object
+    once however often it is cited; a node among its own descendants fails.
+    """
+    checked: Set[int] = set()
+    open_nodes: Set[int] = set()  # nodes whose children are being checked
+    # (node, True) to check it, or (node, False) to close it
+    stack: List[Tuple[Explanation, bool]] = [(node, True)]
+    while stack:
+        node, entering = stack.pop()
+        key = id(node)
+        if not entering:
+            open_nodes.discard(key)
+            continue
+        if key in open_nodes:
+            return False
+        if key in checked:
+            continue
+        if not _step_holds(network, node):
+            return False
+        checked.add(key)
+        if node.kind != "explicit":
+            open_nodes.add(key)
+            stack.append((node, False))
+            stack.extend((child, True) for child in reversed(node.children))
+    return True
 
 
 # ===== truth maintenance =====

@@ -135,12 +135,12 @@ class LinkType:
     parent: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explicit:
     """Provenance of an asserted link."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derived:
     """Provenance of a rule-derived link."""
 
@@ -151,7 +151,7 @@ class Derived:
 Provenance = Union[Explicit, Derived]
 
 
-@dataclass
+@dataclass(slots=True)
 class SemanticLink:
     id: str
     source: str
@@ -223,6 +223,11 @@ class Network:
         # delta is every link stamped at or after the round's first new link.
         self._stamp: Dict[str, int] = {}
         self._next_stamp = 0
+        # type -> rule id -> (by source, by target): that type's indexes less
+        # the links the rule derived, read by rows(..., skip=rule id). Built on
+        # first use, extended by each insertion, dropped by any removal or
+        # upgrade, so they stay the main indexes filtered, in the same order.
+        self._skip_index: Dict[str, Dict[str, Tuple[dict, dict]]] = {}
         # (rule/type signature, link count) at the last fixpoint, written and
         # read by rules.derive_fixpoint; any link removal voids it.
         self.derive_mark: Optional[tuple] = None
@@ -311,6 +316,10 @@ class Network:
         by_target.setdefault(link.target, {})[link.source] = link.id
         self._stamp[link.id] = self._next_stamp
         self._next_stamp += 1
+        for rule_id, (fwd, bwd) in self._skip_index.get(link.type, _NO_ENDS).items():
+            if not self.derived_by(link.id, rule_id):
+                fwd.setdefault(link.source, {})[link.target] = link.id
+                bwd.setdefault(link.target, {})[link.source] = link.id
 
     def _index_remove(self, link: SemanticLink) -> None:
         for index, near, far in (
@@ -326,6 +335,7 @@ class Network:
                     del index[link.type]
         del self._stamp[link.id]
         self.derive_mark = None
+        self._skip_index.clear()
 
     def _find_stored(self, source: str, type_id: str, target: str) -> Optional[SemanticLink]:
         """Stored link answering the triple, honoring symmetric completion."""
@@ -367,6 +377,7 @@ class Network:
                     f"triple already stored as {existing.id!r}, cannot use {link_id!r}"
                 )
             existing.provenance = Explicit()
+            self._skip_index.clear()
             existing.weight = weight
             return existing.id
         if link_id is None:
@@ -450,22 +461,45 @@ class Network:
             return [(link.source, link.target), (link.target, link.source)]
         return [(link.source, link.target)]
 
+    def derived_by(self, link_id: str, rule_id: str) -> bool:
+        """Whether the stored link's provenance names the rule rule_id."""
+        return getattr(self.links[link_id].provenance, "rule_id", None) == rule_id
+
+    def _indexes_skipping(self, type_id: str, rule_id: str) -> Tuple[dict, dict]:
+        """The type's (by source, by target) indexes less the links rule_id
+        derived."""
+        per_rule = self._skip_index.setdefault(type_id, {})
+        pair = per_rule.get(rule_id)
+        if pair is None:
+            pair = per_rule[rule_id] = ({}, {})
+            for index, kept in zip((self._by_source, self._by_target), pair):
+                for near, ends in index.get(type_id, _NO_ENDS).items():
+                    for far, lid in ends.items():
+                        if not self.derived_by(lid, rule_id):
+                            kept.setdefault(near, {})[far] = lid
+        return pair
+
     def rows(
         self,
         type_id: str,
         source: Optional[str] = None,
         target: Optional[str] = None,
         before: Optional[int] = None,
+        skip: Optional[str] = None,
     ) -> List[Tuple[str, str, str]]:
         """(source, target, link id) rows of one type, each stored link read
-        as self.readings says, restricted to a bound source and/or target and
-        to links stamped below before (all links when None).
+        as self.readings says, restricted to a bound source and/or target, to
+        links stamped below before (all links when None) and, when skip names
+        a rule, to links that rule did not derive.
 
         A bound source or target is looked up in the (type, source) or (type,
         target) index, never scanned; rows come in index order.
         """
-        forward = self._by_source.get(type_id)
-        if forward is None:
+        if skip is None:
+            forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
+        else:
+            forward, backward = self._indexes_skipping(type_id, skip)
+        if not forward:
             return []
         limit = self._next_stamp if before is None else before
         stamp = self._stamp
@@ -483,11 +517,11 @@ class Network:
                 if stamp[lid] < limit:
                     rows.append((source, end, lid))
             if sym:
-                for end, lid in self._by_target[type_id].get(source, _NO_ENDS).items():
+                for end, lid in backward.get(source, _NO_ENDS).items():
                     if end != source and stamp[lid] < limit:
                         rows.append((source, end, lid))
         elif target is not None:
-            for end, lid in self._by_target[type_id].get(target, _NO_ENDS).items():
+            for end, lid in backward.get(target, _NO_ENDS).items():
                 if stamp[lid] < limit:
                     rows.append((end, target, lid))
             if sym:

@@ -14,7 +14,7 @@ from ksengine.concepts import ConceptStore, Lexicon
 from ksengine.discovery import AnomalyRule, Problem
 from ksengine.errors import DuplicateExplicitLink
 from ksengine.rules import PatternAtom, Rule, derive_fixpoint, validate_rule
-from ksengine.sln import ClassRef, FileRef, Network, RepBundle
+from ksengine.sln import ClassRef, Derived, FileRef, Network, RepBundle
 from ksengine.space import Space
 from ksengine.state import EngineState, new_state
 
@@ -82,6 +82,25 @@ def random_network(
         assert not validate_rule(rule, net)
         net.rules[rule.id] = rule
     return net
+
+
+def deep_proof_network(n: int) -> Tuple[Network, str]:
+    """An n-node pre chain plus n - 2 derived links (v_i, pre, v_last), each
+    the step of sys.transitive.pre from the base link out of v_i and the
+    derived link one node on; returns the network and the id of the link
+    from v_0, whose proof is n - 1 nodes deep. Built with add_derived, not
+    derive, so it holds no other closure links."""
+    net = Network()
+    for i in range(n):
+        net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:04d}")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    steps = [net.assert_link(f"v{i:04d}", "pre", f"v{i + 1:04d}") for i in range(n - 1)]
+    last = f"v{n - 1:04d}"
+    rest = steps[-1]
+    for i in range(n - 3, -1, -1):
+        rest = net.add_derived(f"v{i:04d}", "pre", last, 1.0,
+                               Derived("sys.transitive.pre", (steps[i], rest)))
+    return net, rest
 
 
 def network_as_tuples(net: Network) -> Tuple[List[Triple], List[RuleTuple], Set[str], Set[str]]:

@@ -17,7 +17,7 @@ from ksengine.rules import PatternAtom, derive_fixpoint, explain
 from ksengine.sln import Derived, RepBundle
 from ksengine.state import new_state
 
-from generators import random_state
+from generators import deep_proof_network, random_state
 
 
 @pytest.fixture(autouse=True)
@@ -215,6 +215,21 @@ def test_explain_prints_indented_tree(capsys, tmp_path):
     assert "?x=a" in lines[0] and "?z=c" in lines[0]
     assert lines[1] == "  k1 (a, t, b) explicit"
     assert lines[2] == "  k2 (b, t, c) explicit"
+
+
+def test_explain_prints_a_proof_deeper_than_the_recursion_limit(capsys, tmp_path):
+    n = 1200
+    net, root = deep_proof_network(n)
+    state = new_state()
+    state.network = net
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, state)
+    code, out, _err = run(capsys, ["explain", root, "--state", str(state_file)])
+    assert code == 0
+    lines = out.splitlines()
+    # n - 2 derived steps and n - 1 explicit leaves, the last two the deepest.
+    assert len(lines) == 2 * n - 3
+    assert lines[-1] == "  " * (n - 2) + f"k{n - 1:06d} (v{n - 2:04d}, pre, v{n - 1:04d}) explicit"
 
 
 def test_explain_unknown_link_is_data_error(capsys, tmp_path):

@@ -15,10 +15,13 @@ from ksengine.concepts import (
     import_category_hierarchy,
     read_text,
 )
+from ksengine.ksif import export_state, import_state
+from ksengine.state import EngineState
 from ksengine.errors import (
     CyclicHierarchy,
     DanglingReference,
     DuplicateId,
+    NonFiniteWeight,
     TooFewConcepts,
     UnknownCompartment,
     UnknownConcept,
@@ -67,6 +70,24 @@ def test_relations_accumulate_weight():
     assert store.add_relation(a, "uses", b, 0.5) == 1.5
     assert store.relation_weight(a, "uses", b) == 1.5
     assert store.relation_weight(b, "uses", a) == 0.0
+
+
+@pytest.mark.parametrize("start, increment", [
+    (0.0, float("inf")),
+    (0.0, float("nan")),
+    (1e308, 1e308),  # both finite; the sum overflows to inf
+])
+def test_relation_refuses_non_finite_weight(start, increment):
+    store = ConceptStore()
+    a = store.add_concept("a").id
+    b = store.add_concept("b").id
+    if start:
+        store.add_relation(a, "uses", b, start)
+    with pytest.raises(NonFiniteWeight):
+        store.add_relation(a, "uses", b, increment)
+    assert store.relation_weight(a, "uses", b) == start
+    text = export_state(EngineState(concepts=store))
+    assert export_state(import_state(text)) == text
 
 
 def test_link_count_counts_both_directions():

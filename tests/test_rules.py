@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
 from ksengine import rules
 from ksengine.errors import DuplicateExplicitLink, InvalidRule
-from ksengine.ksif import export_state
+from ksengine.ksif import export_state, import_state
 from ksengine.rules import (
+    Explanation,
     PatternAtom,
     Rule,
     derive_fixpoint,
@@ -19,11 +21,13 @@ from ksengine.rules import (
     validate_rule,
     verify_explanation,
 )
-from ksengine.sln import Network, RepBundle
+from ksengine.sln import Derived, Network, RepBundle
 from ksengine.state import EngineState
 
 import oracles
-from generators import engine_fact_set, network_as_tuples, random_network
+from generators import (
+    deep_proof_network, engine_fact_set, network_as_tuples, random_network,
+)
 
 
 def chain_net():
@@ -421,17 +425,165 @@ def test_noop_rederive_joins_nothing(monkeypatch):
     assert calls == []
 
 
-def test_each_firing_is_enumerated_once(monkeypatch):
-    calls = _count_matches(monkeypatch)
+def _chain(n):
+    """v00 -pre-> v01 -> ... -> v(n-1), pre transitive."""
     net = Network()
-    for i in range(30):
+    for i in range(n):
         net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
     net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
-    for i in range(29):
+    for i in range(n - 1):
         net.assert_link(f"v{i:02d}", "pre", f"v{i + 1:02d}")
+    return net
+
+
+def test_each_firing_is_enumerated_once(monkeypatch):
+    calls = _count_matches(monkeypatch)
+    net = _chain(30)
     # A twin of the transitive rule: links one rule adds in a round must stay
     # invisible to the other until the next round.
     _add_rule(net, "twin", (("?x", "pre", "?y"), ("?y", "pre", "?z")), (("?x", "pre", "?z"),))
-    derive_fixpoint(net)
-    # A path i < j < k is one firing of each rule.
+    new_links, _ = derive_fixpoint(net)
+    # The twin runs first in each round and stores every new link, so every
+    # pre link is a base link and the linear transitive rule, like the twin,
+    # fires once per path i < j < k.
+    assert {link.provenance.rule_id for link in new_links} == {"twin"}
     assert sum(map(len, calls)) == 2 * math.comb(30, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_chain_closure_fires_once_per_new_link(monkeypatch, n):
+    calls = _count_matches(monkeypatch)
+    net = _chain(n)
+    new_links, _ = derive_fixpoint(net)
+    # One base step then one closure step: (i, k) for k > i + 1 fires only
+    # as (i, i + 1), (i + 1, k).
+    assert len(new_links) == math.comb(n - 1, 2)
+    assert sum(map(len, calls)) == math.comb(n - 1, 2)
+
+
+def test_deep_proof_explains_and_verifies_within_recursion_limit():
+    """2,998 derived links stacked into one proof 2,999 nodes deep, far past
+    the default recursion limit."""
+    n = 3000
+    net, root = deep_proof_network(n)
+    assert len(net.derived_links()) == n - 2
+
+    tree = explain(net, root)
+    depth, node = 1, tree
+    while node.children:
+        node = node.children[-1]
+        depth += 1
+    assert depth == n - 1 > 2 * sys.getrecursionlimit()
+    assert verify_explanation(net, tree)
+    node.triple = ("v0000", "pre", "v0001")  # forge the deepest leaf
+    assert not verify_explanation(net, tree)
+
+
+def test_provenance_cycle_is_an_error_not_a_loop():
+    net = Network()
+    for name in "abc":
+        net.add_node(RepBundle(word=name), node_id=name)
+    net.add_link_type(RepBundle(word="t"), transitive=True, type_id="t")
+    net.assert_link("a", "t", "b", link_id="k1")
+    net.assert_link("b", "t", "a", link_id="k0")
+    # Each step is sound on its own, but k2 cites k3, which cites k2.
+    net.add_derived("a", "t", "c", 1.0, Derived("sys.transitive.t", ("k1", "k3")),
+                    link_id="k2")
+    net.add_derived("b", "t", "c", 1.0, Derived("sys.transitive.t", ("k0", "k2")),
+                    link_id="k3")
+    with pytest.raises(InvalidRule, match="among its own premises"):
+        explain(net, "k2")
+    # The same loop as a hand-made tree: every step holds, the tree does not.
+    k2 = Explanation("k2", ("a", "t", "c"), "derived", "sys.transitive.t",
+                     {"?x": "a", "?y": "b", "?z": "c"}, ("k1", "k3"))
+    k3 = Explanation("k3", ("b", "t", "c"), "derived", "sys.transitive.t",
+                     {"?x": "b", "?y": "a", "?z": "c"}, ("k0", "k2"))
+    k2.children = [Explanation("k1", ("a", "t", "b"), "explicit"), k3]
+    k3.children = [Explanation("k0", ("b", "t", "a"), "explicit"), k2]
+    assert not verify_explanation(net, k2)
+
+
+def test_user_rule_cannot_take_a_transitive_rule_id():
+    # Links a rule derives are base links unless its id is the transitive
+    # rule's, so a user rule under that id would leave the closure short.
+    atom = PatternAtom("?x", "t", "?y")
+    problems = validate_rule(Rule("sys.transitive.t", RepBundle(word="r"), (atom,), (atom,)))
+    assert problems == ["rule id 'sys.transitive.t' is reserved for transitive flags"]
+
+
+def closure_network(rng):
+    """50 to 80 nodes with a transitive type pre, a symmetric and transitive
+    type eq, a plain type rel, and user rules whose heads are pre or eq, so
+    pre has base links of every kind: explicit, user-derived and upgraded."""
+    net = Network()
+    nodes = [net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
+             for i in range(rng.randint(50, 80))]
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    net.add_link_type(RepBundle(word="eq"), transitive=True, symmetric=True, type_id="eq")
+    net.add_link_type(RepBundle(word="rel"), type_id="rel")
+    for _ in range(len(nodes) // 2):
+        i = rng.randrange(len(nodes) - 4)
+        _try_assert(net, nodes[i], "pre", nodes[i + rng.randint(1, 4)])
+    for tid, count in (("eq", len(nodes) // 8), ("rel", len(nodes) // 6)):
+        for _ in range(count):
+            _try_assert(net, rng.choice(nodes), tid, rng.choice(nodes))
+    _add_rule(net, "lift", (("?a", "rel", "?b"),), (("?a", "pre", "?b"),))
+    _add_rule(net, "via", (("?a", "pre", "?b"), ("?b", "eq", "?c")), (("?a", "pre", "?c"),))
+    _add_rule(net, "back", (("?a", "rel", "?b"), ("?b", "pre", "?a")), (("?a", "eq", "?b"),))
+    return net
+
+
+def _check_closure(net):
+    _check_against_oracles(net)
+    text = export_state(EngineState(network=net))
+    assert export_state(import_state(text)) == text
+
+
+@pytest.mark.parametrize("seed", [3, 71])
+def test_linear_closure_matches_naive_through_mutations(seed):
+    rng = random.Random(seed)
+    net = closure_network(rng)
+    nodes = sorted(net.nodes)
+    derive_fixpoint(net)
+    _check_closure(net)
+    for _ in range(2):
+        # Upgrade derived links in place: closure links become base links.
+        for link in rng.sample(net.derived_links(), 4):
+            assert net.assert_link(link.source, link.type, link.target) == link.id
+        _check_closure(net)
+        # A two-step pre path and a few random links, twice, with no removal
+        # or upgrade in between.
+        for _ in range(2):
+            a, b, c = rng.sample(nodes, 3)
+            _try_assert(net, a, "pre", b)
+            _try_assert(net, b, "pre", c)
+            for _ in range(2):
+                _try_assert(net, rng.choice(nodes), rng.choice(("pre", "eq", "rel")),
+                            rng.choice(nodes))
+            derive_fixpoint(net)
+            _check_closure(net)
+        pre = [link for link in net.explicit_links() if link.type == "pre"]
+        retract_with_maintenance(net, rng.choice(pre).id)
+        _check_closure(net)
+
+
+def test_closure_step_over_two_closure_links_still_replays():
+    """A saved step whose first premise is itself a closure link (what the
+    chain rule evaluated non-linearly could record) imports, explains and
+    verifies, and derive adds just the pairs no saved step covers."""
+    net = _chain(5)
+    k = {(link.source, link.target): link.id for link in net.links.values()}
+    step = "sys.transitive.pre"
+    k["v00", "v02"] = net.add_derived("v00", "pre", "v02", 1.0,
+                                      Derived(step, (k["v00", "v01"], k["v01", "v02"])))
+    k["v02", "v04"] = net.add_derived("v02", "pre", "v04", 1.0,
+                                      Derived(step, (k["v02", "v03"], k["v03", "v04"])))
+    top = net.add_derived("v00", "pre", "v04", 1.0,
+                          Derived(step, (k["v00", "v02"], k["v02", "v04"])))
+    text = export_state(EngineState(network=net))
+    loaded = import_state(text).network
+    assert verify_explanation(loaded, explain(loaded, top))
+    new_links, _ = derive_fixpoint(loaded)
+    assert {link.triple() for link in new_links} == {
+        ("v00", "pre", "v03"), ("v01", "pre", "v03"), ("v01", "pre", "v04")}
+    _check_closure(loaded)

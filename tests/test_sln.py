@@ -308,6 +308,43 @@ def test_index_agrees_with_brute_grouping():
             assert set(net._stamp) == set(net.links)
 
 
+def test_rows_skipping_a_rule_are_rows_less_its_links():
+    """rows(..., skip=rule) equals rows(...) without the links that rule
+    derived, in the same order, after every kind of change: the skipping
+    indexes are read at each step, so later steps test their upkeep."""
+    rng = random.Random(4242)
+    for _ in range(20):
+        net = random_network(rng, max_nodes=10, flag_bias=0.5)
+        nodes = sorted(net.nodes)
+        types = sorted(net.link_types)
+        skips = [f"sys.transitive.{tid}" for tid in types] + sorted(net.rules)
+        for _step in range(8):
+            action = rng.choice(("assert", "derive", "retract", "upgrade"))
+            if action == "assert":
+                for _ in range(3):
+                    try:
+                        net.assert_link(rng.choice(nodes), rng.choice(types),
+                                        rng.choice(nodes))
+                    except DuplicateExplicitLink:
+                        pass
+            elif action == "derive":
+                derive_fixpoint(net)
+            elif action == "retract" and net.explicit_links():
+                net.retract_link(rng.choice(net.explicit_links()).id)
+            elif action == "upgrade" and net.derived_links():
+                link = rng.choice(net.derived_links())
+                net.assert_link(link.source, link.type, link.target)
+            top = max(net._stamp.values(), default=0) + 1
+            for tid in types:
+                for skip in skips:
+                    for source, target in ((None, None), (rng.choice(nodes), None),
+                                           (None, rng.choice(nodes))):
+                        for before in (None, rng.randrange(top + 1)):
+                            want = [row for row in net.rows(tid, source, target, before)
+                                    if not net.derived_by(row[2], skip)]
+                            assert net.rows(tid, source, target, before, skip) == want
+
+
 def _indexed_network(rng, size):
     """A seeded network of `size` nodes: a symmetric, a plain and a
     transitive type, self-loops, derived links, and gaps left by retraction."""

@@ -17,8 +17,9 @@ probe and Network.readings says how a stored link reads. At the fixpoint the
 network keeps a mark: the rule/type signature and its link count. The next
 derive starts from the links inserted since the mark, or from all links if a
 rule or a symmetric flag changed or a link was removed (a removal voids the
-mark), so a re-derive with nothing new joins nothing. Iteration is
-deterministic, so identical inputs give identical ids and provenance.
+mark; retraction below sets it again), so a re-derive with nothing new joins
+nothing. Iteration is deterministic, so identical inputs give identical ids
+and provenance.
 
 A transitive type t is evaluated as linear recursion, not as the chain rule
 ?x t ?y, ?y t ?z -> ?x t ?z. The synthesized rule's first atom is a BaseAtom:
@@ -33,9 +34,19 @@ that satisfies the chain rule still replays, so KSIF is unchanged.
 A derived link keeps one provenance: the rule id and premise link ids (in
 body order) of the firing that first produced it, which is what KSIF saves,
 so a network and its reload hold the same information. A firing whose head
-triple is already stored is skipped; nothing is kept per firing. Retraction
-over-deletes the provenance closure of the retracted link and re-derives,
-which restores, under fresh ids, anything another firing still supports.
+triple is already stored is skipped; nothing is kept per firing.
+
+Retraction is DRed (delete and rederive). From a network at its fixpoint it
+over-deletes the provenance closure of the retracted link, then marks what
+survives as closed: a firing over surviving links was a firing before the
+removal, so its head is stored or was over-deleted. Each rule head atom is
+then matched first against the over-deleted triples and the body after it
+against the network, which restores every over-deleted triple that one
+firing over surviving links still supports; a re-derive from the mark then
+propagates from the restored links alone. Links that survive keep their ids
+and provenance; restored links get fresh ids, and their weights and premises
+come from the firing that restored them, which need not be the firing a
+derive from scratch would pick.
 """
 
 from __future__ import annotations
@@ -368,6 +379,14 @@ def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
     )
 
 
+def _add_firing(network: Network, triple: Tuple[str, str, str], rule_id: str,
+                premises: Tuple[str, ...]) -> SemanticLink:
+    """Store a firing's head triple as a derived link weighted by its
+    weakest premise."""
+    weight = min(network.links[p].weight for p in premises)
+    return network.links[network.add_derived(*triple, weight, Derived(rule_id, premises))]
+
+
 def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:
     """Run every rule to the least fixpoint; returns (new links, new derivations),
     the second list holding each new link's provenance.
@@ -408,9 +427,7 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
                         t = env.get(h_target, h_target)
                         if network._find_stored(s, tid, t) is not None:
                             continue
-                        weight = min(network.links[p].weight for p in premises)
-                        lid = network.add_derived(s, tid, t, weight, Derived(rule.id, premises))
-                        link = network.links[lid]
+                        link = _add_firing(network, (s, tid, t), rule.id, premises)
                         new_links.append(link)
                         round_new.append(link)
         delta = round_new
@@ -576,11 +593,36 @@ def verify_explanation(network: Network, node: Explanation) -> bool:
 # ===== truth maintenance =====
 
 def retract_with_maintenance(network: Network, link_id: str) -> List[str]:
-    """Retract an explicit link, then restore alternately supported facts.
+    """Retract an explicit link and keep the network at its fixpoint (DRed).
 
-    Returns the link ids that are gone after maintenance (some over-deleted
-    links may come back under fresh ids when another derivation survives).
+    Derives to the fixpoint first, then over-deletes the link's provenance
+    closure (Network.retract_link), restores each over-deleted triple that a
+    firing over the surviving links still supports, and derives onward from
+    the restored links. Only rules whose head can meet an over-deleted triple
+    re-fire, and only against those triples. Links outside the closure keep
+    their ids and provenance; a restored link gets a fresh id.
+
+    Returns the ids, among links present before the call, that are gone
+    after it.
     """
+    fresh = {link.id for link in derive_fixpoint(network)[0]}
+    rules = effective_rules(network)
     removed = network.retract_link(link_id)
+    signature = _signature(network, rules)
+    # A firing over the survivors fired before the removal, so its head is
+    # stored unless it was over-deleted: the survivors are closed except for
+    # over-deleted heads, which the joins below look for.
+    network.derive_mark = (signature, len(network.links))
+    delta_rows = rows_from_links(removed, signature[1])
+    firings: Dict[Tuple[str, str, str], Tuple[str, Tuple[str, ...]]] = {}
+    for rule in rules:
+        for head in rule.head:
+            for env, premises in match_atoms(network, (head, *rule.body), delta_rows, 0):
+                firings.setdefault(head.substituted(env), (rule.id, premises[1:]))
+    # Insert only after the joins, so each join reads the survivors alone; a
+    # symmetric triple found in both readings is stored once.
+    for triple, (rule_id, premises) in firings.items():
+        if network._find_stored(*triple) is None:
+            _add_firing(network, triple, rule_id, premises)
     derive_fixpoint(network)
-    return [rid for rid in removed if rid not in network.links]
+    return [link.id for link in removed if link.id not in network.links and link.id not in fresh]

@@ -225,11 +225,14 @@ class Network:
         self._next_stamp = 0
         # type -> rule id -> (by source, by target): that type's indexes less
         # the links the rule derived, read by rows(..., skip=rule id). Built on
-        # first use, extended by each insertion, dropped by any removal or
-        # upgrade, so they stay the main indexes filtered, in the same order.
+        # first use, then kept in step with the main indexes by each insertion
+        # and removal; an upgrade drops them. They hold every outer key of the
+        # main indexes, emptied or not, so they stay the main indexes
+        # filtered, in the same order.
         self._skip_index: Dict[str, Dict[str, Tuple[dict, dict]]] = {}
-        # (rule/type signature, link count) at the last fixpoint, written and
-        # read by rules.derive_fixpoint; any link removal voids it.
+        # (rule/type signature, link count) at the last fixpoint, written by
+        # rules.derive_fixpoint and rules.retract_with_maintenance; any link
+        # removal voids it.
         self.derive_mark: Optional[tuple] = None
         self._counters: Dict[str, int] = {}
 
@@ -317,25 +320,32 @@ class Network:
         self._stamp[link.id] = self._next_stamp
         self._next_stamp += 1
         for rule_id, (fwd, bwd) in self._skip_index.get(link.type, _NO_ENDS).items():
+            fwd_ends = fwd.setdefault(link.source, {})
+            bwd_ends = bwd.setdefault(link.target, {})
             if not self.derived_by(link.id, rule_id):
-                fwd.setdefault(link.source, {})[link.target] = link.id
-                bwd.setdefault(link.target, {})[link.source] = link.id
+                fwd_ends[link.target] = link.id
+                bwd_ends[link.source] = link.id
 
     def _index_remove(self, link: SemanticLink) -> None:
-        for index, near, far in (
-            (self._by_source, link.source, link.target),
-            (self._by_target, link.target, link.source),
+        skipping = self._skip_index.get(link.type, _NO_ENDS).values()
+        for side, index, near, far in (
+            (0, self._by_source, link.source, link.target),
+            (1, self._by_target, link.target, link.source),
         ):
             per_type = index[link.type]
             ends = per_type[near]
             del ends[far]
-            if not ends:
+            emptied = not ends
+            if emptied:
                 del per_type[near]
                 if not per_type:
                     del index[link.type]
+            for pair in skipping:
+                kept = pair[side]
+                kept[near].pop(far, None)
+                if emptied:
+                    del kept[near]
         del self._stamp[link.id]
-        self.derive_mark = None
-        self._skip_index.clear()
 
     def _find_stored(self, source: str, type_id: str, target: str) -> Optional[SemanticLink]:
         """Stored link answering the triple, honoring symmetric completion."""
@@ -419,21 +429,24 @@ class Network:
         self._index_add(link)
         return link_id
 
-    def retract_link(self, link_id: str) -> List[str]:
+    def retract_link(self, link_id: str) -> List[SemanticLink]:
         """Remove an explicit link plus every derived link leaning on it.
 
         Over-deletes: a derived link goes when its provenance cites a removed
         link, even if another firing would still support it. Returns the
-        removed link ids (the retracted one first). Re-deriving what survives
-        is the rule engine's job; see rules.retract_with_maintenance.
+        removed links themselves (the retracted one first, then by id), so a
+        caller can re-derive their triples without walking the closure again;
+        rules.retract_with_maintenance does. Any removal voids the derive mark.
         """
         link = self.link(link_id)
         if not link.is_explicit:
             raise CannotRetractDerived(f"link {link_id!r} is derived")
-        removed = self.provenance_closure([link_id])
-        for rid in removed:
-            self._index_remove(self.links.pop(rid))
-        return sorted(removed, key=lambda r: (r != link_id, r))
+        closure = sorted(self.provenance_closure([link_id]), key=lambda r: (r != link_id, r))
+        removed = [self.links.pop(rid) for rid in closure]
+        for gone in removed:
+            self._index_remove(gone)
+        self.derive_mark = None
+        return removed
 
     def provenance_closure(self, ids: Iterable[str]) -> Set[str]:
         """The given link ids plus every derived link whose provenance cites
@@ -474,9 +487,8 @@ class Network:
             pair = per_rule[rule_id] = ({}, {})
             for index, kept in zip((self._by_source, self._by_target), pair):
                 for near, ends in index.get(type_id, _NO_ENDS).items():
-                    for far, lid in ends.items():
-                        if not self.derived_by(lid, rule_id):
-                            kept.setdefault(near, {})[far] = lid
+                    kept[near] = {far: lid for far, lid in ends.items()
+                                  if not self.derived_by(lid, rule_id)}
         return pair
 
     def rows(

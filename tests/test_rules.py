@@ -241,8 +241,10 @@ def test_retract_with_maintenance_restores_alternate_support():
         "via_u", RepBundle(word="via u"),
         (PatternAtom("?x", u, "?y"),), (PatternAtom("?x", g, "?y"),),
     )
+    h = net.add_link_type(RepBundle(word="h"), type_id="h")
+    _add_rule(net, "lift", (("?x", g, "?y"),), (("?x", h, "?y"),))
     derive_fixpoint(net)
-    assert net.has_fact("a", g, "b")
+    assert net.has_fact("a", g, "b") and net.has_fact("a", h, "b")
     retract_with_maintenance(net, base1)
     assert not net.has_fact("a", t, "b")
     assert net.has_fact("a", g, "b")
@@ -250,6 +252,20 @@ def test_retract_with_maintenance_restores_alternate_support():
     assert len(survivors) == 1
     assert survivors[0].provenance.rule_id == "via_u"
     assert survivors[0].provenance.premises == (base2,)
+    # a h b cites the over-deleted a g b, so it comes back only by deriving
+    # onward from the restored link.
+    lifted = [l for l in net.derived_links() if l.triple() == ("a", "h", "b")]
+    assert len(lifted) == 1
+    assert lifted[0].provenance == Derived("lift", (survivors[0].id,))
+
+
+def test_retract_before_any_derive_reaches_the_fixpoint():
+    net = _chain(8)
+    before = set(net.links)
+    middle = next(l.id for l in net.links.values() if l.source == "v03")
+    assert retract_with_maintenance(net, middle) == [middle]
+    assert set(net.links) - before == {l.id for l in net.derived_links()}
+    _check_closure(net)
 
 
 def test_fixpoint_matches_naive_oracle():
@@ -271,10 +287,7 @@ def test_maintenance_matches_from_scratch():
             explicit_ids = [l.id for l in net.explicit_links()]
             if not explicit_ids:
                 break
-            retract_with_maintenance(net, rng.choice(explicit_ids))
-            explicit, rules, symmetric, transitive = network_as_tuples(net)
-            want = oracles.naive_fixpoint(explicit, rules, symmetric, transitive)
-            assert engine_fact_set(net) == want
+            _retract_and_check(net, rng.choice(explicit_ids))
 
 
 def test_every_derived_link_explains_and_verifies():
@@ -378,8 +391,7 @@ def test_fixpoint_matches_oracle_through_mutations(seed):
     _check_against_oracles(net)
 
     for _ in range(3):
-        retract_with_maintenance(net, rng.choice(net.explicit_links()).id)
-        _check_against_oracles(net)
+        _retract_and_check(net, rng.choice(net.explicit_links()).id)
 
     _add_rule(net, "late", (("?a", "pre", "?b"), ("?b", "rel", "?c")), (("?c", "out", "?a"),))
     derive_fixpoint(net)
@@ -423,6 +435,18 @@ def test_noop_rederive_joins_nothing(monkeypatch):
     calls = _count_matches(monkeypatch)
     assert derive_fixpoint(net) == ([], [])
     assert calls == []
+
+
+def test_retraction_joins_only_the_over_deleted_links(monkeypatch):
+    net = _chain(30)
+    derive_fixpoint(net)
+    middle = next(l.id for l in net.links.values() if l.source == "v14")
+    calls = _count_matches(monkeypatch)
+    gone = retract_with_maintenance(net, middle)
+    # 15 * 15 closure links cross the cut; no firing restores any, and the
+    # one join per rule head is all that runs.
+    assert len(gone) == 15 * 15
+    assert calls == [[]]
 
 
 def _chain(n):
@@ -539,6 +563,20 @@ def _check_closure(net):
     assert export_state(import_state(text)) == text
 
 
+def _retract_and_check(net, link_id):
+    """Retract link_id from a derived network with maintenance: the result
+    matches a derive from scratch, and every link outside the retracted
+    link's provenance closure keeps its id, weight and provenance."""
+    closure = net.provenance_closure([link_id])
+    kept = {lid: (link.triple(), link.weight, link.provenance)
+            for lid, link in net.links.items() if lid not in closure}
+    gone = retract_with_maintenance(net, link_id)
+    assert gone[0] == link_id and set(gone) <= closure
+    assert {lid: (net.links[lid].triple(), net.links[lid].weight, net.links[lid].provenance)
+            for lid in kept} == kept
+    _check_closure(net)
+
+
 @pytest.mark.parametrize("seed", [3, 71])
 def test_linear_closure_matches_naive_through_mutations(seed):
     rng = random.Random(seed)
@@ -563,8 +601,8 @@ def test_linear_closure_matches_naive_through_mutations(seed):
             derive_fixpoint(net)
             _check_closure(net)
         pre = [link for link in net.explicit_links() if link.type == "pre"]
-        retract_with_maintenance(net, rng.choice(pre).id)
-        _check_closure(net)
+        _retract_and_check(net, rng.choice(pre).id)
+        _retract_and_check(net, rng.choice(net.explicit_links()).id)
 
 
 def test_closure_step_over_two_closure_links_still_replays():

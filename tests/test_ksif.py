@@ -1,5 +1,6 @@
 """Canonical text persistence: export shape, import checks, round trips."""
 
+import pathlib
 import random
 import re
 
@@ -149,6 +150,20 @@ def test_random_states_round_trip_exactly():
         doc = export_state(state)
         rebuilt = import_state(doc)
         assert export_state(rebuilt) == doc
+
+
+PIN = pathlib.Path(__file__).parent / "data" / "pin.ksif"
+
+
+def test_format_pin_reexports_byte_exact():
+    """A document written by an earlier export_state, holding every record
+    kind, every value tag and the awkward texts of NASTY_TEXT. Round trips
+    alone miss a field order changed on both sides at once; this does not."""
+    doc = PIN.read_bytes().decode("utf-8")
+    kinds = {line.split("\t", 1)[0] for line in doc.split("\n")[1:] if line}
+    assert kinds == set(KIND_ORDER)
+    assert all(escape_field(text) in doc for text in NASTY_TEXT)
+    assert export_state(import_state(doc)) == doc
 
 
 def test_carriage_return_survives_fields():

@@ -146,7 +146,9 @@ def _build_parser() -> _Parser:
 # ===== input helpers =====
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    """The file's text as written: a KSIF field may hold a carriage return,
+    which universal newlines would read as a line break."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
 
 

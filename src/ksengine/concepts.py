@@ -23,7 +23,7 @@ from .errors import (
     UnknownCompartment,
     UnknownConcept,
 )
-from .sln import Scalar, check_id, fresh_id
+from .sln import Scalar, check_attribute, check_id, fresh_id
 from .taxonomy import CategoryTree
 
 COOCCUR_LABEL = "co-occur"
@@ -399,15 +399,16 @@ def enrich_concept(
     """Append entries to a concept's compartments, collapsing duplicates.
 
     Records are (compartment, payload) pairs: "attribute" takes (label, value),
-    "process" takes a step sequence, "relation" takes (label, target), and the
-    list compartments (instance, interface, use_case, object, event, rule,
-    media, language) take one text entry each.
+    checked as Network.add_node checks it (else InvalidRep), "process" takes
+    a step sequence, "relation" takes (label, target), and the list
+    compartments (instance, interface, use_case, object, event, rule, media,
+    language) take one text entry each.
     """
     concept = store.get(concept_id)
     for compartment, payload in records:
         if compartment == "attribute":
-            label, value = payload  # type: ignore[misc]
-            concept.structure.attributes[str(label)] = value  # type: ignore[assignment]
+            label, value = check_attribute(*payload)  # type: ignore[misc]
+            concept.structure.attributes[label] = value
         elif compartment == "process":
             steps = tuple(str(s) for s in payload)  # type: ignore[arg-type]
             if steps not in concept.services.processes:

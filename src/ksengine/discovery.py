@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -26,6 +25,7 @@ from .errors import (
     EmptyTypeSet,
     InvalidCandidate,
     InvalidRule,
+    NegativeWeight,
     TooLarge,
     UncategorizedProblem,
     UnknownCategory,
@@ -42,7 +42,9 @@ from .rules import (
     rows_from_network,
     validate_rule,
 )
-from .sln import LinkType, Network, QueryPattern, SemanticLink, SemanticNode
+from .sln import (
+    LinkType, Network, QueryPattern, SemanticLink, SemanticNode, check_id, check_weight,
+)
 from .state import AnomalyRule, Problem, validate_anomaly_rule
 from .taxonomy import CategoryTree
 
@@ -105,9 +107,10 @@ def verify_knowledge(
     if candidate.kind == "link":
         if not isinstance(payload, LinkCandidate):
             raise InvalidCandidate(f"link candidate payload is {type(payload).__name__}")
-        if not 0 <= payload.weight <= sys.float_info.max:
-            raise InvalidCandidate(
-                f"candidate weight must be a finite number >= 0, got {payload.weight!r}")
+        try:
+            check_weight(payload.weight)
+        except NegativeWeight as exc:
+            raise InvalidCandidate(f"candidate {exc}") from None
         for endpoint in (payload.source, payload.target):
             if endpoint not in network.nodes:
                 return Verdict(False, f"unknown endpoint {endpoint!r}", mode)
@@ -242,7 +245,11 @@ def trace_cause_effect(
 def detect_co_occurrence(
     events: Sequence[Tuple[str, Iterable[str]]], min_support: int
 ) -> List[Problem]:
-    """Pair entities that appear together in at least min_support records."""
+    """Pair entities that appear together in at least min_support records.
+
+    Each pair's problem id is "co.<a>.<b>"; an entity that would make it an
+    invalid id raises InvalidId, since no state could hold the problem.
+    """
     if not isinstance(min_support, int) or min_support < 1:
         raise NonPositiveInput(f"min_support must be an integer >= 1, got {min_support!r}")
     witnesses: Dict[Tuple[str, str], List[str]] = {}
@@ -257,7 +264,7 @@ def detect_co_occurrence(
             continue
         problems.append(
             Problem(
-                id=f"co.{a}.{b}",
+                id=check_id(f"co.{a}.{b}", "problem id"),
                 kind="relationship",
                 statement=f"{a} and {b} co-occur in {len(records)} of {len(events)} records",
                 evidence=tuple(sorted(set(records))),

@@ -8,15 +8,27 @@ references in a second phase, and reports the line number of anything
 malformed. Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids
 never need escaping. Blank lines and '#' comment lines are skipped on import
 and never emitted on export.
+
+Each record kind's field layout is written once, as a row of _ROWS built
+from a few value codecs (after Kennedy's pickler combinators, JFP 2004):
+export writes every record and import reads it through that one row.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
-from .concepts import Concept
+from .concepts import (
+    Concept,
+    ConceptExperiences,
+    ConceptSense,
+    ConceptServices,
+    ConceptStructure,
+)
 from .errors import (
     BadHeader,
     DanglingReference,
@@ -34,14 +46,15 @@ from .sln import (
     Derived,
     Explicit,
     FileRef,
-    ID_PATTERN,
     LinkType,
     Network,
     RepBundle,
-    RepValue,
-    Scalar,
     SemanticLink,
     SemanticNode,
+    check_attribute,
+    check_id,
+    check_scalar,
+    check_weight,
 )
 from .space import Space
 from .state import (
@@ -58,20 +71,6 @@ if TYPE_CHECKING:
     from .discovery import Candidate, IncrementFragment
 
 HEADER = "KSIF 1"
-
-KIND_ORDER = (
-    "LINKTYPE",
-    "NODE",
-    "LINK",
-    "RULE",
-    "DIM",
-    "CAT",
-    "PLACE",
-    "CONCEPT",
-    "LEXEME",
-    "PROBLEM",
-    "ANOMALYRULE",
-)
 
 
 # ===== field encoding =====
@@ -99,547 +98,449 @@ def unescape_field(text: str, line: int) -> str:
     return _ESCAPE.sub(unescape, text)
 
 
-def _record_line(kind: str, fields: Sequence[str]) -> str:
-    return "\t".join([kind] + [escape_field(f) for f in fields]) + "\n"
-
-
 ParsedRecord = Tuple[int, str, List[str]]  # (line number, kind, fields)
 
 
 def records_from_text(text: str) -> List[ParsedRecord]:
-    """Header check plus line-level parsing; comments and blanks skipped."""
+    """Header check plus line-level parsing; comments and blanks skipped.
+
+    Only a line holding a backslash has escapes to undo, so only such a line
+    pays for unescaping its fields.
+    """
     lines = text.split("\n")
-    if not lines or lines[0] != HEADER:
+    if lines[0] != HEADER:
         raise BadHeader(f"first line must be exactly {HEADER!r}")
     records: List[ParsedRecord] = []
     for number, raw in enumerate(lines[1:], start=2):
         if raw == "" or raw.startswith("#"):
             continue
-        parts = raw.split("\t")
-        kind = parts[0]
-        if kind not in KIND_ORDER:
+        kind, *fields = raw.split("\t")
+        if kind not in _ROWS:
             raise UnknownKind(number, kind)
-        fields = [unescape_field(p, number) for p in parts[1:]]
+        if "\\" in raw:
+            fields = [unescape_field(f, number) for f in fields]
         records.append((number, kind, fields))
     return records
 
 
-class _Cursor:
-    """Sequential field reader with line-anchored error reporting."""
+# ===== value codecs =====
+# A codec holds one layout for both directions: write(value) gives the
+# value's fields, escaped and tab-joined, and read(fields, line, name) takes
+# them from the iterator fields, naming the line and the field in any fault.
+# A scalar whose write is None is an id, written as it is. Values are checked
+# by the checks their mutators use, so import accepts what the engine holds.
 
-    def __init__(self, line: int, fields: Sequence[str]):
-        self.line = line
-        self._fields = list(fields)
-        self._pos = 0
+class _Scalar:
+    """One field. parse raises KsError, KeyError or ValueError on text that
+    is not what `expected` says."""
 
-    def take(self, what: str) -> str:
-        if self._pos >= len(self._fields):
-            raise MalformedRecord(self.line, f"missing field: {what}")
-        value = self._fields[self._pos]
-        self._pos += 1
-        return value
+    __slots__ = ("write", "parse", "expected")
 
-    def take_nonempty(self, what: str) -> str:
-        value = self.take(what)
-        if value == "":
-            raise MalformedRecord(self.line, f"{what} must be non-empty")
-        return value
+    def __init__(self, write: Optional[Callable[[object], str]],
+                 parse: Callable[[str], object], expected: str):
+        self.write, self.parse, self.expected = write, parse, expected
 
-    def take_opt(self, what: str) -> Optional[str]:
-        value = self.take(what)
-        return value if value != "" else None
-
-    def take_id(self, what: str) -> str:
-        value = self.take(what)
-        if not ID_PATTERN.match(value):
-            raise MalformedRecord(self.line, f"{what} {value!r} is not a valid id")
-        return value
-
-    def take_opt_id(self, what: str) -> Optional[str]:
-        value = self.take(what)
-        if value == "":
-            return None
-        if not ID_PATTERN.match(value):
-            raise MalformedRecord(self.line, f"{what} {value!r} is not a valid id")
-        return value
-
-    def take_int(self, what: str) -> int:
-        value = self.take(what)
+    def read(self, fields: Iterator[str], line: int, name: str) -> object:
+        text = next(fields, None)
+        if text is None:
+            raise MalformedRecord(line, f"missing field: {name}")
         try:
-            return int(value)
-        except ValueError:
-            raise MalformedRecord(self.line, f"{what} {value!r} is not an integer") from None
+            return self.parse(text)
+        except (KsError, KeyError, ValueError):
+            raise MalformedRecord(line, f"{name} {text!r} is not {self.expected}") from None
 
-    def take_count(self, what: str) -> int:
-        value = self.take_int(what)
-        if value < 0:
-            raise MalformedRecord(self.line, f"{what} must be >= 0, got {value}")
-        return value
 
-    def take_float(self, what: str) -> float:
-        value = self.take(what)
+class _Group:
+    """Named codecs in field order: read gives build(*values), and write
+    takes the values from parts(value)."""
+
+    def __init__(self, fields: Sequence[Tuple[str, object]], build: Callable,
+                 parts: Callable[[object], Sequence[object]]):
+        self.readers = tuple((name, codec.read) for name, codec in fields)
+        # (position, write) of each field that is not written as it is
+        self.writers = tuple((i, codec.write) for i, (_name, codec) in enumerate(fields)
+                             if codec.write is not None)
+        self.build, self.parts = build, parts
+
+    def read(self, fields: Iterator[str], line: int, name: str = "") -> object:
+        return self.build(*[read(fields, line, what) for what, read in self.readers])
+
+    def write(self, value: object) -> str:
+        fields = list(self.parts(value))
+        for i, write in self.writers:
+            fields[i] = write(fields[i])
+        return "\t".join(fields)
+
+
+class _Counted:
+    """A count, then that many items of one codec; read gives a list."""
+
+    def __init__(self, item, item_name: str):
+        self.item, self.item_name, self.count_name = item, item_name, f"{item_name} count"
+
+    def read(self, fields: Iterator[str], line: int, name: str = "") -> list:
+        count = _COUNT.read(fields, line, self.count_name)
+        read, what = self.item.read, self.item_name
+        return [read(fields, line, what) for _ in range(count)]
+
+    def write(self, items: Sequence[object]) -> str:
+        write = self.item.write
+        return "\t".join((str(len(items)), *(items if write is None else map(write, items))))
+
+
+class _Pairs(_Counted):
+    """A counted list of (key, value) items read as a dict; a repeated key
+    is malformed, and keys are written sorted."""
+
+    def read(self, fields: Iterator[str], line: int, name: str = "") -> dict:
+        mapping = {}
+        for key, value in super().read(fields, line):
+            if key in mapping:
+                raise MalformedRecord(line, f"{self.item_name} {key!r} repeated")
+            mapping[key] = value
+        return mapping
+
+    def write(self, mapping: Dict) -> str:
+        return super().write(sorted(mapping.items()))
+
+
+class _Tagged:
+    """A tag field, then the fields of the alternative it names. Each
+    alternative is (tag, type of its values, codec); with codec None the
+    tag alone stands for type()."""
+
+    def __init__(self, alternatives: Sequence[Tuple[str, type, object]]):
+        self.by_tag = {tag: (kind, codec) for tag, kind, codec in alternatives}
+        self.by_type = {kind: (tag, None) if codec is None else (tag + "\t", codec.write)
+                        for tag, kind, codec in alternatives}
+
+    def read(self, fields: Iterator[str], line: int, name: str) -> object:
+        tag = next(fields, None)
+        if tag is None:
+            raise MalformedRecord(line, f"missing field: {name} tag")
+        if tag not in self.by_tag:
+            raise MalformedRecord(line, f"bad {name} tag {tag!r}")
+        kind, codec = self.by_tag[tag]
+        return kind() if codec is None else codec.read(fields, line, name)
+
+    def write(self, value: object) -> str:
         try:
-            number = float(value)
-        except ValueError:
-            raise MalformedRecord(self.line, f"{what} {value!r} is not a number") from None
-        if not math.isfinite(number):
-            raise MalformedRecord(self.line, f"{what} {value!r} is not a finite number")
-        return number
-
-    def take_weight(self, what: str) -> float:
-        number = self.take_float(what)
-        if number < 0:
-            raise MalformedRecord(self.line, f"{what} must be >= 0, got {number!r}")
-        return number
-
-    def take_bool(self, what: str) -> bool:
-        value = self.take(what)
-        if value == "1":
-            return True
-        if value == "0":
-            return False
-        raise MalformedRecord(self.line, f"{what} must be 1 or 0, got {value!r}")
-
-    def take_term(self, what: str) -> str:
-        """A rule term: either "?var" or a bare id."""
-        value = self.take(what)
-        body = value[1:] if value.startswith("?") else value
-        if body == "" or not ID_PATTERN.match(body):
-            raise MalformedRecord(self.line, f"{what} {value!r} is not a term")
-        return value
-
-    def finish(self) -> None:
-        if self._pos != len(self._fields):
-            extra = self._fields[self._pos:]
-            raise MalformedRecord(self.line, f"unexpected trailing fields {extra!r}")
+            prefix, write = self.by_type[type(value)]
+        except KeyError:
+            raise InvalidRep(f"cannot write {value!r}") from None
+        return prefix if write is None else prefix + write(value)
 
 
-# ===== value and bundle codecs =====
-
-def _enc_value(value: RepValue) -> Tuple[str, str]:
-    if isinstance(value, FileRef):
-        return ("F", value.path)
-    if isinstance(value, ClassRef):
-        return ("C", value.name)
-    if isinstance(value, str):
-        return ("S", value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidRep(f"cannot encode machine value {value!r}")
-    if isinstance(value, int):
-        return ("I", str(value))
-    return ("R", repr(float(value)))
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError(text)
+    return count
 
 
-def _dec_value(cur: _Cursor, what: str, allow_refs: bool = True) -> RepValue:
-    tag = cur.take(f"{what} tag")
-    text = cur.take(f"{what} value")
-    if tag == "S":
-        return text
-    if tag == "I":
-        try:
-            return int(text)
-        except ValueError:
-            raise MalformedRecord(cur.line, f"{what} {text!r} is not an integer") from None
-    if tag == "R":
-        try:
-            return float(text)
-        except ValueError:
-            raise MalformedRecord(cur.line, f"{what} {text!r} is not a number") from None
-    if allow_refs and tag == "F":
-        return FileRef(text)
-    if allow_refs and tag == "C":
-        return ClassRef(text)
-    raise MalformedRecord(cur.line, f"bad {what} tag {tag!r}")
+def _nonempty(text: str) -> str:
+    if text == "":
+        raise ValueError(text)
+    return text
 
 
-def _enc_rep(rep: RepBundle) -> List[str]:
-    tag, value = _enc_value(rep.rep_c)
-    fields = [tag, value, rep.word, rep.rep_h, str(len(rep.rep_k))]
-    fields.extend(rep.rep_k)
-    return fields
+def _real_text(value: float) -> str:
+    return repr(float(value))
 
 
-def _dec_rep(cur: _Cursor) -> RepBundle:
-    rep_c = _dec_value(cur, "machine value")
-    word = cur.take("word")
-    rep_h = cur.take("sentence")
-    count = cur.take_count("anchor count")
-    anchors = tuple(cur.take_id(f"anchor {i + 1}") for i in range(count))
-    try:
-        return RepBundle(word, rep_c, rep_h, anchors)
-    except InvalidRep as exc:
-        raise MalformedRecord(cur.line, str(exc)) from None
+def _same(record: tuple) -> tuple:
+    return record
 
 
-def _enc_attrs(attributes: Dict[str, Scalar]) -> List[str]:
-    fields = [str(len(attributes))]
-    for label in sorted(attributes):
-        tag, value = _enc_value(attributes[label])
-        fields.extend([label, tag, value])
-    return fields
+def _record(*values: object) -> tuple:
+    return values
 
 
-def _dec_attrs(cur: _Cursor) -> Dict[str, Scalar]:
-    count = cur.take_count("attribute count")
-    attrs: Dict[str, Scalar] = {}
-    for _i in range(count):
-        label = cur.take_nonempty("attribute label")
-        value = _dec_value(cur, f"attribute {label!r}", allow_refs=False)
-        if label in attrs:
-            raise MalformedRecord(cur.line, f"attribute {label!r} repeated")
-        attrs[label] = value  # type: ignore[assignment]
-    return attrs
+_ID = _Scalar(None, check_id, "a valid id")
+_OPT_ID = _Scalar(lambda value: value or "", lambda text: check_id(text) if text else None,
+                  "a valid id or empty")
+_TEXT = _Scalar(escape_field, str, "text")
+_NONEMPTY = _Scalar(escape_field, _nonempty, "non-empty text")
+_FLAG = _Scalar(("0", "1").__getitem__, {"0": False, "1": True}.__getitem__, "1 or 0")
+_COUNT = _Scalar(str, _count, "a count (an integer >= 0)")
+_REAL = _Scalar(_real_text, lambda text: check_scalar(float(text)), "a finite number")
+_WEIGHT = _Scalar(repr, lambda text: check_weight(float(text)), "a finite number >= 0")
 
 
-def _enc_atoms(atoms: Sequence[PatternAtom]) -> List[str]:
-    fields = [str(len(atoms))]
-    for atom in atoms:
-        fields.extend([atom.source, atom.type, atom.target])
-    return fields
+def _texts(item_name: str) -> _Counted:
+    return _Counted(_TEXT, item_name)
 
 
-def _dec_atoms(cur: _Cursor, what: str) -> Tuple[PatternAtom, ...]:
-    count = cur.take_count(f"{what} atom count")
-    atoms = []
-    for i in range(count):
-        s = cur.take_term(f"{what} atom {i + 1} source")
-        t = cur.take_term(f"{what} atom {i + 1} type")
-        o = cur.take_term(f"{what} atom {i + 1} target")
-        atoms.append(PatternAtom(s, t, o))
-    return tuple(atoms)
+# Attribute values are text, integers and reals; machine values may also
+# point at a file or name a class.
+_SCALAR_TAGS = (
+    ("S", str, _TEXT),
+    ("I", int, _Scalar(str, int, "an integer")),
+    ("R", float, _REAL),
+)
+_SCALAR = _Tagged(_SCALAR_TAGS)
+_VALUE = _Tagged(_SCALAR_TAGS + (
+    ("F", FileRef, _Group((("path", _TEXT),), FileRef, lambda ref: (ref.path,))),
+    ("C", ClassRef, _Group((("class name", _TEXT),), ClassRef, lambda ref: (ref.name,))),
+))
+
+_REP = _Group(
+    (("machine value", _VALUE), ("word", _TEXT), ("sentence", _TEXT),
+     ("anchors", _Counted(_ID, "anchor"))),
+    lambda rep_c, word, rep_h, anchors: RepBundle(word, rep_c, rep_h, tuple(anchors)),
+    attrgetter("rep_c", "word", "rep_h", "rep_k"),
+)
+_ATTRIBUTES = _Pairs(
+    _Group((("attribute label", _TEXT), ("attribute", _SCALAR)), check_attribute, _same),
+    "attribute",
+)
+# Rule terms are "?var" or an id; the rule's validation checks them.
+_ATOM = _Group(
+    (("source", _TEXT), ("type", _TEXT), ("target", _TEXT)),
+    PatternAtom, attrgetter("source", "type", "target"),
+)
+_PROVENANCE = _Tagged((
+    ("E", Explicit, None),
+    ("D", Derived, _Group(
+        (("rule id", _ID), ("premises", _Counted(_ID, "premise"))),
+        lambda rule_id, premises: Derived(rule_id, tuple(premises)),
+        attrgetter("rule_id", "premises"),
+    )),
+))
 
 
-def _enc_strings(items: Sequence[str]) -> List[str]:
-    return [str(len(items))] + list(items)
+# ===== record layouts =====
+# One row per record kind, in export order. A row's fields are the record's
+# fields in file order; build makes the record from them, and parts gives
+# them back from a record. Rows that make no engine object read into (and
+# write from) plain tuples. Checks that span records are left to the builds
+# in the import section.
 
-
-def _dec_strings(cur: _Cursor, what: str) -> List[str]:
-    count = cur.take_count(f"{what} count")
-    return [cur.take(f"{what} {i + 1}") for i in range(count)]
-
-
-# ===== per-kind decoders (pure: no cross-record checks) =====
-
-def _dec_linktype(line: int, fields: List[str]) -> LinkType:
-    cur = _Cursor(line, fields)
-    tid = cur.take_id("link-type id")
-    transitive = cur.take_bool("transitive flag")
-    symmetric = cur.take_bool("symmetric flag")
-    parent = cur.take_opt_id("parent")
-    rep = _dec_rep(cur)
-    cur.finish()
-    return LinkType(tid, rep, transitive, symmetric, parent)
-
-
-def _dec_node(line: int, fields: List[str]) -> SemanticNode:
-    cur = _Cursor(line, fields)
-    nid = cur.take_id("node id")
-    rank = cur.take_float("rank")
-    rep = _dec_rep(cur)
-    attrs = _dec_attrs(cur)
-    cur.finish()
-    return SemanticNode(nid, rep, attrs, rank)
-
-
-def _dec_link(line: int, fields: List[str]) -> SemanticLink:
-    cur = _Cursor(line, fields)
-    lid = cur.take_id("link id")
-    source = cur.take_id("source")
-    tid = cur.take_id("link type")
-    target = cur.take_id("target")
-    weight = cur.take_weight("weight")
-    tag = cur.take("provenance tag")
-    if tag == "E":
-        cur.finish()
-        return SemanticLink(lid, source, tid, target, weight, Explicit())
-    if tag == "D":
-        rule_id = cur.take_id("rule id")
-        count = cur.take_count("premise count")
-        premises = tuple(cur.take_id(f"premise {i + 1}") for i in range(count))
-        cur.finish()
-        return SemanticLink(lid, source, tid, target, weight, Derived(rule_id, premises))
-    raise MalformedRecord(line, f"provenance tag must be E or D, got {tag!r}")
-
-
-def _dec_rule(line: int, fields: List[str]) -> Rule:
-    cur = _Cursor(line, fields)
-    rid = cur.take_id("rule id")
-    rep = _dec_rep(cur)
-    body = _dec_atoms(cur, "body")
-    head = _dec_atoms(cur, "head")
-    cur.finish()
-    rule = Rule(rid, rep, body, head)
+def _rule(rule_id: str, rep: RepBundle, body: list, head: list) -> Rule:
+    rule = Rule(rule_id, rep, tuple(body), tuple(head))
     problems = validate_rule(rule)
     if problems:
-        raise MalformedRecord(line, "; ".join(problems))
+        raise InvalidRule("; ".join(problems))
     return rule
 
 
-def _dec_cat(line: int, fields: List[str]) -> Tuple[str, Optional[str], Optional[str], str]:
-    """Returns (category id, owner dimension or None, parent or None, name)."""
-    cur = _Cursor(line, fields)
-    cid = cur.take_id("category id")
-    owner = cur.take_opt_id("owner dimension")
-    parent = cur.take_opt_id("parent")
-    name = cur.take("name")
-    cur.finish()
-    return (cid, owner, parent, name)
-
-
-def _dec_dim(line: int, fields: List[str]) -> Tuple[str, str]:
-    cur = _Cursor(line, fields)
-    did = cur.take_id("dimension id")
-    name = cur.take_nonempty("dimension name")
-    cur.finish()
-    return (did, name)
-
-
-def _dec_place(line: int, fields: List[str]) -> Tuple[str, List[Tuple[str, str]]]:
-    cur = _Cursor(line, fields)
-    resource = cur.take_id("resource id")
-    count = cur.take_count("coordinate count")
-    coords = []
-    for i in range(count):
-        dim = cur.take_id(f"coordinate {i + 1} dimension")
-        cat = cur.take_id(f"coordinate {i + 1} category")
-        coords.append((dim, cat))
-    cur.finish()
-    return (resource, coords)
-
-
-def _dec_concept(line: int, fields: List[str]) -> Concept:
-    cur = _Cursor(line, fields)
-    cid = cur.take_id("concept id")
-    name = cur.take("concept name")
-    priori = cur.take_bool("priori flag")
-    link_type = cur.take_opt("relation label")
-    concept = Concept(cid, name, priori=priori, link_type=link_type)
-    concept.structure.attributes = _dec_attrs(cur)
-    concept.structure.classes = [
-        cur.take_id(f"class {i + 1}")
-        for i in range(cur.take_count("class count"))
-    ]
-    concept.structure.instances = _dec_strings(cur, "instance")
-    rel_count = cur.take_count("relation count")
-    for _i in range(rel_count):
-        label = cur.take_nonempty("relation label")
-        target = cur.take_id("relation target")
-        weight = cur.take_float("relation weight")
-        if (label, target) in concept.structure.relations:
-            raise MalformedRecord(line, f"relation ({label!r}, {target!r}) repeated")
-        concept.structure.relations[(label, target)] = weight
-    concept.services.interfaces = _dec_strings(cur, "interface")
-    process_count = cur.take_count("process count")
-    for _i in range(process_count):
-        steps = tuple(_dec_strings(cur, "process step"))
-        concept.services.processes.append(steps)
-    concept.experiences.use_cases = _dec_strings(cur, "use case")
-    concept.experiences.objects = _dec_strings(cur, "object")
-    concept.experiences.events = _dec_strings(cur, "event")
-    concept.rules = _dec_strings(cur, "rule entry")
-    concept.sense.media = _dec_strings(cur, "media entry")
-    concept.sense.language = _dec_strings(cur, "language entry")
-    cur.finish()
-    return concept
-
-
-def _dec_lexeme(line: int, fields: List[str]) -> Tuple[str, List[str]]:
-    cur = _Cursor(line, fields)
-    word = cur.take_nonempty("word")
-    count = cur.take_count("candidate count")
-    if count < 1:
-        raise MalformedRecord(line, "lexeme needs at least one candidate")
-    candidates = [cur.take_id(f"candidate {i + 1}") for i in range(count)]
-    cur.finish()
-    return (word, candidates)
-
-
-def _dec_problem(line: int, fields: List[str]) -> Problem:
-    cur = _Cursor(line, fields)
-    pid = cur.take_id("problem id")
-    kind = cur.take("problem kind")
-    if kind not in PROBLEM_KINDS:
-        raise MalformedRecord(line, f"unknown problem kind {kind!r}")
-    statement = cur.take("statement")
-    category = cur.take_opt_id("category")
-    evidence = tuple(_dec_strings(cur, "evidence"))
-    concepts = tuple(_dec_strings(cur, "concept"))
-    cur.finish()
-    if kind in ("anomaly", "limitation") and not evidence:
-        raise MalformedRecord(line, f"{kind} problem must carry evidence")
-    return Problem(pid, kind, statement, evidence, category, concepts)
-
-
-def _dec_anomaly(line: int, fields: List[str]) -> AnomalyRule:
-    cur = _Cursor(line, fields)
-    rid = cur.take_id("anomaly rule id")
-    metric = cur.take("metric")
-    op = cur.take("comparison op")
-    threshold = cur.take_float("threshold")
-    template = cur.take("template")
-    atoms = _dec_atoms(cur, "condition")
-    cur.finish()
-    rule = AnomalyRule(rid, atoms, metric, op, threshold, template)
-    problems = validate_anomaly_rule(rule)
-    if problems:
-        raise MalformedRecord(line, "; ".join(problems))
-    return rule
-
-
-# ===== per-kind encoders =====
-
-def _enc_linktype(lt: LinkType) -> List[str]:
-    return [
-        lt.id,
-        "1" if lt.transitive else "0",
-        "1" if lt.symmetric else "0",
-        lt.parent or "",
-    ] + _enc_rep(lt.rep)
-
-
-def _enc_node(node: SemanticNode) -> List[str]:
-    return [node.id, repr(node.rank)] + _enc_rep(node.rep) + _enc_attrs(node.attributes)
-
-
-def _enc_link(link: SemanticLink) -> List[str]:
-    fields = [link.id, link.source, link.type, link.target, repr(link.weight)]
-    if link.is_explicit:
-        fields.append("E")
-    else:
-        prov = link.provenance
-        fields.extend(["D", prov.rule_id, str(len(prov.premises))])
-        fields.extend(prov.premises)
-    return fields
-
-
-def _enc_rule(rule: Rule) -> List[str]:
-    return [rule.id] + _enc_rep(rule.rep) + _enc_atoms(rule.body) + _enc_atoms(rule.head)
-
-
-def _enc_concept(concept: Concept) -> List[str]:
-    fields = [
-        concept.id,
-        concept.name,
-        "1" if concept.priori else "0",
-        concept.link_type or "",
-    ]
-    fields += _enc_attrs(concept.structure.attributes)
-    fields += _enc_strings(concept.structure.classes)
-    fields += _enc_strings(concept.structure.instances)
-    relations = concept.structure.relations
-    fields.append(str(len(relations)))
-    for (label, target) in sorted(relations):
-        fields.extend([label, target, repr(relations[(label, target)])])
-    fields += _enc_strings(concept.services.interfaces)
-    fields.append(str(len(concept.services.processes)))
-    for steps in concept.services.processes:
-        fields += _enc_strings(list(steps))
-    fields += _enc_strings(concept.experiences.use_cases)
-    fields += _enc_strings(concept.experiences.objects)
-    fields += _enc_strings(concept.experiences.events)
-    fields += _enc_strings(concept.rules)
-    fields += _enc_strings(concept.sense.media)
-    fields += _enc_strings(concept.sense.language)
-    return fields
-
-
-def _enc_problem(problem: Problem) -> List[str]:
-    return (
-        [problem.id, problem.kind, problem.statement, problem.category or ""]
-        + _enc_strings(list(problem.evidence))
-        + _enc_strings(list(problem.concepts))
+def _concept(cid, name, priori, link_type, attributes, classes, instances, relations,
+             interfaces, processes, use_cases, objects, events, rules, media,
+             language) -> Concept:
+    return Concept(
+        cid, name, priori, link_type or None,
+        ConceptStructure(attributes, classes, instances, relations),
+        ConceptServices(interfaces, [tuple(steps) for steps in processes]),
+        ConceptExperiences(use_cases, objects, events),
+        rules, ConceptSense(media, language),
     )
 
 
-def _enc_anomaly(rule: AnomalyRule) -> List[str]:
-    return [
-        rule.id,
-        rule.metric,
-        rule.op,
-        repr(float(rule.threshold)),
-        rule.template,
-    ] + _enc_atoms(rule.atoms)
+def _concept_parts(c: Concept) -> tuple:
+    structure, services, experiences = c.structure, c.services, c.experiences
+    return (c.id, c.name, c.priori, c.link_type or "", structure.attributes,
+            structure.classes, structure.instances, structure.relations,
+            services.interfaces, services.processes, experiences.use_cases,
+            experiences.objects, experiences.events, c.rules, c.sense.media,
+            c.sense.language)
+
+
+def _lexeme(word: str, candidates: List[str]) -> Tuple[str, List[str]]:
+    if not candidates:
+        raise ValueError("lexeme needs at least one candidate")
+    return (word, candidates)
+
+
+def _problem(pid, kind, statement, category, evidence, concepts) -> Problem:
+    if kind not in PROBLEM_KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if kind in ("anomaly", "limitation") and not evidence:
+        raise ValueError(f"{kind} problem must carry evidence")
+    return Problem(pid, kind, statement, tuple(evidence), category, tuple(concepts))
+
+
+def _anomaly_rule(rid, metric, op, threshold, template, atoms) -> AnomalyRule:
+    rule = AnomalyRule(rid, tuple(atoms), metric, op, threshold, template)
+    problems = validate_anomaly_rule(rule)
+    if problems:
+        raise InvalidRule("; ".join(problems))
+    return rule
+
+
+class _Row(_Group):
+    """A record kind's layout, with the noun that names a record in messages
+    and its key: a key seen twice within a kind is a duplicate."""
+
+    def __init__(self, noun: str, key: Callable[[object], tuple], fields, build, parts):
+        super().__init__(fields, build, parts)
+        self.noun, self.key = noun, key
+
+
+def _by_id(record) -> tuple:
+    return (record.id,)
+
+
+def _by_first(record: tuple) -> tuple:
+    return (record[0],)
+
+
+_ROWS: Dict[str, _Row] = {
+    "LINKTYPE": _Row(
+        "link type", _by_id,
+        (("link-type id", _ID), ("transitive flag", _FLAG), ("symmetric flag", _FLAG),
+         ("parent", _OPT_ID), ("rep", _REP)),
+        lambda tid, transitive, symmetric, parent, rep:
+            LinkType(tid, rep, transitive, symmetric, parent),
+        attrgetter("id", "transitive", "symmetric", "parent", "rep"),
+    ),
+    "NODE": _Row(
+        "node", _by_id,
+        (("node id", _ID), ("rank", _REAL), ("rep", _REP), ("attributes", _ATTRIBUTES)),
+        lambda nid, rank, rep, attributes: SemanticNode(nid, rep, attributes, rank),
+        attrgetter("id", "rank", "rep", "attributes"),
+    ),
+    "LINK": _Row(
+        "link", _by_id,
+        (("link id", _ID), ("source", _ID), ("link type", _ID), ("target", _ID),
+         ("weight", _WEIGHT), ("provenance", _PROVENANCE)),
+        SemanticLink,
+        attrgetter("id", "source", "type", "target", "weight", "provenance"),
+    ),
+    "RULE": _Row(
+        "rule", _by_id,
+        (("rule id", _ID), ("rep", _REP), ("body", _Counted(_ATOM, "body atom")),
+         ("head", _Counted(_ATOM, "head atom"))),
+        _rule, attrgetter("id", "rep", "body", "head"),
+    ),
+    # (dimension id, name)
+    "DIM": _Row("dimension", _by_first,
+                (("dimension id", _ID), ("dimension name", _NONEMPTY)), _record, _same),
+    # (category id, owner dimension or None, parent or None, name). Network
+    # and space categories are separate id namespaces, so the key says if an
+    # owner is set.
+    "CAT": _Row(
+        "category", lambda cat: (cat[0], cat[1] is None),
+        (("category id", _ID), ("owner dimension", _OPT_ID), ("parent", _OPT_ID),
+         ("name", _TEXT)),
+        _record, _same,
+    ),
+    # (resource id, [(dimension id, category id), ...])
+    "PLACE": _Row(
+        "resource", _by_first,
+        (("resource id", _ID), ("coordinates", _Counted(
+            _Group((("dimension", _ID), ("category", _ID)), _record, _same), "coordinate"))),
+        _record, _same,
+    ),
+    "CONCEPT": _Row(
+        "concept", _by_id,
+        (("concept id", _ID), ("concept name", _TEXT), ("priori flag", _FLAG),
+         ("relation label", _TEXT), ("attributes", _ATTRIBUTES),
+         ("classes", _Counted(_ID, "class")), ("instances", _texts("instance")),
+         ("relations", _Pairs(_Group(
+             (("relation label", _NONEMPTY), ("relation target", _ID),
+              ("relation weight", _REAL)),
+             lambda label, target, weight: ((label, target), weight),
+             lambda relation: (*relation[0], relation[1])), "relation")),
+         ("interfaces", _texts("interface")),
+         ("processes", _Counted(_texts("process step"), "process")),
+         ("use cases", _texts("use case")), ("objects", _texts("object")),
+         ("events", _texts("event")), ("rules", _texts("rule entry")),
+         ("media", _texts("media entry")), ("language", _texts("language entry"))),
+        _concept, _concept_parts,
+    ),
+    # (word, [candidate concept id, ...])
+    "LEXEME": _Row("word", _by_first,
+                   (("word", _NONEMPTY), ("candidates", _Counted(_ID, "candidate"))),
+                   _lexeme, _same),
+    "PROBLEM": _Row(
+        "problem", _by_id,
+        (("problem id", _ID), ("problem kind", _TEXT), ("statement", _TEXT),
+         ("category", _OPT_ID), ("evidence", _texts("evidence")),
+         ("concepts", _texts("concept"))),
+        _problem, attrgetter("id", "kind", "statement", "category", "evidence", "concepts"),
+    ),
+    "ANOMALYRULE": _Row(
+        "anomaly rule", _by_id,
+        (("anomaly rule id", _ID), ("metric", _TEXT), ("comparison op", _TEXT),
+         ("threshold", _REAL), ("template", _TEXT),
+         ("condition", _Counted(_ATOM, "condition atom"))),
+        _anomaly_rule,
+        attrgetter("id", "metric", "op", "threshold", "template", "atoms"),
+    ),
+}
+
+KIND_ORDER = tuple(_ROWS)
+
+
+def _decode(kind: str, line: int, fields: List[str]) -> object:
+    """One record from its fields; every fault names the line."""
+    rest = iter(fields)
+    try:
+        record = _ROWS[kind].read(rest, line)
+    except MalformedRecord:
+        raise
+    except (KsError, ValueError) as exc:
+        raise MalformedRecord(line, str(exc)) from None
+    extra = list(rest)
+    if extra:
+        raise MalformedRecord(line, f"unexpected trailing fields {extra!r}")
+    return record
 
 
 # ===== export =====
 
-def _space_records(space: Space) -> Dict[str, List[List[str]]]:
-    groups: Dict[str, List[List[str]]] = {"DIM": [], "CAT": [], "PLACE": []}
-    for did in sorted(d.id for d in space.dimensions()):
-        dim = space.dimension(did)
-        groups["DIM"].append([dim.id, dim.name])
+Groups = Dict[str, list]  # kind -> records, each as its row reads it
+
+
+def _document(groups: Groups) -> str:
+    lines = [HEADER + "\n"]
+    for kind, records in groups.items():
+        prefix, write = kind + "\t", _ROWS[kind].write
+        lines += [prefix + write(record) + "\n" for record in records]
+    return "".join(lines)
+
+
+def _in_order(mapping: Dict[str, object]) -> list:
+    return [mapping[key] for key in sorted(mapping)]
+
+
+def _space_records(space: Space) -> Groups:
+    groups: Groups = {"DIM": [], "CAT": [], "PLACE": []}
+    for dim in sorted(space.dimensions(), key=attrgetter("id")):
+        groups["DIM"].append((dim.id, dim.name))
         for cid, parent, name in dim.tree.to_rows():
-            groups["CAT"].append([cid, dim.id, parent or "", name])
+            groups["CAT"].append((cid, dim.id, parent, name))
     for resource in sorted(space.placements):
-        point = space.placements[resource]
-        fields = [resource, str(len(point))]
-        for dim_id in sorted(point):
-            fields.extend([dim_id, point[dim_id]])
-        groups["PLACE"].append(fields)
+        groups["PLACE"].append((resource, sorted(space.placements[resource].items())))
     return groups
 
 
 def export_state(state: EngineState) -> str:
-    groups: Dict[str, List[List[str]]] = {kind: [] for kind in KIND_ORDER}
-    net = state.network
-    for tid in sorted(net.link_types):
-        groups["LINKTYPE"].append(_enc_linktype(net.link_types[tid]))
-    for nid in sorted(net.nodes):
-        groups["NODE"].append(_enc_node(net.nodes[nid]))
-    for lid in sorted(net.links):
-        groups["LINK"].append(_enc_link(net.links[lid]))
-    for rid in sorted(net.rules):
-        groups["RULE"].append(_enc_rule(net.rules[rid]))
-    for cid, parent, name in net.categories.to_rows():
-        groups["CAT"].append([cid, "", parent or "", name])
-    space_groups = _space_records(state.space)
-    groups["DIM"] = space_groups["DIM"]
-    groups["CAT"].extend(space_groups["CAT"])
-    groups["CAT"].sort(key=lambda f: (f[0], f[1]))
-    groups["PLACE"] = space_groups["PLACE"]
-    for cid in state.concepts.ids():
-        groups["CONCEPT"].append(_enc_concept(state.concepts.concepts[cid]))
-    for word in state.lexicon.words():
-        candidates = state.lexicon.candidates(word)
-        groups["LEXEME"].append([word] + _enc_strings(candidates))
-    for pid in sorted(state.problems):
-        groups["PROBLEM"].append(_enc_problem(state.problems[pid]))
-    for rid in sorted(state.anomaly_rules):
-        groups["ANOMALYRULE"].append(_enc_anomaly(state.anomaly_rules[rid]))
-    lines = [HEADER + "\n"]
-    for kind in KIND_ORDER:
-        for fields in groups[kind]:
-            lines.append(_record_line(kind, fields))
-    return "".join(lines)
+    net, lexicon = state.network, state.lexicon
+    space = _space_records(state.space)
+    cats = [(cid, None, parent, name) for cid, parent, name in net.categories.to_rows()]
+    cats += space["CAT"]
+    cats.sort(key=lambda cat: (cat[0], cat[1] or ""))
+    return _document({
+        "LINKTYPE": _in_order(net.link_types),
+        "NODE": _in_order(net.nodes),
+        "LINK": _in_order(net.links),
+        "RULE": _in_order(net.rules),
+        "DIM": space["DIM"],
+        "CAT": cats,
+        "PLACE": space["PLACE"],
+        "CONCEPT": _in_order(state.concepts.concepts),
+        "LEXEME": [(word, lexicon.candidates(word)) for word in lexicon.words()],
+        "PROBLEM": _in_order(state.problems),
+        "ANOMALYRULE": _in_order(state.anomaly_rules),
+    })
 
 
 def export_space_fragment(space: Space) -> str:
-    groups = _space_records(space)
-    lines = [HEADER + "\n"]
-    for kind in ("DIM", "CAT", "PLACE"):
-        for fields in groups[kind]:
-            lines.append(_record_line(kind, fields))
-    return "".join(lines)
+    return _document(_space_records(space))
 
 
 # ===== import =====
-
-# kind -> (decoder, key, noun used in messages). A key is (id, *namespace):
-# one key seen twice within a kind is a duplicate. Network and space
-# categories are separate id namespaces, so a CAT key says if an owner is set.
-_KINDS = {
-    "LINKTYPE": (_dec_linktype, lambda lt: (lt.id,), "link type"),
-    "NODE": (_dec_node, lambda node: (node.id,), "node"),
-    "LINK": (_dec_link, lambda link: (link.id,), "link"),
-    "RULE": (_dec_rule, lambda rule: (rule.id,), "rule"),
-    "DIM": (_dec_dim, lambda dim: (dim[0],), "dimension"),
-    "CAT": (_dec_cat, lambda cat: (cat[0], cat[1] is None), "category"),
-    "PLACE": (_dec_place, lambda place: (place[0],), "resource"),
-    "CONCEPT": (_dec_concept, lambda concept: (concept.id,), "concept"),
-    "LEXEME": (_dec_lexeme, lambda lexeme: (lexeme[0],), "word"),
-    "PROBLEM": (_dec_problem, lambda problem: (problem.id,), "problem"),
-    "ANOMALYRULE": (_dec_anomaly, lambda rule: (rule.id,), "anomaly rule"),
-}
 
 Records = Dict[str, List[Tuple[int, object]]]  # kind -> (line, decoded record)
 
@@ -655,11 +556,11 @@ def _read(text: str, kinds: Sequence[str], what: str) -> Records:
     for line, kind, fields in records_from_text(text):
         if kind not in records:
             raise MalformedRecord(line, f"{kind} not allowed in {what}")
-        decode, key_of, noun = _KINDS[kind]
-        record = decode(line, fields)
-        key = key_of(record)
+        record = _decode(kind, line, fields)
+        row = _ROWS[kind]
+        key = row.key(record)
         if key in seen[kind]:
-            raise DuplicateId(f"line {line}: {noun} {key[0]!r} defined twice")
+            raise DuplicateId(f"line {line}: {row.noun} {key[0]!r} defined twice")
         seen[kind].add(key)
         records[kind].append((line, record))
     return records
@@ -883,13 +784,13 @@ def parse_candidates(text: str) -> List[Candidate]:
     candidates: List[Candidate] = []
     for line, kind, fields in records_from_text(text):
         if kind == "LINK":
-            link = _dec_link(line, fields)
+            link = _decode(kind, line, fields)
             if not link.is_explicit:
                 raise MalformedRecord(line, "candidate links must be explicit")
             payload = LinkCandidate(link.source, link.type, link.target, link.weight)
             candidates.append(Candidate("link", payload, source=f"line {line}"))
         elif kind == "RULE":
-            rule = _dec_rule(line, fields)
+            rule = _decode(kind, line, fields)
             candidates.append(Candidate("rule", rule, source=f"line {line}"))
         else:
             raise MalformedRecord(line, f"{kind} is not a candidate record")

@@ -83,6 +83,17 @@ def _check_term(term: str) -> Optional[str]:
     return None
 
 
+def term_problems(where: str, atoms: Sequence["PatternAtom"]) -> List[str]:
+    """A message for each term of atoms that is neither "?var" nor an id."""
+    problems = []
+    for atom in atoms:
+        for term in (atom.source, atom.type, atom.target):
+            bad = _check_term(term)
+            if bad:
+                problems.append(f"{where}: {bad}")
+    return problems
+
+
 @dataclass(frozen=True)
 class PatternAtom:
     """One triple pattern; each field is a variable ("?x") or an id."""
@@ -140,12 +151,7 @@ def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
         problems.append(f"body must have 1..4 atoms, found {len(rule.body)}")
     if not 1 <= len(rule.head) <= 2:
         problems.append(f"head must have 1..2 atoms, found {len(rule.head)}")
-    for where, atoms in (("body", rule.body), ("head", rule.head)):
-        for atom in atoms:
-            for term in (atom.source, atom.type, atom.target):
-                bad = _check_term(term)
-                if bad:
-                    problems.append(f"{where}: {bad}")
+    problems += term_problems("body", rule.body) + term_problems("head", rule.head)
     body_vars = {v for atom in rule.body for v in atom.variables()}
     for atom in rule.head:
         for v in atom.variables():

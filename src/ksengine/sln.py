@@ -91,10 +91,8 @@ class RepBundle:
     def __post_init__(self) -> None:
         if not isinstance(self.word, str) or self.word == "":
             raise InvalidRep("word must be a non-empty string")
-        if not isinstance(self.rep_c, (str, int, float, FileRef, ClassRef)) or isinstance(
-            self.rep_c, bool
-        ):
-            raise InvalidRep(f"unsupported machine scalar {self.rep_c!r}")
+        if not isinstance(self.rep_c, (FileRef, ClassRef)):
+            check_scalar(self.rep_c, "machine value")
         seen = []
         for anchor in self.rep_k:
             check_id(anchor, "anchor")
@@ -103,7 +101,7 @@ class RepBundle:
         object.__setattr__(self, "rep_k", tuple(seen))
 
 
-def _check_weight(weight: float) -> float:
+def check_weight(weight: float) -> float:
     """A link weight as a float; it must be a finite number >= 0."""
     if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not (
         0 <= weight <= sys.float_info.max
@@ -112,10 +110,20 @@ def _check_weight(weight: float) -> float:
     return float(weight)
 
 
-def _check_scalar(value: Scalar, what: str) -> Scalar:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise InvalidRep(f"{what} must be text, integer, or real, got {value!r}")
+def check_scalar(value: Scalar, what: str = "value") -> Scalar:
+    """A machine or attribute value: text, an integer or a finite real."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)) or (
+        isinstance(value, float) and not abs(value) <= sys.float_info.max
+    ):
+        raise InvalidRep(f"{what} must be text, an integer or a finite real, got {value!r}")
     return value
+
+
+def check_attribute(label: str, value: Scalar) -> Tuple[str, Scalar]:
+    """An attribute entry: a non-empty text label and a scalar value."""
+    if not isinstance(label, str) or label == "":
+        raise InvalidRep(f"attribute label {label!r} must be non-empty text")
+    return label, check_scalar(value, f"attribute {label!r}")
 
 
 @dataclass
@@ -250,11 +258,7 @@ class Network:
             check_id(node_id, "node id")
             if node_id in self.nodes:
                 raise DuplicateId(f"node {node_id!r} already exists")
-        attrs: Dict[str, Scalar] = {}
-        for label, value in (attributes or {}).items():
-            if not isinstance(label, str) or label == "":
-                raise InvalidRep(f"attribute label {label!r} must be non-empty text")
-            attrs[label] = _check_scalar(value, f"attribute {label!r}")
+        attrs = dict(check_attribute(*item) for item in (attributes or {}).items())
         self.nodes[node_id] = SemanticNode(node_id, rep, attrs, 0.0)
         return node_id
 
@@ -374,7 +378,7 @@ class Network:
             raise UnknownNode(f"node {target!r} not found")
         if type_id not in self.link_types:
             raise UnknownLinkType(f"link type {type_id!r} not found")
-        weight = _check_weight(weight)
+        weight = check_weight(weight)
         existing = self._find_stored(source, type_id, target)
         if existing is not None:
             if existing.is_explicit:
@@ -415,7 +419,7 @@ class Network:
             raise UnknownNode(f"derived link endpoint missing: {source!r}/{target!r}")
         if type_id not in self.link_types:
             raise UnknownLinkType(f"link type {type_id!r} not found")
-        weight = _check_weight(weight)
+        weight = check_weight(weight)
         if self._find_stored(source, type_id, target) is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
         if link_id is None:

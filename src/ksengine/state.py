@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .concepts import ConceptStore, Lexicon
-from .rules import PatternAtom
+from .rules import PatternAtom, term_problems
 from .sln import Network
 from .space import Space
 
@@ -62,6 +62,7 @@ def validate_anomaly_rule(rule: AnomalyRule) -> List[str]:
     problems = []
     if not 1 <= len(rule.atoms) <= 4:
         problems.append(f"condition must have 1..4 atoms, found {len(rule.atoms)}")
+    problems += term_problems("condition", rule.atoms)
     if rule.metric not in ("count", "freq"):
         problems.append(f"metric must be count or freq, got {rule.metric!r}")
     if rule.op not in _OPS:

@@ -593,6 +593,30 @@ def test_co_occur_persists_problems(capsys, tmp_path):
     assert saved.problems["co.x.y"].evidence == ("r1", "r2")
 
 
+def test_import_then_export_reproduces_the_format_pin(capsys, tmp_path):
+    """Every record kind, carriage returns in fields included, survives the
+    CLI's own file reading and writing byte for byte."""
+    pin = os.path.join(os.path.dirname(__file__), "data", "pin.ksif")
+    state_file = str(tmp_path / "kb.ksif")
+    assert run(capsys, ["import", pin, "--state", state_file])[0] == 0
+    code, out, _err = run(capsys, ["export", "--state", state_file])
+    with open(pin, encoding="utf-8", newline="") as handle:
+        assert (code, out) == (0, handle.read())
+
+
+def test_co_occur_refuses_a_problem_id_no_state_could_load(capsys, tmp_path):
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, chain_state())
+    before = state_file.read_bytes()
+    events = tmp_path / "events.txt"
+    events.write_text("r1 café tea\n", encoding="utf-8")
+    code, out, err = run(capsys, ["co-occur", str(events), "--min-support", "1",
+                                  "--state", str(state_file)])
+    assert (code, out) == (2, "")
+    assert "co.café.tea" in err and "Traceback" not in err
+    assert state_file.read_bytes() == before
+
+
 def test_find_problem_with_rules_file(capsys, tmp_path):
     state = new_state()
     net = state.network

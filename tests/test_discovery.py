@@ -31,7 +31,9 @@ from ksengine.errors import (
     EmptySource,
     EmptyTypeSet,
     InvalidCandidate,
+    InvalidId,
     InvalidRule,
+    MalformedRecord,
     NonPositiveInput,
     TooLarge,
     UncategorizedProblem,
@@ -41,7 +43,8 @@ from ksengine.errors import (
 )
 from ksengine.rules import PatternAtom, Rule, derive_fixpoint
 from ksengine.sln import Explicit, Network, QueryPattern, RepBundle, SemanticLink
-from ksengine.state import validate_anomaly_rule
+from ksengine.ksif import export_state, import_state
+from ksengine.state import new_state, validate_anomaly_rule
 from ksengine.taxonomy import CategoryTree
 
 import oracles
@@ -118,6 +121,17 @@ def test_verify_link_rejects_non_finite_weight(weight):
         with pytest.raises(InvalidCandidate):
             verify_knowledge(net, Candidate("link", LinkCandidate("a", "t", "b", weight)),
                              mode=mode)
+
+
+def test_verify_link_weight_takes_the_link_weight_check():
+    """A bool is no weight; consistency mode must refuse it up front, not
+    fail later inside assert_link."""
+    net = chain_rule_net()
+    for weight in (True, "1.0"):
+        for mode in ("literal", "consistency"):
+            with pytest.raises(InvalidCandidate):
+                verify_knowledge(net, Candidate("link", LinkCandidate("a", "t", "c", weight)),
+                                 mode=mode)
 
 
 def test_verify_link_bad_payload_raises():
@@ -325,6 +339,11 @@ def test_detect_co_occurrence_thresholds():
         detect_co_occurrence(events, min_support=0)
 
 
+def test_detect_co_occurrence_refuses_ids_no_state_could_load():
+    with pytest.raises(InvalidId):
+        detect_co_occurrence([("r1", ["café", "tea"])], min_support=1)
+
+
 # ----- generalize / specialize -----
 
 def category_tree():
@@ -398,6 +417,19 @@ def test_anomaly_threshold_must_be_finite(threshold):
     assert validate_anomaly_rule(rule) == [f"threshold must be a finite number, got {threshold!r}"]
     rule.threshold = -2
     assert validate_anomaly_rule(rule) == []
+
+def test_anomaly_terms_are_checked_as_rule_terms():
+    """The check import applies: a stored rule that validates also loads."""
+    rule = AnomalyRule("w", (PatternAtom("?x", "bad term", "?y"),), "count", "ge", 1.0, "x")
+    assert validate_anomaly_rule(rule) == ["condition: bad identifier 'bad term'"]
+    state = new_state()
+    state.anomaly_rules["w"] = rule
+    with pytest.raises(MalformedRecord) as err:
+        import_state(export_state(state))
+    assert err.value.line == 2 and "bad term" in err.value.reason
+    with pytest.raises(InvalidRule):
+        find_problem([], [rule])
+
 
 def observations_net():
     return net_from_triples([

@@ -395,6 +395,20 @@ def test_bad_numbers_are_rejected_at_their_line(field, value):
     assert value in str(err.value)
 
 
+@pytest.mark.parametrize("record", [
+    "NODE\ta\t0.0\tR\tnan\ta\t\t0\t0",
+    "NODE\ta\t0.0\tS\t\ta\t\t0\t1\tmass\tR\t-inf",
+    "LINKTYPE\tt\t0\t0\t\tR\t1e400\tt\t\t0",
+    "CONCEPT\tc\tc\t0\t\t1\tmass\tR\tinf\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0",
+], ids=["machine-value", "node-attribute", "overflow", "concept-attribute"])
+def test_non_finite_tagged_reals_are_rejected_at_their_line(record):
+    value = record.split("\tR\t")[1].split("\t")[0]
+    with pytest.raises(MalformedRecord) as err:
+        import_state(f"{HEADER}\n# a comment\n{record}\n")
+    assert err.value.line == 3
+    assert repr(value) in err.value.reason
+
+
 def test_numbers_at_their_bounds_import():
     doc = export_state(numbers_state())
     for field, value in (("weight", "0.0"), ("derived weight", "0.0"),

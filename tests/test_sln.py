@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ksengine.concepts import ConceptStore, enrich_concept
 from ksengine.errors import (
     CannotRetractDerived,
     DuplicateExplicitLink,
@@ -38,6 +39,21 @@ def test_rep_bundle_requires_word():
 def test_rep_bundle_rejects_bool_scalar():
     with pytest.raises(InvalidRep):
         RepBundle(word="x", rep_c=True)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_reals_are_no_values(value):
+    """Machine values and attributes share one scalar check."""
+    with pytest.raises(InvalidRep):
+        RepBundle(word="x", rep_c=value)
+    with pytest.raises(InvalidRep):
+        Network().add_node(RepBundle(word="a"), attributes={"mass": value})
+    store = ConceptStore()
+    concept = store.add_concept("a")
+    with pytest.raises(InvalidRep):
+        enrich_concept(store, concept.id, [("attribute", ("mass", value))])
+    assert concept.structure.attributes == {}
 
 
 def test_rep_bundle_anchor_order_and_dedup():

@@ -134,8 +134,6 @@ class _Scalar:
     """One field. parse raises KsError, KeyError or ValueError on text that
     is not what `expected` says."""
 
-    __slots__ = ("write", "parse", "expected")
-
     def __init__(self, write: Optional[Callable[[object], str]],
                  parse: Callable[[str], object], expected: str):
         self.write, self.parse, self.expected = write, parse, expected
@@ -244,10 +242,6 @@ def _nonempty(text: str) -> str:
     return text
 
 
-def _real_text(value: float) -> str:
-    return repr(float(value))
-
-
 def _same(record: tuple) -> tuple:
     return record
 
@@ -263,7 +257,8 @@ _TEXT = _Scalar(escape_field, str, "text")
 _NONEMPTY = _Scalar(escape_field, _nonempty, "non-empty text")
 _FLAG = _Scalar(("0", "1").__getitem__, {"0": False, "1": True}.__getitem__, "1 or 0")
 _COUNT = _Scalar(str, _count, "a count (an integer >= 0)")
-_REAL = _Scalar(_real_text, lambda text: check_scalar(float(text)), "a finite number")
+_REAL = _Scalar(lambda value: repr(float(value)), lambda text: check_scalar(float(text)),
+                "a finite number")
 _WEIGHT = _Scalar(repr, lambda text: check_weight(float(text)), "a finite number >= 0")
 
 

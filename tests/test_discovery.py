@@ -41,9 +41,9 @@ from ksengine.errors import (
     UnknownConcept,
     UnknownLink,
 )
+from ksengine.ksif import export_state, import_state
 from ksengine.rules import PatternAtom, Rule, derive_fixpoint
 from ksengine.sln import Explicit, Network, QueryPattern, RepBundle, SemanticLink
-from ksengine.ksif import export_state, import_state
 from ksengine.state import new_state, validate_anomaly_rule
 from ksengine.taxonomy import CategoryTree
 
@@ -417,6 +417,7 @@ def test_anomaly_threshold_must_be_finite(threshold):
     assert validate_anomaly_rule(rule) == [f"threshold must be a finite number, got {threshold!r}"]
     rule.threshold = -2
     assert validate_anomaly_rule(rule) == []
+
 
 def test_anomaly_terms_are_checked_as_rule_terms():
     """The check import applies: a stored rule that validates also loads."""

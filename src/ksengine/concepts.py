@@ -23,7 +23,7 @@ from .errors import (
     UnknownCompartment,
     UnknownConcept,
 )
-from .sln import Scalar, check_attribute, check_id, fresh_id
+from .sln import Scalar, check_attribute, check_id, check_text, fresh_id
 from .taxonomy import CategoryTree
 
 COOCCUR_LABEL = "co-occur"
@@ -86,6 +86,8 @@ class Lexicon:
     def set_candidates(self, word: str, candidates: Sequence[str]) -> None:
         if not candidates:
             raise ValueError(f"candidate list for {word!r} must be non-empty")
+        for concept_id in candidates:
+            check_id(concept_id, "candidate")
         self._entries[word] = list(dict.fromkeys(candidates))
 
     def candidates(self, word: str) -> List[str]:
@@ -218,6 +220,7 @@ class ConceptStore:
         """
         src = self.get(source)
         self.get(target)
+        check_text(label, "relation label")
         key = (label, target)
         total = src.structure.relations.get(key, 0.0) + increment
         if not math.isfinite(total):

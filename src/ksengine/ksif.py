@@ -54,6 +54,7 @@ from .sln import (
     check_attribute,
     check_id,
     check_scalar,
+    check_text,
     check_weight,
 )
 from .space import Space
@@ -236,12 +237,6 @@ def _count(text: str) -> int:
     return count
 
 
-def _nonempty(text: str) -> str:
-    if text == "":
-        raise ValueError(text)
-    return text
-
-
 def _same(record: tuple) -> tuple:
     return record
 
@@ -254,7 +249,7 @@ _ID = _Scalar(None, check_id, "a valid id")
 _OPT_ID = _Scalar(lambda value: value or "", lambda text: check_id(text) if text else None,
                   "a valid id or empty")
 _TEXT = _Scalar(escape_field, str, "text")
-_NONEMPTY = _Scalar(escape_field, _nonempty, "non-empty text")
+_NONEMPTY = _Scalar(escape_field, check_text, "non-empty text")
 _FLAG = _Scalar(("0", "1").__getitem__, {"0": False, "1": True}.__getitem__, "1 or 0")
 _COUNT = _Scalar(str, _count, "a count (an integer >= 0)")
 _REAL = _Scalar(lambda value: repr(float(value)), lambda text: check_scalar(float(text)),

@@ -10,16 +10,24 @@ links into old facts, the delta (links the previous round added) and new
 links (added in this round, invisible until the next). A rule is matched once
 per body position: the atom at that position goes first and sees only the
 delta, atoms before it see only old facts, and atoms after it see old and
-delta facts, so each firing is enumerated exactly once per derive. An atom
-with its source or target already bound probes the network's (type, source)
-or (type, target) index instead of scanning the type; Network.rows is that
-probe and Network.readings says how a stored link reads. At the fixpoint the
-network keeps a mark: the rule/type signature and its link count. The next
-derive starts from the links inserted since the mark, or from all links if a
-rule or a symmetric flag changed or a link was removed (a removal voids the
-mark; retraction below sets it again), so a re-derive with nothing new joins
-nothing. Iteration is deterministic, so identical inputs give identical ids
-and provenance.
+delta facts, so each firing is enumerated exactly once per derive.
+
+match_atoms is the one join. Each call compiles its atoms into a walk over
+fixed slots: every term gets a slot in one list (constants filled in), and
+every atom a probe per link type it can read, from Network.prober, which
+looks the type's indexes up once; an atom whose source or target is bound
+probes the (type, source) or (type, target) index instead of scanning. The
+walk binds a variable by writing its slot, and derive reads each firing's
+head triples from the slots with one itemgetter. A head triple not yet
+stored goes to Network._store, which checks nothing: the firing has proved
+what add_derived would check.
+
+At the fixpoint the network keeps a mark: the rule/type signature and its
+link count. The next derive starts from the links inserted since the mark,
+or from all links if a rule or a symmetric flag changed or a link was
+removed (a removal voids the mark; retraction below sets it again), so a
+re-derive with nothing new joins nothing. Iteration is deterministic, so
+identical inputs give identical ids and provenance.
 
 A transitive type t is evaluated as linear recursion, not as the chain rule
 ?x t ?y, ?y t ?z -> ?x t ?z. The synthesized rule's first atom is a BaseAtom:
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import (
     Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
@@ -64,7 +73,9 @@ from .sln import (
     ID_PATTERN,
     Network,
     RepBundle,
+    Row,
     SemanticLink,
+    no_rows,
 )
 
 
@@ -152,11 +163,19 @@ def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
     if not 1 <= len(rule.head) <= 2:
         problems.append(f"head must have 1..2 atoms, found {len(rule.head)}")
     problems += term_problems("body", rule.body) + term_problems("head", rule.head)
-    body_vars = {v for atom in rule.body for v in atom.variables()}
+    # A head variable takes its value from a body position of its own kind,
+    # so a head link type is a link type and a head end is a node.
+    kinds = {"link-type": {atom.type for atom in rule.body},
+             "node": {term for atom in rule.body for term in (atom.source, atom.target)}}
     for atom in rule.head:
-        for v in atom.variables():
-            if v not in body_vars:
-                problems.append(f"unsafe variable {v} in head")
+        for term, kind in ((atom.source, "node"), (atom.type, "link-type"), (atom.target, "node")):
+            if not is_variable(term) or term in kinds[kind]:
+                continue
+            if any(term in bound for bound in kinds.values()):
+                problems.append(f"head variable {term} is at a {kind} position, but the body "
+                                f"binds it only at other positions")
+            else:
+                problems.append(f"unsafe variable {term} in head")
     if network is not None:
         for atom in rule.head:
             for term in (atom.source, atom.target):
@@ -169,11 +188,10 @@ def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
 
 # ===== pattern matching =====
 
-FactRows = Dict[str, List[Tuple[str, str, str]]]  # type id -> (source, target, link id)
-Row = Tuple[str, str, str]
-# (type id, bound source or None, bound target or None, stamp limit or None)
-# -> rows; Network.rows is one.
-Probe = Callable[[str, Optional[str], Optional[str], Optional[int]], Sequence[Row]]
+FactRows = Dict[str, List[Row]]  # type id -> (source, target, link id)
+# (bound source or None, bound target or None) -> rows of one type;
+# Network.prober makes one.
+Probe = Callable[[Optional[str], Optional[str]], Sequence[Row]]
 Match = Tuple[Dict[str, str], Tuple[str, ...]]
 
 
@@ -208,126 +226,128 @@ def _unify(term: str, value: str, env: Dict[str, str]) -> Optional[Dict[str, str
     return env if term == value else None
 
 
-def _rows_probe(rows: FactRows) -> Probe:
-    """Probe over plain rows (the limit is ignored); rows of a type are
-    grouped by source or by target on first use, keeping their order."""
-    groups: Dict[Tuple[str, int], Dict[str, List[Row]]] = {}
+def _rows_prober(rows: FactRows) -> Callable[..., Probe]:
+    """Network.prober over plain rows, ignoring the stamp limit and skip
+    rule; a probe groups its type's rows by source or by target on first
+    use, keeping their order."""
+    def prober(tid: str, _before: Optional[int] = None, _skip: Optional[str] = None) -> Probe:
+        bucket, groups = rows.get(tid, []), ({}, {})
 
-    def probe(tid: str, s: Optional[str], t: Optional[str], _limit: Optional[int]
-              ) -> Sequence[Row]:
-        bucket = rows.get(tid, ())
-        if s is None and t is None:
-            return bucket
-        side, node = (0, s) if s is not None else (1, t)
-        grouped = groups.get((tid, side))
-        if grouped is None:
-            grouped = groups[(tid, side)] = {}
-            for row in bucket:
-                grouped.setdefault(row[side], []).append(row)
-        found = grouped.get(node, [])
-        if s is not None and t is not None:
-            found = [row for row in found if row[1] == t]
-        return found
+        def probe(s: Optional[str], t: Optional[str]) -> Sequence[Row]:
+            if s is None and t is None:
+                return bucket
+            side = 0 if s is not None else 1
+            if not groups[side]:
+                for row in bucket:
+                    groups[side].setdefault(row[side], []).append(row)
+            found = groups[side].get(t if side else s, [])
+            return [row for row in found if row[1] == t] if side == 0 and t is not None else found
 
-    return probe
+        return probe
+
+    return prober
 
 
-# How a step treats a source or target term: read its value from constants or
-# earlier bindings, bind it, or (target only) require it to equal the source.
+# How a step treats a source or target term: read its value from its slot
+# (a constant or an earlier binding), bind it, or (target only) require it to
+# equal the source.
 _READ, _BIND, _SAME = 0, 1, 2
 
 
-def match_atoms(
-    facts: Union[Network, FactRows],
-    atoms: Sequence[PatternAtom],
-    delta_rows: Optional[FactRows] = None,
-    delta_pos: Optional[int] = None,
-    split: Optional[Tuple[int, int]] = None,
-) -> List[Match]:
+def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
+                delta_rows: Optional[FactRows] = None, delta_pos: Optional[int] = None,
+                split: Optional[Tuple[int, int]] = None,
+                heads: Optional[Sequence[PatternAtom]] = None) -> List[Match]:
     """All substitutions satisfying the atom conjunction, in deterministic order.
 
-    facts is a Network, read through Network.rows (an index lookup wherever
-    an atom's source or target is bound), or plain per-type rows; on a
-    Network a BaseAtom reads only the links its skip rule did not derive,
-    from the delta rows and from Network.rows alike. When delta_rows and
-    delta_pos are given, the atom at delta_pos is matched first and only
+    facts is a Network, read through Network.prober (an index lookup
+    wherever an atom's source or target is bound), or plain per-type rows;
+    on a Network a BaseAtom reads only the links its skip rule did not
+    derive, from the delta rows and from the network alike. When delta_rows
+    and delta_pos are given, the atom at delta_pos is matched first and only
     against delta_rows (the semi-naive restriction); the other atoms follow
     in body order. With split = (delta_from, new_from), a Network's atoms
     before delta_pos see only links stamped below delta_from (old facts) and
     atoms after it only links stamped below new_from (old and delta facts),
-    so each firing of a round is enumerated once. Premises come back in atom
-    order.
+    so each firing of a round is enumerated once.
+
+    A match is (env, premises): env maps each variable to its value, and
+    premises are link ids in atom order. Given heads, env is replaced by
+    the heads' triples run together (source, type, target of each in turn).
     """
-    if isinstance(facts, Network):
-        probe, types = facts.rows, sorted(facts.link_types)
-    else:
-        probe, types = _rows_probe(facts), sorted(facts)
+    network = isinstance(facts, Network)
+    prober = facts.prober if network else _rows_prober(facts)
+    types = sorted(facts.link_types if network else facts)
     order = list(range(len(atoms)))
     if delta_rows is not None:
         order.remove(delta_pos)
         order.insert(0, delta_pos)
-    bound: set = set()
+    slot: Dict[str, int] = {}  # term -> slot, in binding order
     steps = []
     for pos in order:
         atom = atoms[pos]
-        type_fresh = is_variable(atom.type) and atom.type not in bound
-        bound.add(atom.type)
-        src_mode = _BIND if is_variable(atom.source) and atom.source not in bound else _READ
-        bound.add(atom.source)
-        if not is_variable(atom.target) or atom.target not in bound:
-            tgt_mode = _BIND if is_variable(atom.target) else _READ
-        elif atom.target == atom.source and src_mode == _BIND:
-            tgt_mode = _SAME
+        ty, src, tgt = atom.type, atom.source, atom.target
+        type_fresh = ty[:1] == "?" and ty not in slot
+        slot.setdefault(ty, len(slot))
+        src_mode = _BIND if src[:1] == "?" and src not in slot else _READ
+        slot.setdefault(src, len(slot))
+        if tgt[:1] != "?" or tgt not in slot:
+            tgt_mode = _BIND if tgt[:1] == "?" else _READ
         else:
-            tgt_mode = _READ
-        bound.add(atom.target)
-        base_only = isinstance(atom, BaseAtom) and isinstance(facts, Network)
+            tgt_mode = _SAME if tgt == src and src_mode == _BIND else _READ
+        slot.setdefault(tgt, len(slot))
+        skip = atom.skip if network and isinstance(atom, BaseAtom) else None
+        step_prober, step_types, limit = prober, types, None
         if pos == delta_pos and delta_rows is not None:
             rows = delta_rows
-            if base_only:
-                rows = {tid: [row for row in bucket if not facts.derived_by(row[2], atom.skip)]
+            if skip is not None:
+                rows = {tid: [row for row in bucket if not facts.derived_by(row[2], skip)]
                         for tid, bucket in delta_rows.items()}
-            step_probe, step_types, step_limit = _rows_probe(rows), sorted(rows), None
-        else:
-            step_probe, step_types, step_limit = probe, types, None
-            if base_only:
-                step_probe = functools.partial(facts.rows, skip=atom.skip)
-            if split is not None:
-                step_limit = split[0] if pos < delta_pos else split[1]
-        steps.append((pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types,
-                      step_limit))
-
+            if not any(rows.get(tid) for tid in (rows if ty[:1] == "?" else (ty,))):
+                return []  # no delta row for the atom read first
+            step_prober, step_types = _rows_prober(rows), sorted(rows)
+        elif split is not None:
+            limit = split[0] if pos < delta_pos else split[1]
+        probes = {tid: step_prober(tid, limit, skip)
+                  for tid in (step_types if ty[:1] == "?" else (ty,))}
+        steps.append((pos, slot[ty], step_types if type_fresh else None,
+                      slot[src], src_mode, slot[tgt], tgt_mode, probes))
+    if heads is None:
+        names = [(term, i) for term, i in slot.items() if term[:1] == "?"]
+        emit = lambda filled: {term: filled[i] for term, i in names}  # noqa: E731
+    else:
+        emit = operator.itemgetter(*[slot.setdefault(term, len(slot)) for head in heads
+                                     for term in (head.source, head.type, head.target)])
     results: List[Match] = []
-    _walk(steps, 0, {}, [""] * len(atoms), results)
+    _walk(steps, 0, list(slot), [""] * len(atoms), emit, results)
     return results
 
 
-def _walk(steps: list, k: int, env: Dict[str, str], premises: List[str],
-          results: List[Match]) -> None:
-    """Extend env through steps k.., appending each full match to results.
-    Variables bound at a step are overwritten, never unbound: no later step
-    reads them before binding them again on the current path. Module-level,
-    as a nested recursive function would be a reference cycle holding the
-    network until the cyclic collector runs."""
-    pos, atom, type_fresh, src_mode, tgt_mode, step_probe, step_types, step_limit = steps[k]
-    last = k == len(steps) - 1
-    for tid in step_types if type_fresh else (env.get(atom.type, atom.type),):
-        if type_fresh:
-            env[atom.type] = tid
-        s = None if src_mode == _BIND else env.get(atom.source, atom.source)
-        t = None if tgt_mode != _READ else env.get(atom.target, atom.target)
-        for row_s, row_t, lid in step_probe(tid, s, t, step_limit):
+def _walk(steps: list, k: int, slots: List[str], premises: List[str],
+          emit: Callable, results: List[Match]) -> None:
+    """Extend the slots through steps k.., appending each full match to
+    results. Slots bound at a step are overwritten, never unbound: no later
+    step reads them before binding them again on the current path.
+    Module-level, as a nested recursive function would be a reference cycle
+    holding the network until the cyclic collector runs."""
+    pos, ty, types, src, src_mode, tgt, tgt_mode, probes = steps[k]
+    last = k + 1 == len(steps)
+    for tid in (slots[ty],) if types is None else types:
+        slots[ty] = tid
+        s = None if src_mode == _BIND else slots[src]
+        t = None if tgt_mode != _READ else slots[tgt]
+        for row_s, row_t, lid in probes.get(tid, no_rows)(s, t):
             if src_mode == _BIND:
-                env[atom.source] = row_s
+                slots[src] = row_s
             if tgt_mode == _BIND:
-                env[atom.target] = row_t
+                slots[tgt] = row_t
             elif tgt_mode == _SAME and row_t != row_s:
                 continue
             premises[pos] = lid
             if last:
-                results.append((dict(env), tuple(premises)))
+                results.append((emit(slots), tuple(premises)))
             else:
-                _walk(steps, k + 1, env, premises, results)
+                _walk(steps, k + 1, slots, premises, emit, results)
 
 
 # ===== synthesized flag rules =====
@@ -344,10 +364,7 @@ def _transitive_rule(type_id: str) -> Rule:
     return Rule(
         id=rule_id,
         rep=RepBundle(word=f"transitive closure of {type_id}"),
-        body=(
-            BaseAtom("?x", type_id, "?y", rule_id),
-            PatternAtom("?y", type_id, "?z"),
-        ),
+        body=(BaseAtom("?x", type_id, "?y", rule_id), PatternAtom("?y", type_id, "?z")),
         head=(PatternAtom("?x", type_id, "?z"),),
     )
 
@@ -387,10 +404,12 @@ def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
 
 def _add_firing(network: Network, triple: Tuple[str, str, str], rule_id: str,
                 premises: Tuple[str, ...]) -> SemanticLink:
-    """Store a firing's head triple as a derived link weighted by its
-    weakest premise."""
-    weight = min(network.links[p].weight for p in premises)
-    return network.links[network.add_derived(*triple, weight, Derived(rule_id, premises))]
+    """Store a firing's head triple, found unstored, as a derived link
+    weighted by its weakest premise; the firing has made add_derived's
+    checks, so it goes straight to Network._store."""
+    links = network.links
+    weight = min([links[p].weight for p in premises])
+    return network._store(*triple, weight, Derived(rule_id, premises))
 
 
 def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:
@@ -425,17 +444,16 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
         old_facts = len(delta) < len(network.links)
         round_new: List[SemanticLink] = []
         for rule in rules:
-            heads = [(h.source, h.type, h.target) for h in rule.head]
+            cuts = [slice(i, i + 3) for i in range(0, 3 * len(rule.head), 3)]
             for pos in range(len(rule.body) if old_facts else 1):
-                for env, premises in match_atoms(network, rule.body, delta_rows, pos, split):
-                    for h_source, h_type, h_target in heads:
-                        s, tid = env.get(h_source, h_source), env.get(h_type, h_type)
-                        t = env.get(h_target, h_target)
-                        if network._find_stored(s, tid, t) is not None:
-                            continue
-                        link = _add_firing(network, (s, tid, t), rule.id, premises)
-                        new_links.append(link)
-                        round_new.append(link)
+                for found, premises in match_atoms(network, rule.body, delta_rows, pos, split,
+                                                   rule.head):
+                    for cut in cuts:
+                        triple = found[cut]
+                        if network._find_stored(*triple) is None:
+                            link = _add_firing(network, triple, rule.id, premises)
+                            new_links.append(link)
+                            round_new.append(link)
         delta = round_new
     network.derive_mark = (signature, len(network.links))
     return new_links, [link.provenance for link in new_links]
@@ -623,8 +641,9 @@ def retract_with_maintenance(network: Network, link_id: str) -> List[str]:
     firings: Dict[Tuple[str, str, str], Tuple[str, Tuple[str, ...]]] = {}
     for rule in rules:
         for head in rule.head:
-            for env, premises in match_atoms(network, (head, *rule.body), delta_rows, 0):
-                firings.setdefault(head.substituted(env), (rule.id, premises[1:]))
+            for triple, premises in match_atoms(network, (head, *rule.body), delta_rows, 0,
+                                                heads=(head,)):
+                firings.setdefault(triple, (rule.id, premises[1:]))
     # Insert only after the joins, so each join reads the survivors alone; a
     # symmetric triple found in both readings is stored once.
     for triple, (rule_id, premises) in firings.items():

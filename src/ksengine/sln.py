@@ -7,11 +7,12 @@ entry into a category hierarchy. Links are explicit (asserted) or derived
 stored once and completed at query time; transitive types behave like an
 implicit chain rule (the rule engine synthesizes it).
 
-All mutation goes through the public methods so the link indexes (by type and
-source, by type and target) stay a pure function of the link set, and
-identical operation sequences on empty networks produce identical canonical
-exports. Other modules read links through Network.rows and Network.readings,
-never through the indexes.
+All mutation goes through the public methods, and every insertion through
+Network._store, so the link indexes (by type and source, by type and target)
+stay a pure function of the link set, and identical operation sequences on
+empty networks produce identical canonical exports. Other modules read links
+through Network.rows (or a Network.prober) and Network.readings, never
+through the indexes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from .errors import (
     CannotRetractDerived,
@@ -51,10 +54,12 @@ def fresh_id(counters: Dict[str, int], prefix: str, taken: Collection[str]) -> s
     """The next "<prefix>NNNNNN" id not in taken; counters keeps, per prefix,
     where the next search starts."""
     n = counters.get(prefix, 1)
-    while f"{prefix}{n:06d}" in taken:
+    token = prefix + str(n).zfill(6)
+    while token in taken:
         n += 1
+        token = prefix + str(n).zfill(6)
     counters[prefix] = n + 1
-    return f"{prefix}{n:06d}"
+    return token
 
 
 @dataclass(frozen=True)
@@ -119,11 +124,16 @@ def check_scalar(value: Scalar, what: str = "value") -> Scalar:
     return value
 
 
+def check_text(text: str, what: str = "text") -> str:
+    """Text that must not be empty: a name, label or word."""
+    if not isinstance(text, str) or text == "":
+        raise InvalidRep(f"{what} {text!r} must be non-empty text")
+    return text
+
+
 def check_attribute(label: str, value: Scalar) -> Tuple[str, Scalar]:
     """An attribute entry: a non-empty text label and a scalar value."""
-    if not isinstance(label, str) or label == "":
-        raise InvalidRep(f"attribute label {label!r} must be non-empty text")
-    return label, check_scalar(value, f"attribute {label!r}")
+    return check_text(label, "attribute label"), check_scalar(value, f"attribute {label!r}")
 
 
 @dataclass
@@ -148,9 +158,9 @@ class Explicit:
     """Provenance of an asserted link."""
 
 
-@dataclass(frozen=True, slots=True)
-class Derived:
-    """Provenance of a rule-derived link."""
+class Derived(NamedTuple):
+    """Provenance of a rule-derived link (a named tuple: one is made per
+    derived link, and a tuple is the cheapest immutable record to make)."""
 
     rule_id: str
     premises: Tuple[str, ...]
@@ -212,6 +222,12 @@ def parse_pattern(text: str) -> QueryPattern:
 
 
 _NO_ENDS: Dict = {}  # stands in for a missing index bucket; never written
+Row = Tuple[str, str, str]  # (source, target, link id)
+
+
+def no_rows(_source: Optional[str], _target: Optional[str]) -> List[Row]:
+    """The probe of a type with no links."""
+    return []
 
 
 class Network:
@@ -316,20 +332,6 @@ class Network:
 
     # ===== link store =====
 
-    def _index_add(self, link: SemanticLink) -> None:
-        by_source = self._by_source.setdefault(link.type, {})
-        by_source.setdefault(link.source, {})[link.target] = link.id
-        by_target = self._by_target.setdefault(link.type, {})
-        by_target.setdefault(link.target, {})[link.source] = link.id
-        self._stamp[link.id] = self._next_stamp
-        self._next_stamp += 1
-        for rule_id, (fwd, bwd) in self._skip_index.get(link.type, _NO_ENDS).items():
-            fwd_ends = fwd.setdefault(link.source, {})
-            bwd_ends = bwd.setdefault(link.target, {})
-            if not self.derived_by(link.id, rule_id):
-                fwd_ends[link.target] = link.id
-                bwd_ends[link.source] = link.id
-
     def _index_remove(self, link: SemanticLink) -> None:
         skipping = self._skip_index.get(link.type, _NO_ENDS).values()
         for side, index, near, far in (
@@ -359,14 +361,8 @@ class Network:
             lid = by_source.get(target, _NO_ENDS).get(source)
         return None if lid is None else self.links[lid]
 
-    def assert_link(
-        self,
-        source: str,
-        type_id: str,
-        target: str,
-        weight: float = 1.0,
-        link_id: Optional[str] = None,
-    ) -> str:
+    def assert_link(self, source: str, type_id: str, target: str, weight: float = 1.0,
+                    link_id: Optional[str] = None) -> str:
         """Assert an explicit link; returns the link id.
 
         If the triple already exists as a derived link, that link is upgraded
@@ -394,27 +390,13 @@ class Network:
             self._skip_index.clear()
             existing.weight = weight
             return existing.id
-        if link_id is None:
-            link_id = fresh_id(self._counters, "k", self.links)
-        else:
-            check_id(link_id, "link id")
-            if link_id in self.links:
-                raise DuplicateId(f"link {link_id!r} already exists")
-        link = SemanticLink(link_id, source, type_id, target, weight, Explicit())
-        self.links[link_id] = link
-        self._index_add(link)
-        return link_id
+        self._check_free(link_id)
+        return self._store(source, type_id, target, weight, Explicit(), link_id).id
 
-    def add_derived(
-        self,
-        source: str,
-        type_id: str,
-        target: str,
-        weight: float,
-        provenance: Derived,
-        link_id: Optional[str] = None,
-    ) -> str:
-        """Record a rule-derived link (used by the rule engine and import)."""
+    def add_derived(self, source: str, type_id: str, target: str, weight: float,
+                    provenance: Derived, link_id: Optional[str] = None) -> str:
+        """Check and record a rule-derived link (import uses it); the rule
+        engine's firings have made these checks, so it calls _store."""
         if source not in self.nodes or target not in self.nodes:
             raise UnknownNode(f"derived link endpoint missing: {source!r}/{target!r}")
         if type_id not in self.link_types:
@@ -422,16 +404,37 @@ class Network:
         weight = check_weight(weight)
         if self._find_stored(source, type_id, target) is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
-        if link_id is None:
-            link_id = fresh_id(self._counters, "k", self.links)
-        else:
+        self._check_free(link_id)
+        return self._store(source, type_id, target, weight, provenance, link_id).id
+
+    def _check_free(self, link_id: Optional[str]) -> None:
+        if link_id is not None:
             check_id(link_id, "link id")
             if link_id in self.links:
                 raise DuplicateId(f"link {link_id!r} already exists")
+
+    def _store(self, source: str, type_id: str, target: str, weight: float,
+               provenance: Provenance, link_id: Optional[str] = None) -> SemanticLink:
+        """Insert and index a link, checking nothing; every insertion comes
+        here. The caller vouches that both ends and the type exist, the
+        weight is valid, no stored link answers the triple and link_id is
+        free: assert_link and add_derived check it, and a rule firing has
+        proved it (the triple was just looked up, the weight is the least of
+        stored weights, and validate_rule vouches for the head's terms)."""
+        if link_id is None:
+            link_id = fresh_id(self._counters, "k", self.links)
         link = SemanticLink(link_id, source, type_id, target, weight, provenance)
         self.links[link_id] = link
-        self._index_add(link)
-        return link_id
+        self._by_source.setdefault(type_id, {}).setdefault(source, {})[target] = link_id
+        self._by_target.setdefault(type_id, {}).setdefault(target, {})[source] = link_id
+        rule_id = getattr(provenance, "rule_id", None)
+        for skip, (fwd, bwd) in self._skip_index.get(type_id, _NO_ENDS).items():
+            fwd_ends, bwd_ends = fwd.setdefault(source, {}), bwd.setdefault(target, {})
+            if skip != rule_id:
+                fwd_ends[target] = bwd_ends[source] = link_id
+        self._stamp[link_id] = self._next_stamp
+        self._next_stamp += 1
+        return link
 
     def retract_link(self, link_id: str) -> List[SemanticLink]:
         """Remove an explicit link plus every derived link leaning on it.
@@ -495,14 +498,8 @@ class Network:
                                   if not self.derived_by(lid, rule_id)}
         return pair
 
-    def rows(
-        self,
-        type_id: str,
-        source: Optional[str] = None,
-        target: Optional[str] = None,
-        before: Optional[int] = None,
-        skip: Optional[str] = None,
-    ) -> List[Tuple[str, str, str]]:
+    def rows(self, type_id: str, source: Optional[str] = None, target: Optional[str] = None,
+             before: Optional[int] = None, skip: Optional[str] = None) -> List[Row]:
         """(source, target, link id) rows of one type, each stored link read
         as self.readings says, restricted to a bound source and/or target, to
         links stamped below before (all links when None) and, when skip names
@@ -511,47 +508,58 @@ class Network:
         A bound source or target is looked up in the (type, source) or (type,
         target) index, never scanned; rows come in index order.
         """
+        return self.prober(type_id, before, skip)(source, target)
+
+    def prober(self, type_id: str, before: Optional[int] = None, skip: Optional[str] = None
+               ) -> Callable[[Optional[str], Optional[str]], List[Row]]:
+        """rows(type_id, source, target, before, skip) as a function of source
+        and target, with the type's indexes looked up once, for a join that
+        probes one type many times; valid until the network next changes."""
         if skip is None:
             forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
         else:
             forward, backward = self._indexes_skipping(type_id, skip)
         if not forward:
-            return []
+            return no_rows
         limit = self._next_stamp if before is None else before
         stamp = self._stamp
         sym = self.link_types[type_id].symmetric
-        rows: List[Tuple[str, str, str]] = []
-        if source is not None and target is not None:
-            for a, b in (source, target), (target, source):
-                lid = forward.get(a, _NO_ENDS).get(b)
-                if lid is not None and stamp[lid] < limit:
-                    rows.append((source, target, lid))
-                if not sym or source == target:
-                    break
-        elif source is not None:
-            for end, lid in forward.get(source, _NO_ENDS).items():
-                if stamp[lid] < limit:
-                    rows.append((source, end, lid))
-            if sym:
-                for end, lid in backward.get(source, _NO_ENDS).items():
-                    if end != source and stamp[lid] < limit:
-                        rows.append((source, end, lid))
-        elif target is not None:
-            for end, lid in backward.get(target, _NO_ENDS).items():
-                if stamp[lid] < limit:
-                    rows.append((end, target, lid))
-            if sym:
-                for end, lid in forward.get(target, _NO_ENDS).items():
-                    if end != target and stamp[lid] < limit:
-                        rows.append((end, target, lid))
-        else:
-            for a, targets in forward.items():
-                for b, lid in targets.items():
+
+        def probe(source: Optional[str], target: Optional[str]) -> List[Row]:
+            rows: List[Row] = []
+            if source is not None and target is not None:
+                for a, b in (source, target), (target, source):
+                    lid = forward.get(a, _NO_ENDS).get(b)
+                    if lid is not None and stamp[lid] < limit:
+                        rows.append((source, target, lid))
+                    if not sym or source == target:
+                        break
+            elif source is not None:
+                for end, lid in forward.get(source, _NO_ENDS).items():
                     if stamp[lid] < limit:
-                        rows.append((a, b, lid))
-                        if sym and a != b:
-                            rows.append((b, a, lid))
-        return rows
+                        rows.append((source, end, lid))
+                if sym:
+                    for end, lid in backward.get(source, _NO_ENDS).items():
+                        if end != source and stamp[lid] < limit:
+                            rows.append((source, end, lid))
+            elif target is not None:
+                for end, lid in backward.get(target, _NO_ENDS).items():
+                    if stamp[lid] < limit:
+                        rows.append((end, target, lid))
+                if sym:
+                    for end, lid in forward.get(target, _NO_ENDS).items():
+                        if end != target and stamp[lid] < limit:
+                            rows.append((end, target, lid))
+            else:
+                for a, targets in forward.items():
+                    for b, lid in targets.items():
+                        if stamp[lid] < limit:
+                            rows.append((a, b, lid))
+                            if sym and a != b:
+                                rows.append((b, a, lid))
+            return rows
+
+        return probe
 
     def links_between(self, source: str, target: str) -> List[SemanticLink]:
         self.node(source)
@@ -605,10 +613,7 @@ class Network:
         total = sum(incoming.values())
         ranks: Dict[str, float] = {}
         for nid in sorted(self.nodes):
-            if total > 0:
-                ranks[nid] = incoming[nid] / total
-            else:
-                ranks[nid] = 1.0 / len(self.nodes)
+            ranks[nid] = incoming[nid] / total if total > 0 else 1.0 / len(self.nodes)
             self.nodes[nid].rank = ranks[nid]
         return ranks
 
@@ -618,7 +623,5 @@ class Network:
         return [self.links[lid] for lid in sorted(self.links) if self.links[lid].is_explicit]
 
     def derived_links(self) -> List[SemanticLink]:
-        return [
-            self.links[lid] for lid in sorted(self.links) if not self.links[lid].is_explicit
-        ]
+        return [self.links[lid] for lid in sorted(self.links) if not self.links[lid].is_explicit]
 

@@ -25,7 +25,7 @@ from .errors import (
     UnknownDimension,
     UnknownResource,
 )
-from .sln import check_id, fresh_id
+from .sln import check_id, check_text, fresh_id
 from .taxonomy import CategoryTree
 
 
@@ -95,6 +95,7 @@ class Space:
         root_name: Optional[str] = None,
         position: Optional[int] = None,
     ) -> Dimension:
+        check_text(name, "dimension name")
         for dim in self._dims.values():
             if dim.name == name:
                 raise DimensionNameClash(f"dimension name {name!r} already in use")

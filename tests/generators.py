@@ -84,6 +84,83 @@ def random_network(
     return net
 
 
+def _assert_new(net: Network, source: str, type_id: str, target: str) -> None:
+    try:
+        net.assert_link(source, type_id, target)
+    except DuplicateExplicitLink:
+        pass
+
+
+def _random_rule(rng: random.Random, rule_id: str, nodes: Sequence[str],
+                 types: Sequence[str]) -> Rule:
+    """A valid rule of one to four body atoms (mostly three or four) and one
+    or two head atoms. Every atom after the first shares a node variable
+    with the atoms before it; terms may be a variable link type (?t), a
+    constant node or a self-loop (?a t ?a). Heads never write the
+    transitive "pre": its closure would soon outgrow the naive oracle."""
+    node_vars: List[str] = []
+    type_vars: List[str] = []
+    fresh = iter("abcdefgh")
+    body = []
+    for _ in range(rng.choice((1, 2, 3, 3, 4, 4))):
+        near = rng.choice(node_vars) if node_vars else f"?{next(fresh)}"
+        roll = rng.random()
+        if roll < 0.15:
+            far = near
+        elif roll < 0.25:
+            far = rng.choice(nodes)
+        elif roll < 0.6 and node_vars:
+            far = rng.choice(node_vars)
+        else:
+            far = f"?{next(fresh)}"
+        if rng.random() < 0.2:
+            tid = rng.choice(type_vars) if type_vars and rng.random() < 0.5 else "?t"
+            type_vars.append(tid)
+        else:
+            tid = rng.choice(types)
+        source, target = (near, far) if rng.random() < 0.5 else (far, near)
+        body.append(PatternAtom(source, tid, target))
+        node_vars += [term for term in (source, target)
+                      if term.startswith("?") and term not in node_vars]
+    head = []
+    for _ in range(rng.choice((1, 2, 2))):
+        ends = [rng.choice(nodes) if rng.random() < 0.1 else rng.choice(node_vars)
+                for _ in range(2)]
+        head.append(PatternAtom(ends[0], rng.choice(("out", "rel", "sym")), ends[1]))
+    return Rule(rule_id, RepBundle(word=f"rule {rule_id}"), tuple(body), tuple(head))
+
+
+def rule_network(rng: random.Random, max_rules: int = 5) -> Network:
+    """30 to 40 nodes under random rules that use every kind of atom the
+    join handles: variable link types, constant nodes, self-loops, bodies of
+    three or four atoms and two-atom heads (see _random_rule).
+
+    Types: a transitive "pre" with short forward hops, a symmetric "sym", a
+    plain "rel" and an "out" that only rules write. Explicit links include
+    self-loops, so self-loop atoms match.
+    """
+    net = Network()
+    nodes = [net.add_node(RepBundle(word=f"node {i}"), node_id=f"n{i:02d}")
+             for i in range(rng.randint(30, 40))]
+    for tid, transitive, symmetric in (
+        ("pre", True, False), ("sym", False, True), ("rel", False, False), ("out", False, False),
+    ):
+        net.add_link_type(RepBundle(word=tid), transitive, symmetric, type_id=tid)
+    for _ in range(len(nodes) // 2):
+        i = rng.randrange(len(nodes) - 3)
+        _assert_new(net, nodes[i], "pre", nodes[i + rng.randint(1, 3)])
+    for tid in ("sym", "rel"):
+        for _ in range(len(nodes) // 3):
+            a = rng.choice(nodes)
+            _assert_new(net, a, tid, a if rng.random() < 0.15 else rng.choice(nodes))
+    types = sorted(net.link_types)
+    for i in range(rng.randint(2, max_rules)):
+        rule = _random_rule(rng, f"r{i}", nodes, types)
+        assert not validate_rule(rule, net)
+        net.rules[rule.id] = rule
+    return net
+
+
 def deep_proof_network(n: int) -> Tuple[Network, str]:
     """An n-node pre chain plus n - 2 derived links (v_i, pre, v_last), each
     the step of sys.transitive.pre from the base link out of v_i and the

@@ -159,6 +159,26 @@ def test_import_rejects_cyclic_provenance(capsys, tmp_path):
     assert not state_file.exists()
 
 
+def test_import_refuses_a_head_type_bound_at_a_node(capsys, tmp_path):
+    """A rule whose head reads a node as a link type imported cleanly and
+    then crashed derive; import now refuses it at its line."""
+    src = tmp_path / "flipped.ksif"
+    src.write_text(
+        "KSIF 1\n"
+        "LINKTYPE\tt\t0\t0\t\tS\t\tt\t\t0\n"
+        "NODE\ta\t0.0\tS\t\ta\t\t0\t0\n"
+        "NODE\tb\t0.0\tS\t\tb\t\t0\t0\n"
+        "LINK\tk1\ta\tt\tb\t1.0\tE\n"
+        "RULE\tflipped\tS\t\tflipped\t\t0\t1\t?x\t?t\t?y\t1\t?x\t?y\t?t\n",
+        encoding="utf-8",
+    )
+    state_file = tmp_path / "state.ksif"
+    code, _out, err = run(capsys, ["import", str(src), "--state", str(state_file)])
+    assert code == 2
+    assert "line 6" in err and "head variable ?y" in err and "Traceback" not in err
+    assert not state_file.exists()
+
+
 # ===== derive / query / explain =====
 
 def test_derive_reports_new_links_then_none(capsys, tmp_path):

@@ -21,6 +21,8 @@ from ksengine.errors import (
     CyclicHierarchy,
     DanglingReference,
     DuplicateId,
+    InvalidId,
+    InvalidRep,
     NonFiniteWeight,
     TooFewConcepts,
     UnknownCompartment,
@@ -88,6 +90,25 @@ def test_relation_refuses_non_finite_weight(start, increment):
     assert store.relation_weight(a, "uses", b) == start
     text = export_state(EngineState(concepts=store))
     assert export_state(import_state(text)) == text
+
+
+def test_relation_label_must_be_non_empty():
+    # KSIF import refuses an empty relation label, so the mutator does too.
+    store = ConceptStore()
+    a = store.add_concept("a").id
+    b = store.add_concept("b").id
+    with pytest.raises(InvalidRep, match="relation label '' must be non-empty text"):
+        store.add_relation(a, "", b, 1.0)
+    assert store.get(a).structure.relations == {}
+
+
+def test_lexicon_candidates_must_be_ids():
+    # KSIF import refuses a candidate that is not an id, so the mutator does too.
+    lex = Lexicon()
+    lex.set_candidates("bank", ["c1"])
+    with pytest.raises(InvalidId, match="candidate 'not an id'"):
+        lex.set_candidates("bank", ["c2", "not an id"])
+    assert lex.candidates("bank") == ["c1"]
 
 
 def test_link_count_counts_both_directions():

@@ -1,6 +1,7 @@
 """Rule validation, fixpoint derivation, explanations, and maintenance."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import sys
@@ -26,7 +27,7 @@ from ksengine.state import EngineState
 
 import oracles
 from generators import (
-    deep_proof_network, engine_fact_set, network_as_tuples, random_network,
+    deep_proof_network, engine_fact_set, network_as_tuples, random_network, rule_network,
 )
 
 
@@ -67,6 +68,36 @@ def test_validate_rule_safety():
         (PatternAtom("?x", "t", "?z"),),
     )
     assert any("unsafe" in p for p in validate_rule(unsafe))
+
+
+def test_validate_rule_head_variables_keep_their_kind():
+    rep = RepBundle(word="r")
+    swapped = Rule("r", rep, (PatternAtom("?x", "?t", "?y"),), (PatternAtom("?x", "?y", "?t"),))
+    assert validate_rule(swapped) == [
+        "head variable ?y is at a link-type position, but the body binds it only at other "
+        "positions",
+        "head variable ?t is at a node position, but the body binds it only at other positions",
+    ]
+    # Bound at a position of each kind somewhere in the body is enough.
+    both = Rule("r", rep, (PatternAtom("?x", "?t", "?y"), PatternAtom("?t", "t", "?y")),
+                (PatternAtom("?t", "?t", "?x"),))
+    assert validate_rule(both) == []
+
+
+def test_derive_refuses_a_head_type_bound_at_a_node_before_adding_links():
+    """Body (?x ?t ?y), head (?x ?y ?t): the head's link type would be a
+    node. derive refuses the rule up front, so the valid rule that sorts
+    before it adds nothing and no derive mark is set."""
+    net = chain_net()
+    net.rules["flipped"] = Rule(
+        "flipped", RepBundle(word="flipped"),
+        (PatternAtom("?x", "?t", "?y"),),
+        (PatternAtom("?x", "?y", "?t"),),
+    )
+    before = dict(net.links)
+    with pytest.raises(InvalidRule, match="'flipped': head variable"):
+        derive_fixpoint(net)
+    assert net.links == before and net.derive_mark is None
 
 
 def test_validate_rule_head_constants_must_exist():
@@ -625,3 +656,82 @@ def test_closure_step_over_two_closure_links_still_replays():
     assert {link.triple() for link in new_links} == {
         ("v00", "pre", "v03"), ("v01", "pre", "v03"), ("v01", "pre", "v04")}
     _check_closure(loaded)
+
+
+# ===== derive output pinned byte for byte =====
+
+def _pinned_chain(rng):
+    """A 40-node transitive chain whose links are asserted in seeded order."""
+    net = Network()
+    for i in range(40):
+        net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    for i in rng.sample(range(39), 39):
+        net.assert_link(f"v{i:02d}", "pre", f"v{i + 1:02d}", round(rng.uniform(0.5, 2.0), 3))
+    return net
+
+
+def _pinned_cocitation(rng):
+    """60 papers citing two of 30 references each; co-cited papers share a
+    topic, a symmetric type."""
+    net = Network()
+    papers = [net.add_node(RepBundle(word=f"paper {i}"), node_id=f"p{i:02d}") for i in range(60)]
+    refs = [net.add_node(RepBundle(word=f"ref {i}"), node_id=f"r{i:02d}") for i in range(30)]
+    net.add_link_type(RepBundle(word="cites"), type_id="cites")
+    net.add_link_type(RepBundle(word="same topic"), symmetric=True, type_id="same")
+    for paper in papers:
+        for ref in sorted(rng.sample(refs, 2)):
+            net.assert_link(paper, "cites", ref)
+    _add_rule(net, "co-cite", (("?a", "cites", "?c"), ("?b", "cites", "?c")),
+              (("?a", "same", "?b"),))
+    return net
+
+
+def _digest(net):
+    return hashlib.sha256(export_state(EngineState(network=net)).encode()).hexdigest()
+
+
+# (builder, seed, sha256 of the export after derive_fixpoint, and after
+# retract_with_maintenance of a seeded explicit link)
+PINNED_DERIVES = [
+    (_pinned_chain, 40,
+     "748c5607ac8b0c0de0fc7fb4b61e23d8d6b20256183b37ffb5b85d07f0ee26d0",
+     "5a5e4e5783325ed3048d1c78ad7299e6aa50b4aaa40546ce184c76d0f2c4d55b"),
+    (_pinned_cocitation, 60,
+     "80cc4c96e5f4fecdc78f817f1d12abb0375411a1cd87ff2594d93be9ce637966",
+     "663d48d41c2bec1c31b8ecd304b80945e445f2ad9603ce6a544b2335e175269d"),
+    (rule_network, 24,
+     "12cb1ed8cc0faa380586d5c3487a1d224842b027e98caacc68936e7b787d94a7",
+     "aacf1346bd6557651e0eeed6f1b55d1a47d1fbd340e0154e55fe53653d91a709"),
+]
+
+
+@pytest.mark.parametrize("build, seed, derived, retracted", PINNED_DERIVES,
+                         ids=["chain", "cocitation", "rule-network"])
+def test_derive_and_retract_output_is_pinned(build, seed, derived, retracted):
+    """Link ids, weights, provenance and their order are part of the saved
+    state; a faster engine must write the same bytes."""
+    rng = random.Random(seed)
+    net = build(rng)
+    if build is rule_network:  # bodies of three or four atoms, two-atom heads
+        assert {len(rule.body) for rule in net.rules.values()} == {3, 4}
+        assert {len(rule.head) for rule in net.rules.values()} == {2}
+    derive_fixpoint(net)
+    assert _digest(net) == derived
+    explicit = net.explicit_links()
+    retract_with_maintenance(net, explicit[rng.randrange(len(explicit))].id)
+    assert _digest(net) == retracted
+
+
+def test_join_matches_naive_on_rich_rules():
+    """The join against the naive oracle on rule_network: variable link
+    types, constant nodes, self-loop atoms, three- and four-atom bodies and
+    two-atom heads; each retraction maintained in place equals a derive from
+    scratch. Seeds whose fixpoints stay small enough for the naive oracle."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        net = rule_network(rng)
+        derive_fixpoint(net)
+        _check_against_oracles(net)
+        for _ in range(2):
+            _retract_and_check(net, rng.choice(net.explicit_links()).id)

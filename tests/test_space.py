@@ -9,6 +9,7 @@ from ksengine.errors import (
     DimensionNameClash,
     EmptySubset,
     FullSubset,
+    InvalidRep,
     MissingCoordinate,
     NonPositiveInput,
     UnknownCategory,
@@ -70,6 +71,14 @@ def test_duplicate_dimension_name_rejected():
     space.add_dimension("topic")
     with pytest.raises(DimensionNameClash):
         space.add_dimension("topic")
+
+
+def test_dimension_name_must_be_non_empty():
+    # KSIF import refuses an empty dimension name, so the mutator does too.
+    space = Space()
+    with pytest.raises(InvalidRep, match="dimension name '' must be non-empty text"):
+        space.add_dimension("")
+    assert space.dimensions() == []
 
 
 def test_category_ids_unique_across_space():

@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _radius(text: str) -> int:
+    radius = int(text)
+    if radius < 1:
+        raise argparse.ArgumentTypeError(f"radius must be at least 1, got {radius}")
+    return radius
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ksengine", description=__doc__)
     common = _Parser(add_help=False)
@@ -93,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument("text", help="whitespace-separated tokens")
     p.add_argument("--lexicon", help="KSIF fragment with CONCEPT/LEXEME records")
     p.add_argument("--goals", default="", help="comma-separated goal concept ids")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_radius, default=2)
 
     p = sub.add_parser("verify", parents=[common], help="verify candidate links and rules")
     p.add_argument("file", help="KSIF fragment with LINK/RULE candidate records")
@@ -148,8 +155,11 @@ def _build_parser() -> _Parser:
 def _read_file(path: str) -> str:
     """The file's text as written: a KSIF field may hold a carriage return,
     which universal newlines would read as a line break."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        raise KsError(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
 def _read_lines(path: str) -> List[str]:

@@ -40,7 +40,10 @@ from .errors import (
     MalformedRecord,
     UnknownKind,
 )
-from .rules import PatternAtom, Rule, get_rule, reconstruct_substitution, validate_rule
+from .rules import (
+    PatternAtom, PremiseCycle, Rule, get_rule, premise_walk, reconstruct_substitution,
+    validate_rule,
+)
 from .sln import (
     ClassRef,
     Derived,
@@ -571,7 +574,8 @@ def _build_network(records: Records, net: Network) -> None:
         net.nodes[node.id].rank = node.rank
     for _line, rule in records["RULE"]:
         net.rules[rule.id] = rule
-    derived_premises: List[Tuple[int, str, Tuple[str, ...]]] = []
+    lines: Dict[str, int] = {}  # derived link id -> its line, in file order
+    premises: Dict[str, Tuple[str, ...]] = {}  # derived link id -> premise ids
     for line, link in records["LINK"]:
         for endpoint, name in ((link.source, "source"), (link.target, "target")):
             if endpoint not in net.nodes:
@@ -593,35 +597,25 @@ def _build_network(records: Records, net: Network) -> None:
                 ) from None
             net.add_derived(link.source, link.type, link.target, link.weight,
                             prov, link_id=link.id)
-            derived_premises.append((line, link.id, prov.premises))
-    for line, lid, premises in derived_premises:
-        for pid in premises:
+            lines[link.id], premises[link.id] = line, prov.premises
+    for lid, pids in premises.items():
+        for pid in pids:
             if pid not in net.links:
-                raise DanglingReference(pid, f"line {line}: premise of link {lid!r}")
-    # Provenance must be well-founded: ordering derived links so that each
-    # comes after its derived premises leaves out exactly the links on or
-    # above a premise cycle.
-    waiting: Dict[str, int] = {lid: 0 for _line, lid, _premises in derived_premises}
-    dependents: Dict[str, List[str]] = {}
-    for _line, lid, premises in derived_premises:
-        for pid in premises:
-            if pid in waiting:
-                waiting[lid] += 1
-                dependents.setdefault(pid, []).append(lid)
-    ready = [lid for lid, count in waiting.items() if count == 0]
-    while ready:
-        for lid in dependents.get(ready.pop(), ()):
-            waiting[lid] -= 1
-            if waiting[lid] == 0:
-                ready.append(lid)
-    for line, lid, _premises in derived_premises:
-        if waiting[lid]:
-            raise MalformedRecord(
-                line, f"provenance of link {lid!r} rests on a premise cycle"
-            )
-    # Each step must hold as `explain` replays it: the rule's body matches
-    # the premises and a head atom gives the link's triple.
-    for line, lid, _premises in derived_premises:
+                raise DanglingReference(pid, f"line {lines[lid]}: premise of link {lid!r}")
+    # Provenance must be well-founded. One premise walk from every derived
+    # link, in file order, meets a cycle first from the first link on or
+    # above one, and names that link.
+    try:
+        for _lid in premise_walk(premises, premises.get):
+            pass
+    except PremiseCycle as cycle:
+        root = cycle.args[1]
+        raise MalformedRecord(
+            lines[root], f"provenance of link {root!r} rests on a premise cycle"
+        ) from None
+    # Each step must hold as `explain` replays it: the rule's body reads the
+    # premises and a head atom gives the link's triple.
+    for lid, line in lines.items():
         try:
             reconstruct_substitution(net, net.links[lid])
         except InvalidRule as exc:

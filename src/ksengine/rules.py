@@ -35,14 +35,16 @@ it reads only base t links, those the rule did not derive itself (explicit
 links and links of user rules), while the second reads every stored t link.
 Each closure link then has exactly one firing, so an n-chain costs O(n^2)
 join results rather than O(n^3), and a closure link's proof is one base step
-plus one closure step, about n levels deep on an n-chain; explain and
-verify_explanation walk it with an explicit stack. Any stored premise pair
-that satisfies the chain rule still replays, so KSIF is unchanged.
+plus one closure step, about n levels deep on an n-chain, which premise_walk
+takes without recursion. Any stored premise pair that satisfies the chain
+rule still replays, so KSIF is unchanged.
 
 A derived link keeps one provenance: the rule id and premise link ids (in
 body order) of the firing that first produced it, which is what KSIF saves,
 so a network and its reload hold the same information. A firing whose head
-triple is already stored is skipped; nothing is kept per firing.
+triple is already stored is skipped; nothing is kept per firing. explain,
+verify_explanation and KSIF import read proofs through premise_walk, the
+one walk over premises, and step_substitutions, the one check of a step.
 
 Retraction is DRed (delete and rederive). From a network at its fixpoint it
 over-deletes the provenance closure of the retracted link, then marks what
@@ -64,12 +66,14 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+    Union,
 )
 
 from .errors import InvalidRule
 from .sln import (
     Derived,
+    Explicit,
     ID_PATTERN,
     Network,
     RepBundle,
@@ -140,7 +144,7 @@ class Rule:
     head: Tuple[PatternAtom, ...]
 
 
-@dataclass
+@dataclass(eq=False)  # nodes compare and hash by identity, as premise_walk keys them
 class Explanation:
     """Why a link holds: an explicit leaf, or a rule step over premises."""
 
@@ -213,17 +217,6 @@ def rows_from_links(links: Iterable[SemanticLink], symmetric: Collection[str] = 
     for bucket in rows.values():
         bucket.sort()
     return rows
-
-
-def _unify(term: str, value: str, env: Dict[str, str]) -> Optional[Dict[str, str]]:
-    if term.startswith("?"):  # is_variable; terms of a stored rule are text
-        bound = env.get(term)
-        if bound is None:
-            out = dict(env)
-            out[term] = value
-            return out
-        return env if bound == value else None
-    return env if term == value else None
 
 
 def _rows_prober(rows: FactRows) -> Callable[..., Probe]:
@@ -461,157 +454,138 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
 
 # ===== explanation =====
 
-def _search_substitution(
-    network: Network,
-    rule: Rule,
-    premises: Tuple[str, ...],
-    triple: Tuple[str, str, str],
-    idx: int,
-    env: Dict[str, str],
-) -> Optional[Dict[str, str]]:
-    """Bind body atoms idx.. to premises idx.., depth first, until some head
-    atom reproduces triple. Module-level rather than nested: a nested
-    recursive function is a reference cycle on every call, and import
-    replays every derived link."""
-    if idx == len(rule.body):
-        if any(head.substituted(env) == triple for head in rule.head):
-            return env
-        return None
-    atom = rule.body[idx]
-    premise = network.link(premises[idx])
-    env_t = _unify(atom.type, premise.type, env)
-    if env_t is None:
-        return None
-    for s, t in network.readings(premise):
-        env_s = _unify(atom.source, s, env_t)
-        if env_s is None:
-            continue
-        env_st = _unify(atom.target, t, env_s)
-        if env_st is None:
-            continue
-        out = _search_substitution(network, rule, premises, triple, idx + 1, env_st)
-        if out is not None:
-            return out
-    return None
+T = TypeVar("T")  # an item of a premise walk: a link id or an Explanation node
+
+
+class PremiseCycle(Exception):
+    """premise_walk met an item again below itself; args are (item, root)."""
+
+
+def premise_walk(roots: Iterable[T], premises: Callable[[T], Optional[Sequence[T]]]
+                 ) -> Iterator[T]:
+    """Each item reachable from roots through premises (empty or None for a
+    leaf) once, after all it reaches, without recursion. Raises PremiseCycle
+    when an item reaches itself, from the first root on or above a cycle."""
+    done: Dict[T, bool] = {}  # item -> finished, or False while on the path
+    path = [(None, iter(roots))]  # (item, its premises not yet walked)
+    while path:
+        item, rest = path[-1]
+        for premise in rest:
+            state = done.get(premise)
+            if state:
+                continue
+            if state is not None:
+                raise PremiseCycle(premise, path[1][0])
+            below = premises(premise) or ()
+            for each in below:
+                if not done.get(each):
+                    break
+            else:  # a leaf, or its premises are all finished: finish it at once
+                done[premise] = True
+                yield premise
+                continue
+            done[premise] = False
+            path.append((premise, iter(below)))
+            break
+        else:
+            path.pop()
+            if path:  # the bottom entry holds the roots, not an item
+                done[item] = True
+                yield item
+
+
+def step_substitutions(network: Network, rule: Rule, premises: Sequence[str],
+                       triple: Tuple[str, str, str]) -> List[Dict[str, str]]:
+    """Each substitution under which rule's body reads the premise links in
+    order and a head atom gives triple, in search order: premise by premise,
+    a symmetric premise read its own way first."""
+    if len(premises) != len(rule.body):
+        return []
+    envs: List[Dict[str, str]] = [{}]
+    for atom, pid in zip(rule.body, premises):
+        link = network.links.get(pid)
+        if link is None:
+            return []
+        grown = []
+        for env in envs:
+            for s, t in network.readings(link):
+                bound = dict(env)
+                for term, value in ((atom.type, link.type), (atom.source, s), (atom.target, t)):
+                    # A variable binds or agrees; a constant equals the value.
+                    if (bound.setdefault(term, value) if term[:1] == "?" else term) != value:
+                        break
+                else:
+                    grown.append(bound)
+        envs = grown
+    return [env for env in envs for head in rule.head if head.substituted(env) == triple]
 
 
 def reconstruct_substitution(network: Network, link: SemanticLink) -> Dict[str, str]:
-    """Replay a derived link's step: the substitution under which its rule's
-    body matches its premises and a head atom reproduces its triple.
-
-    Raises InvalidRule when none does. A premise of a symmetric type may have
-    matched in reverse orientation, and one premise tuple can satisfy a body
-    in more than one way, so the search backtracks.
-    """
+    """Replay a derived link's step: its first step_substitutions; raises
+    InvalidRule when it has none."""
     rule = get_rule(network, link.provenance.rule_id)
-    premises, triple = link.provenance.premises, link.triple()
-    env = None
-    if len(premises) == len(rule.body):
-        env = _search_substitution(network, rule, premises, triple, 0, {})
-    if env is None:
+    premises = link.provenance.premises
+    found = step_substitutions(network, rule, premises, link.triple())
+    if not found:
         raise InvalidRule(
             f"premises {premises} do not satisfy the body of rule {rule.id!r}"
         )
-    return env
+    return found[0]
 
 
 def explain(network: Network, link_id: str) -> Explanation:
     """Explanation tree for a link; leaves are explicit links.
 
-    Built depth first with an explicit stack, so proof depth is not bounded by
-    the interpreter's recursion limit. A premise cited more than once gets
-    one subtree, shared by each citation. Steps are replayed in pre-order, so
-    the first bad step raises. Raises InvalidRule when a link's provenance
-    leads back to the link itself.
+    Nodes are built along premise_walk, so a premise cited more than once
+    gets one node, shared by each citation. Raises InvalidRule when a step
+    does not replay or a link's provenance leads back to the link itself,
+    whichever the walk meets first.
     """
     built: Dict[str, Explanation] = {}
-    open_ids: Set[str] = set()  # links whose subtree is being built
-    root: List[Explanation] = []
-    # (link id, list to append its node to), or (link id, None) to close it
-    stack: List[Tuple[str, Optional[List[Explanation]]]] = [(link_id, root)]
-    while stack:
-        lid, siblings = stack.pop()
-        if siblings is None:
-            open_ids.discard(lid)
-            continue
-        if lid in open_ids:
-            raise InvalidRule(f"link {lid!r} is among its own premises")
-        node = built.get(lid)
-        if node is None:
-            link = network.link(lid)
-            if link.is_explicit:
-                node = Explanation(link.id, link.triple(), "explicit")
-            else:
-                prov = link.provenance
-                node = Explanation(
-                    link.id,
-                    link.triple(),
-                    "derived",
-                    rule_id=prov.rule_id,
-                    substitution=reconstruct_substitution(network, link),
-                    premises=prov.premises,
-                )
-                open_ids.add(lid)
-                stack.append((lid, None))
-                stack.extend((pid, node.children) for pid in reversed(prov.premises))
-            built[lid] = node
-        siblings.append(node)
-    return root[0]
+    try:
+        for lid in premise_walk((link_id,), lambda lid: network.link(lid).provenance.premises):
+            link = network.links[lid]
+            prov = link.provenance
+            if isinstance(prov, Explicit):
+                built[lid] = Explanation(lid, link.triple(), "explicit")
+            else:  # rule id, substitution, premises, children
+                built[lid] = Explanation(lid, link.triple(), "derived", prov.rule_id,
+                                         reconstruct_substitution(network, link), prov.premises,
+                                         list(map(built.__getitem__, prov.premises)))
+    except PremiseCycle as cycle:
+        raise InvalidRule(f"link {cycle.args[0]!r} is among its own premises") from None
+    return built[link_id]
 
 
 def _step_holds(network: Network, node: Explanation) -> bool:
     """One explanation node, its children aside: it names a stored link
-    carrying its triple, and a derived node's rule, substitution and premise
-    ids reproduce that triple."""
+    carrying its triple; an explicit node names an explicit link and has no
+    children, and a derived node's children name its premises and its
+    substitution contains one that step_substitutions finds."""
     stored = network.links.get(node.link_id)
     if stored is None or stored.triple() != node.triple:
         return False
     if node.kind == "explicit":
-        return stored.is_explicit
+        return stored.is_explicit and not node.children
     rule = get_rule(network, node.rule_id)
-    env = node.substitution or {}
-    if len(node.premises) != len(rule.body):
-        return False
     if [child.link_id for child in node.children] != list(node.premises):
         return False
-    for atom, pid in zip(rule.body, node.premises):
-        s, tid, t = atom.substituted(env)
-        link = network.links.get(pid)
-        if link is None or link.type != tid or (s, t) not in network.readings(link):
-            return False
-    return any(head.substituted(env) == node.triple for head in rule.head)
+    bound = (node.substitution or {}).items()
+    return any(env.items() <= bound
+               for env in step_substitutions(network, rule, node.premises, node.triple))
 
 
 def verify_explanation(network: Network, node: Explanation) -> bool:
     """Replay an explanation: every step must reproduce its link exactly.
 
-    Each node must name a stored link carrying its triple, and a derived
-    node's children must be the proofs of its premises, one per premise.
-    Nodes are checked in pre-order with an explicit stack, each node object
-    once however often it is cited; a node among its own descendants fails.
+    Nodes are checked along premise_walk, each node object once however
+    often it is cited; a node among its own descendants fails.
     """
-    checked: Set[int] = set()
-    open_nodes: Set[int] = set()  # nodes whose children are being checked
-    # (node, True) to check it, or (node, False) to close it
-    stack: List[Tuple[Explanation, bool]] = [(node, True)]
-    while stack:
-        node, entering = stack.pop()
-        key = id(node)
-        if not entering:
-            open_nodes.discard(key)
-            continue
-        if key in open_nodes:
-            return False
-        if key in checked:
-            continue
-        if not _step_holds(network, node):
-            return False
-        checked.add(key)
-        if node.kind != "explicit":
-            open_nodes.add(key)
-            stack.append((node, False))
-            stack.extend((child, True) for child in reversed(node.children))
-    return True
+    try:
+        return all(_step_holds(network, each)
+                   for each in premise_walk((node,), operator.attrgetter("children")))
+    except PremiseCycle:
+        return False
 
 
 # ===== truth maintenance =====

@@ -155,7 +155,9 @@ class LinkType:
 
 @dataclass(frozen=True, slots=True)
 class Explicit:
-    """Provenance of an asserted link."""
+    """Provenance of an asserted link, which cites no premises."""
+
+    premises = ()  # a class attribute, not a field
 
 
 class Derived(NamedTuple):
@@ -460,9 +462,8 @@ class Network:
         one of them, directly or through other derived links."""
         dependents: Dict[str, List[str]] = {}  # premise id -> ids citing it
         for link in self.links.values():
-            if not link.is_explicit:
-                for premise in link.provenance.premises:
-                    dependents.setdefault(premise, []).append(link.id)
+            for premise in link.provenance.premises:
+                dependents.setdefault(premise, []).append(link.id)
         closure = set(ids)
         stack = list(closure)
         while stack:

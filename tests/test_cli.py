@@ -140,6 +140,25 @@ def test_import_missing_file_is_data_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["import", "BAD"], ["export"], ["place", "res1", "topic=ai", "year=y1936"],
+], ids=["import", "export", "place"])
+def test_non_utf8_file_is_a_data_error(capsys, tmp_path, argv):
+    """A byte that is not UTF-8 ends in exit 2 naming the file and the
+    byte's offset; a write command leaves its state file as it was."""
+    data = export_state(space_state()).encode("utf-8")
+    data = data[:20] + b"\xff" + data[20:]
+    bad = tmp_path / "bad.ksif"
+    bad.write_bytes(data)
+    state_file = tmp_path / "state.ksif" if argv[0] == "import" else bad
+    argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+    code, out, err = run(capsys, argv + ["--state", str(state_file)])
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: byte 20 is not UTF-8\n"
+    assert bad.read_bytes() == data
+    assert state_file == bad or not state_file.exists()
+
+
 def test_import_rejects_cyclic_provenance(capsys, tmp_path):
     src = tmp_path / "cyclic.ksif"
     src.write_text(
@@ -479,6 +498,18 @@ def test_read_radius_limits_cooccurrence(capsys, tmp_path):
     )
     assert code == 0
     assert "cooccur=1" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("radius", ["0", "-2"])
+def test_read_radius_below_one_is_a_usage_error(capsys, tmp_path, radius):
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, reading_state())
+    before = state_file.read_bytes()
+    code, out, err = run(capsys, ["read", "cat on mat", "--radius", radius,
+                                  "--state", str(state_file)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --radius: radius must be at least 1")
+    assert state_file.read_bytes() == before
 
 
 def test_read_merges_lexicon_fragment_first(capsys, tmp_path):

@@ -334,6 +334,27 @@ def test_derived_link_provenance_must_be_well_founded(old, new, line):
     assert "k000001" in str(err.value)
 
 
+def test_premise_cycle_names_the_first_link_on_or_above_it():
+    """k0 rests on the k1/k2 cycle without being on it, and comes first in
+    the file, so import names its line rather than a line on the cycle."""
+    doc = (
+        f"{HEADER}\n"
+        "LINKTYPE\tt\t0\t0\t\tS\t\tt\t\t0\n"
+        "LINKTYPE\tu\t0\t0\t\tS\t\tu\t\t0\n"
+        "NODE\ta\t0.0\tS\t\ta\t\t0\t0\n"
+        "NODE\tb\t0.0\tS\t\tb\t\t0\t0\n"
+        "LINK\tk0\ta\tu\tb\t1.0\tD\tcopy\t1\tk1\n"
+        "LINK\tk1\ta\tt\tb\t1.0\tD\tflip\t1\tk2\n"
+        "LINK\tk2\tb\tt\ta\t1.0\tD\tflip\t1\tk1\n"
+        "RULE\tcopy\tS\t\tcopy\t\t0\t1\t?x\tt\t?y\t1\t?x\tu\t?y\n"
+        "RULE\tflip\tS\t\tflip\t\t0\t1\t?x\tt\t?y\t1\t?y\tt\t?x\n"
+    )
+    with pytest.raises(MalformedRecord) as err:
+        import_state(doc)
+    assert err.value.line == 6
+    assert "provenance of link 'k0' rests on a premise cycle" in str(err.value)
+
+
 @pytest.mark.parametrize("old, new", [
     # (b t b) is not what flip makes of k1 = (a t b).
     ("LINK\tk000001\tb\tt\ta\t", "LINK\tk000001\tb\tt\tb\t"),

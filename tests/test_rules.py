@@ -14,10 +14,12 @@ from ksengine.ksif import export_state, import_state
 from ksengine.rules import (
     Explanation,
     PatternAtom,
+    PremiseCycle,
     Rule,
     derive_fixpoint,
     explain,
     get_rule,
+    premise_walk,
     retract_with_maintenance,
     validate_rule,
     verify_explanation,
@@ -225,9 +227,15 @@ def _forge_link_id(net, tree):
     return dataclasses.replace(tree, link_id="nope")
 
 
+def _forge_explicit_leaf_children(net, tree):
+    leaf = dataclasses.replace(tree.children[0], children=[explain(net, "k3")])
+    return dataclasses.replace(tree, children=[leaf, tree.children[1]])
+
+
 @pytest.mark.parametrize(
-    "forge", [_forge_no_children, _forge_children_from_k3, _forge_link_id],
-    ids=["no-children", "children-from-k3", "unknown-link-id"],
+    "forge",
+    [_forge_no_children, _forge_children_from_k3, _forge_link_id, _forge_explicit_leaf_children],
+    ids=["no-children", "children-from-k3", "unknown-link-id", "explicit-leaf-children"],
 )
 def test_forged_explanation_fails(forge):
     net = Network()
@@ -242,6 +250,25 @@ def test_forged_explanation_fails(forge):
     tree = explain(net, ac.id)
     assert verify_explanation(net, tree)
     assert not verify_explanation(net, forge(net, tree))
+
+
+def test_symmetric_premise_reads_its_own_way_first():
+    """Both readings of k1 satisfy the body; explain prints the substitution
+    that reads it as stored, and verify accepts either."""
+    net = Network()
+    for w in "abc":
+        net.add_node(RepBundle(word=w), node_id=w)
+    net.add_link_type(RepBundle(word="s"), symmetric=True, type_id="s")
+    net.add_link_type(RepBundle(word="t"), type_id="t")
+    net.assert_link("a", "s", "b", link_id="k1")
+    _add_rule(net, "both", (("?x", "s", "?y"), ("?y", "s", "?x")), (("c", "t", "c"),))
+    (link,) = derive_fixpoint(net)[0]
+    assert link.provenance.premises == ("k1", "k1")
+    tree = explain(net, link.id)
+    assert tree.substitution == {"?x": "a", "?y": "b"}
+    assert verify_explanation(net, tree)
+    tree.substitution = {"?x": "b", "?y": "a"}
+    assert verify_explanation(net, tree)
 
 
 def test_explicit_assert_upgrades_derived():
@@ -558,6 +585,43 @@ def test_provenance_cycle_is_an_error_not_a_loop():
     assert not verify_explanation(net, k2)
 
 
+def _first_root_above_a_cycle(graph, roots):
+    """The first root from which a premise cycle is reachable, or None."""
+    def reaches_cycle(item, path):
+        if item in path:
+            return True
+        return any(reaches_cycle(p, path | {item}) for p in graph.get(item, ()))
+    return next((root for root in roots if reaches_cycle(root, frozenset())), None)
+
+
+def test_premise_walk_matches_a_reference_on_random_graphs():
+    """Post-order, each reachable item once; on a cycle, the root named is
+    the first root on or above one."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        items = [f"x{i}" for i in range(rng.randint(1, 9))]
+        graph = {item: tuple(rng.choice(items + ["leaf"]) for _ in range(rng.randint(1, 3)))
+                 for item in items if rng.random() < 0.7}
+        roots = rng.sample(list(graph), len(graph))
+        want = _first_root_above_a_cycle(graph, roots)
+        try:
+            order = list(premise_walk(roots, graph.get))
+        except PremiseCycle as cycle:
+            assert cycle.args[1] == want, seed
+            continue
+        assert want is None, seed
+        position = {item: i for i, item in enumerate(order)}
+        assert len(position) == len(order)
+        assert all(position[p] < position[item] for item in order for p in graph.get(item, ()))
+        reached, stack = set(), list(roots)
+        while stack:
+            item = stack.pop()
+            if item not in reached:
+                reached.add(item)
+                stack.extend(graph.get(item, ()))
+        assert set(order) == reached, seed
+
+
 def test_user_rule_cannot_take_a_transitive_rule_id():
     # Links a rule derives are base links unless its id is the transitive
     # rule's, so a user rule under that id would leave the closure short.
@@ -691,26 +755,40 @@ def _digest(net):
     return hashlib.sha256(export_state(EngineState(network=net)).encode()).hexdigest()
 
 
-# (builder, seed, sha256 of the export after derive_fixpoint, and after
-# retract_with_maintenance of a seeded explicit link)
+def _explain_digest(net):
+    """sha256 over (link id, rule id, substitution, premises) of the explain
+    root of every derived link, in id order."""
+    roots = [explain(net, lid) for lid in sorted(link.id for link in net.derived_links())]
+    rows = [repr((node.link_id, node.rule_id, sorted(node.substitution.items()), node.premises))
+            for node in roots]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+# (builder, seed, sha256 of the export after derive_fixpoint, of the explain
+# roots after it, and of the export after retract_with_maintenance of a seeded
+# explicit link)
 PINNED_DERIVES = [
     (_pinned_chain, 40,
      "748c5607ac8b0c0de0fc7fb4b61e23d8d6b20256183b37ffb5b85d07f0ee26d0",
+     "ba134e81c3ec49af6f73b279d693e36031c262f38ad48f75f821aa2798c373cd",
      "5a5e4e5783325ed3048d1c78ad7299e6aa50b4aaa40546ce184c76d0f2c4d55b"),
     (_pinned_cocitation, 60,
      "80cc4c96e5f4fecdc78f817f1d12abb0375411a1cd87ff2594d93be9ce637966",
+     "4c068392ec70f27602139348ca7ec69e46d387ede56278e078c013ed75e39223",
      "663d48d41c2bec1c31b8ecd304b80945e445f2ad9603ce6a544b2335e175269d"),
     (rule_network, 24,
      "12cb1ed8cc0faa380586d5c3487a1d224842b027e98caacc68936e7b787d94a7",
+     "b825ec24d123fa4cad174e17112e3257764a88d4447b38ec4c23984c1b34a4f7",
      "aacf1346bd6557651e0eeed6f1b55d1a47d1fbd340e0154e55fe53653d91a709"),
 ]
 
 
-@pytest.mark.parametrize("build, seed, derived, retracted", PINNED_DERIVES,
+@pytest.mark.parametrize("build, seed, derived, explained, retracted", PINNED_DERIVES,
                          ids=["chain", "cocitation", "rule-network"])
-def test_derive_and_retract_output_is_pinned(build, seed, derived, retracted):
+def test_derive_and_retract_output_is_pinned(build, seed, derived, explained, retracted):
     """Link ids, weights, provenance and their order are part of the saved
-    state; a faster engine must write the same bytes."""
+    state, and the proofs explain prints are part of the output; a faster
+    engine must write the same bytes."""
     rng = random.Random(seed)
     net = build(rng)
     if build is rule_network:  # bodies of three or four atoms, two-atom heads
@@ -718,6 +796,7 @@ def test_derive_and_retract_output_is_pinned(build, seed, derived, retracted):
         assert {len(rule.head) for rule in net.rules.values()} == {2}
     derive_fixpoint(net)
     assert _digest(net) == derived
+    assert _explain_digest(net) == explained
     explicit = net.explicit_links()
     retract_with_maintenance(net, explicit[rng.randrange(len(explicit))].id)
     assert _digest(net) == retracted

@@ -10,7 +10,10 @@ links into old facts, the delta (links the previous round added) and new
 links (added in this round, invisible until the next). A rule is matched once
 per body position: the atom at that position goes first and sees only the
 delta, atoms before it see only old facts, and atoms after it see old and
-delta facts, so each firing is enumerated exactly once per derive.
+delta facts, so a firing is found in one round at one position at most.
+Delta rows are built only for the link types some rule body reads (every
+type once an atom has a variable link type); a round that added no link of
+a read type ends the fixpoint.
 
 match_atoms is the one join. Each call compiles its atoms into a walk over
 fixed slots: every term gets a slot in one list (constants filled in), and
@@ -18,9 +21,17 @@ every atom a probe per link type it can read, from Network.prober, which
 looks the type's indexes up once; an atom whose source or target is bound
 probes the (type, source) or (type, target) index instead of scanning. The
 walk binds a variable by writing its slot, and derive reads each firing's
-head triples from the slots with one itemgetter. A head triple not yet
-stored goes to Network._store, which checks nothing: the firing has proved
-what add_derived would check.
+head triples from the slots with one itemgetter. Given heads, a step that
+binds only variables no later atom and no head reads stops after its first
+row: every further row leads to the same head triples, and only the first
+firing of a triple is kept.
+
+Derive and the DRed restore store firings through _store_firings, which
+binds the one lookup (Network._find_stored) and the one insertion step
+(Network._store, which takes ids from fresh_id) once per join, so a firing
+costs one lookup and, if its triple is new, one insertion weighted by its
+weakest premise. The insertion checks nothing: the firing has proved what
+add_derived would check.
 
 At the fixpoint the network keeps a mark: the rule/type signature and its
 link count. The next derive starts from the links inserted since the mark,
@@ -144,7 +155,7 @@ class Rule:
     head: Tuple[PatternAtom, ...]
 
 
-@dataclass(eq=False)  # nodes compare and hash by identity, as premise_walk keys them
+@dataclass(eq=False, repr=False)  # nodes compare and hash by identity, as premise_walk keys them
 class Explanation:
     """Why a link holds: an explicit leaf, or a rule step over premises."""
 
@@ -155,6 +166,12 @@ class Explanation:
     substitution: Optional[Dict[str, str]] = None
     premises: Tuple[str, ...] = ()
     children: List["Explanation"] = field(default_factory=list)
+
+    def __repr__(self) -> str:
+        # One node: children are named by their link ids, the premises, so a
+        # deep proof or a shared premise prints in constant size.
+        return (f"Explanation({self.link_id!r}, {self.triple!r}, {self.kind!r}, "
+                f"rule_id={self.rule_id!r}, premises={self.premises!r})")
 
 
 def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
@@ -262,55 +279,80 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
     in body order. With split = (delta_from, new_from), a Network's atoms
     before delta_pos see only links stamped below delta_from (old facts) and
     atoms after it only links stamped below new_from (old and delta facts),
-    so each firing of a round is enumerated once.
+    so no firing of a round is found at two delta positions.
 
     A match is (env, premises): env maps each variable to its value, and
     premises are link ids in atom order. Given heads, env is replaced by
-    the heads' triples run together (source, type, target of each in turn).
+    the heads' triples run together (source, type, target of each in turn),
+    and a step binding only variables that no later atom and no head reads
+    contributes its first row alone; every head triple still appears, first
+    with the premises a full walk would give it first.
     """
     network = isinstance(facts, Network)
-    prober = facts.prober if network else _rows_prober(facts)
-    types = sorted(facts.link_types if network else facts)
-    order = list(range(len(atoms)))
+    order: Sequence[int] = range(len(atoms))
     if delta_rows is not None:
-        order.remove(delta_pos)
-        order.insert(0, delta_pos)
+        first = atoms[delta_pos]
+        if network and isinstance(first, BaseAtom):
+            delta_rows = {tid: [row for row in bucket if not facts.derived_by(row[2], first.skip)]
+                          for tid, bucket in delta_rows.items()}
+        if not (any(delta_rows.values()) if first.type[:1] == "?" else
+                delta_rows.get(first.type)):
+            return []  # no delta row for the atom read first
+        order = [delta_pos, *range(delta_pos), *range(delta_pos + 1, len(atoms))]
+    prober = facts.prober if network else _rows_prober(facts)
     slot: Dict[str, int] = {}  # term -> slot, in binding order
+    bound_at: List[int] = []  # slot -> the step that filled it
+    live = set()  # steps binding a variable that a later step or a head reads
     steps = []
-    for pos in order:
+    for k, pos in enumerate(order):
         atom = atoms[pos]
         ty, src, tgt = atom.type, atom.source, atom.target
-        type_fresh = ty[:1] == "?" and ty not in slot
-        slot.setdefault(ty, len(slot))
-        src_mode = _BIND if src[:1] == "?" and src not in slot else _READ
-        slot.setdefault(src, len(slot))
-        if tgt[:1] != "?" or tgt not in slot:
-            tgt_mode = _BIND if tgt[:1] == "?" else _READ
-        else:
-            tgt_mode = _SAME if tgt == src and src_mode == _BIND else _READ
-        slot.setdefault(tgt, len(slot))
+        fresh = []  # per term: a variable this step binds
+        for term in (ty, src, tgt):
+            i = slot.get(term)
+            if i is None:
+                slot[term] = len(bound_at)
+                bound_at.append(k)
+                fresh.append(term[:1] == "?")
+            else:
+                fresh.append(False)
+                if term[:1] == "?" and bound_at[i] != k:
+                    live.add(bound_at[i])
+        src_mode = _BIND if fresh[1] else _READ
+        tgt_mode = _BIND if fresh[2] else _SAME if tgt == src and fresh[1] else _READ
         skip = atom.skip if network and isinstance(atom, BaseAtom) else None
-        step_prober, step_types, limit = prober, types, None
-        if pos == delta_pos and delta_rows is not None:
-            rows = delta_rows
-            if skip is not None:
-                rows = {tid: [row for row in bucket if not facts.derived_by(row[2], skip)]
-                        for tid, bucket in delta_rows.items()}
-            if not any(rows.get(tid) for tid in (rows if ty[:1] == "?" else (ty,))):
-                return []  # no delta row for the atom read first
-            step_prober, step_types = _rows_prober(rows), sorted(rows)
+        step_prober, step_types, limit = prober, None, None
+        if k == 0 and delta_rows is not None:
+            step_prober, step_types = _rows_prober(delta_rows), delta_rows
         elif split is not None:
             limit = split[0] if pos < delta_pos else split[1]
-        probes = {tid: step_prober(tid, limit, skip)
-                  for tid in (step_types if ty[:1] == "?" else (ty,))}
-        steps.append((pos, slot[ty], step_types if type_fresh else None,
-                      slot[src], src_mode, slot[tgt], tgt_mode, probes))
+        if ty[:1] == "?":
+            if step_types is None:
+                step_types = facts.link_types if network else facts
+            step_types = sorted(step_types)
+            probes = {tid: step_prober(tid, limit, skip) for tid in step_types}
+        else:
+            probes = {ty: step_prober(ty, limit, skip)}
+        steps.append([pos, slot[ty], step_types if fresh[0] else None,
+                      slot[src], src_mode, slot[tgt], tgt_mode, probes, False])
     if heads is None:
         names = [(term, i) for term, i in slot.items() if term[:1] == "?"]
         emit = lambda filled: {term: filled[i] for term, i in names}  # noqa: E731
     else:
-        emit = operator.itemgetter(*[slot.setdefault(term, len(slot)) for head in heads
-                                     for term in (head.source, head.type, head.target)])
+        picks = []
+        for term in (term for head in heads for term in (head.source, head.type, head.target)):
+            i = slot.get(term)
+            if i is None:  # a head constant
+                i = slot[term] = len(bound_at)
+                bound_at.append(-1)
+            elif term[:1] == "?":
+                live.add(bound_at[i])
+            picks.append(i)
+        # A step binding only variables that nothing after it reads leads
+        # every row to the same head triples: its first row stands for all.
+        for k, step in enumerate(steps):
+            step[-1] = k not in live
+        emit = operator.itemgetter(*picks)
     results: List[Match] = []
     _walk(steps, 0, list(slot), [""] * len(atoms), emit, results)
     return results
@@ -319,11 +361,12 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
 def _walk(steps: list, k: int, slots: List[str], premises: List[str],
           emit: Callable, results: List[Match]) -> None:
     """Extend the slots through steps k.., appending each full match to
-    results. Slots bound at a step are overwritten, never unbound: no later
-    step reads them before binding them again on the current path.
-    Module-level, as a nested recursive function would be a reference cycle
-    holding the network until the cyclic collector runs."""
-    pos, ty, types, src, src_mode, tgt, tgt_mode, probes = steps[k]
+    results; a step marked first-only stops after its first row. Slots bound
+    at a step are overwritten, never unbound: no later step reads them
+    before binding them again on the current path. Module-level, as a
+    nested recursive function would be a reference cycle holding the network
+    until the cyclic collector runs."""
+    pos, ty, types, src, src_mode, tgt, tgt_mode, probes, first_only = steps[k]
     last = k + 1 == len(steps)
     for tid in (slots[ty],) if types is None else types:
         slots[ty] = tid
@@ -341,6 +384,8 @@ def _walk(steps: list, k: int, slots: List[str], premises: List[str],
                 results.append((emit(slots), tuple(premises)))
             else:
                 _walk(steps, k + 1, slots, premises, emit, results)
+            if first_only:
+                return
 
 
 # ===== synthesized flag rules =====
@@ -395,14 +440,21 @@ def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
     )
 
 
-def _add_firing(network: Network, triple: Tuple[str, str, str], rule_id: str,
-                premises: Tuple[str, ...]) -> SemanticLink:
-    """Store a firing's head triple, found unstored, as a derived link
-    weighted by its weakest premise; the firing has made add_derived's
-    checks, so it goes straight to Network._store."""
-    links = network.links
-    weight = min([links[p].weight for p in premises])
-    return network._store(*triple, weight, Derived(rule_id, premises))
+def _store_firings(network: Network, rule_id: str, matches: List[Match],
+                   stored: List[SemanticLink]) -> None:
+    """Store, in order, each head triple of matches (match_atoms given the
+    heads) that no stored link answers yet, as derived by rule_id and
+    weighted by its firing's weakest premise, and append the new links to
+    stored. The one lookup and the one insertion step are bound once per
+    call, not per firing; a firing has made add_derived's checks, so it
+    goes straight to Network._store."""
+    if matches and len(matches[0][0]) > 3:  # two head atoms: a firing per triple
+        matches = [(found[i:i + 3], premises) for found, premises in matches for i in (0, 3)]
+    find, store, links = network._find_stored, network._store, network.links
+    for triple, premises in matches:
+        if find(*triple) is None:
+            stored.append(store(*triple, min([links[p].weight for p in premises]),
+                                Derived(rule_id, premises)))
 
 
 def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:
@@ -428,26 +480,30 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
         delta = list(itertools.islice(network.links.values(), mark[1], None))
     else:
         delta = list(network.links.values())
+    if not delta:  # nothing inserted since the fixpoint, or no links at all
+        network.derive_mark = (signature, len(network.links))
+        return new_links, []
     symmetric = signature[1]
+    # The link types some body reads; an atom with a variable type reads all.
+    read = {atom.type for rule in rules for atom in rule.body}
+    everything = any(is_variable(tid) for tid in read)
     while delta:
         split = (network._stamp[delta[0].id], network._next_stamp)
-        delta_rows = rows_from_links(delta, symmetric)
+        # A link of a type no body reads joins nothing: no rows, and a round
+        # with none of the read types left ends the fixpoint.
+        delta_rows = rows_from_links(
+            delta if everything else [link for link in delta if link.type in read], symmetric)
+        if not delta_rows:
+            break
         # Atoms before the delta position see only old facts; when the delta
         # is every link, only delta position 0 can match.
         old_facts = len(delta) < len(network.links)
-        round_new: List[SemanticLink] = []
+        done = len(new_links)
         for rule in rules:
-            cuts = [slice(i, i + 3) for i in range(0, 3 * len(rule.head), 3)]
             for pos in range(len(rule.body) if old_facts else 1):
-                for found, premises in match_atoms(network, rule.body, delta_rows, pos, split,
-                                                   rule.head):
-                    for cut in cuts:
-                        triple = found[cut]
-                        if network._find_stored(*triple) is None:
-                            link = _add_firing(network, triple, rule.id, premises)
-                            new_links.append(link)
-                            round_new.append(link)
-        delta = round_new
+                _store_firings(network, rule.id, match_atoms(network, rule.body, delta_rows, pos,
+                                                             split, rule.head), new_links)
+        delta = new_links[done:]
     network.derive_mark = (signature, len(network.links))
     return new_links, [link.provenance for link in new_links]
 
@@ -612,16 +668,14 @@ def retract_with_maintenance(network: Network, link_id: str) -> List[str]:
     # over-deleted heads, which the joins below look for.
     network.derive_mark = (signature, len(network.links))
     delta_rows = rows_from_links(removed, signature[1])
-    firings: Dict[Tuple[str, str, str], Tuple[str, Tuple[str, ...]]] = {}
+    firings = []  # (rule id, its matches less the head atom's premise)
     for rule in rules:
         for head in rule.head:
-            for triple, premises in match_atoms(network, (head, *rule.body), delta_rows, 0,
-                                                heads=(head,)):
-                firings.setdefault(triple, (rule.id, premises[1:]))
+            found = match_atoms(network, (head, *rule.body), delta_rows, 0, heads=(head,))
+            firings.append((rule.id, [(triple, premises[1:]) for triple, premises in found]))
     # Insert only after the joins, so each join reads the survivors alone; a
-    # symmetric triple found in both readings is stored once.
-    for triple, (rule_id, premises) in firings.items():
-        if network._find_stored(*triple) is None:
-            _add_firing(network, triple, rule_id, premises)
+    # triple found twice (a symmetric one in both readings) is stored once.
+    for rule_id, found in firings:
+        _store_firings(network, rule_id, found, [])
     derive_fixpoint(network)
     return [link.id for link in removed if link.id not in network.links and link.id not in fresh]

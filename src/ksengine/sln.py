@@ -425,15 +425,28 @@ class Network:
         stored weights, and validate_rule vouches for the head's terms)."""
         if link_id is None:
             link_id = fresh_id(self._counters, "k", self.links)
-        link = SemanticLink(link_id, source, type_id, target, weight, provenance)
-        self.links[link_id] = link
-        self._by_source.setdefault(type_id, {}).setdefault(source, {})[target] = link_id
-        self._by_target.setdefault(type_id, {}).setdefault(target, {})[source] = link_id
-        rule_id = getattr(provenance, "rule_id", None)
-        for skip, (fwd, bwd) in self._skip_index.get(type_id, _NO_ENDS).items():
-            fwd_ends, bwd_ends = fwd.setdefault(source, {}), bwd.setdefault(target, {})
-            if skip != rule_id:
-                fwd_ends[target] = bwd_ends[source] = link_id
+        link = self.links[link_id] = SemanticLink(link_id, source, type_id, target, weight,
+                                                  provenance)
+        if type_id not in self._by_source:  # both indexes hold a type or neither does
+            self._by_source[type_id], self._by_target[type_id] = {}, {}
+        forward, backward = self._by_source[type_id], self._by_target[type_id]
+        new_source, new_target = source not in forward, target not in backward
+        if new_source:
+            forward[source] = {}
+        if new_target:
+            backward[target] = {}
+        forward[source][target] = backward[target][source] = link_id
+        skipping = self._skip_index.get(type_id)
+        if skipping:
+            rule_id = getattr(provenance, "rule_id", None)
+            for skip, (fwd, bwd) in skipping.items():
+                # The same outer keys as the main indexes, emptied or not.
+                if new_source:
+                    fwd[source] = {}
+                if new_target:
+                    bwd[target] = {}
+                if skip != rule_id:
+                    fwd[source][target] = bwd[target][source] = link_id
         self._stamp[link_id] = self._next_stamp
         self._next_stamp += 1
         return link

@@ -102,6 +102,22 @@ def naive_fixpoint(explicit: Iterable[Triple],
         facts |= fresh
 
 
+def transitive_closure(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    """Pairs (a, b) joined by a path of one or more of the given pairs."""
+    succ: Dict[str, Set[str]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    out: Set[Tuple[str, str]] = set()
+    for start in succ:
+        stack = list(succ[start])
+        while stack:
+            node = stack.pop()
+            if (start, node) not in out:
+                out.add((start, node))
+                stack.extend(succ.get(node, ()))
+    return out
+
+
 def brute_index(links: Iterable[Tuple[str, str, str, str]]) -> Tuple[
         Dict[str, Dict[str, Dict[str, str]]],
         Dict[str, Dict[str, Dict[str, str]]]]:

@@ -561,6 +561,18 @@ def test_deep_proof_explains_and_verifies_within_recursion_limit():
     assert not verify_explanation(net, tree)
 
 
+def test_explanation_repr_names_premises_not_children():
+    """repr shows one node, its premises by id, however deep the proof."""
+    net, root = deep_proof_network(3000)
+    tree = explain(net, root)
+    text = repr(tree)
+    assert text == (f"Explanation({root!r}, ('v0000', 'pre', 'v2999'), 'derived', "
+                    f"rule_id='sys.transitive.pre', premises={tree.premises!r})")
+    leaf = tree.children[0]
+    assert repr(leaf) == (f"Explanation({leaf.link_id!r}, ('v0000', 'pre', 'v0001'), "
+                          f"'explicit', rule_id=None, premises=())")
+
+
 def test_provenance_cycle_is_an_error_not_a_loop():
     net = Network()
     for name in "abc":
@@ -800,6 +812,141 @@ def test_derive_and_retract_output_is_pinned(build, seed, derived, explained, re
     explicit = net.explicit_links()
     retract_with_maintenance(net, explicit[rng.randrange(len(explicit))].id)
     assert _digest(net) == retracted
+
+
+def test_join_takes_one_row_of_a_step_nothing_reads(monkeypatch):
+    """Rule r3 of this network binds ?c and ?e at steps whose variables no
+    later atom and no head reads: every row of such a step leads to the same
+    head triples, so the join walks its first row only. Walking them all
+    gave 184,637 join results for the same 255 new links and these bytes."""
+    calls = _count_matches(monkeypatch)
+    rng = random.Random(63)
+    net = rule_network(rng)
+    new_links, _ = derive_fixpoint(net)
+    assert len(new_links) == 255
+    assert sum(map(len, calls)) < 60_000
+    assert _digest(net) == "56cbb82452b011d215412439d4b6dc7fa6bb98d091d2616ff6b487f4c1223a67"
+    explicit = net.explicit_links()
+    retract_with_maintenance(net, explicit[rng.randrange(len(explicit))].id)
+    assert _digest(net) == "2febcf5586ea2f3416e46181905af8a452c98ddb99376399e0df29fa146f131b"
+
+
+def _first_firings(pairs):
+    seen, out = set(), []
+    for triple, premises in pairs:
+        if triple not in seen:
+            seen.add(triple)
+            out.append((triple, premises))
+    return out
+
+
+def test_first_row_cut_keeps_each_triples_first_firing():
+    """With heads, match_atoms gives every head triple the premises of its
+    first firing in the full walk (heads=None), in the same order, at every
+    delta position; derive and the DRed restore keep only those."""
+    for seed in range(12):
+        net = rule_network(random.Random(seed))
+        if seed % 2:
+            derive_fixpoint(net)
+        links = list(net.links.values())
+        symmetric = [tid for tid, lt in net.link_types.items() if lt.symmetric]
+        for rule in rules.effective_rules(net):
+            for cut in (0, len(links) // 3):
+                delta = links[cut:]
+                rows = rules.rows_from_links(delta, symmetric)
+                split = (net._stamp[delta[0].id], net._next_stamp)
+                for pos in range(len(rule.body) if cut else 1):
+                    cut_walk = rules.match_atoms(net, rule.body, rows, pos, split, rule.head)
+                    full = rules.match_atoms(net, rule.body, rows, pos, split)
+                    assert _first_firings(
+                        (found[i:i + 3], premises)
+                        for found, premises in cut_walk for i in range(0, len(found), 3)
+                    ) == _first_firings(
+                        (head.substituted(env), premises)
+                        for env, premises in full for head in rule.head
+                    ), (seed, rule.id, cut, pos)
+
+
+def _benchmark_sized_network(rng, variable_type_rule):
+    """A 60-node transitive chain and a 150-paper co-citation graph, the
+    largest sizes the saturate benchmark builds, under four rules: co-cite
+    derives the symmetric same, near reads it, tag derives a type no rule
+    reads, and via (when asked) has a variable-type atom, which reads every
+    type, tagged and near among them."""
+    net = Network()
+    chain = [net.add_node(RepBundle(word=f"c{i}"), node_id=f"c{i:02d}") for i in range(60)]
+    papers = [net.add_node(RepBundle(word=f"p{i}"), node_id=f"p{i:03d}") for i in range(150)]
+    refs = [net.add_node(RepBundle(word=f"r{i}"), node_id=f"r{i:02d}") for i in range(75)]
+    for tid, transitive, symmetric in (("pre", True, False), ("cites", False, False),
+                                       ("same", False, True), ("near", False, False),
+                                       ("tagged", False, False), ("via", False, False)):
+        net.add_link_type(RepBundle(word=tid), transitive, symmetric, type_id=tid)
+    for i in rng.sample(range(59), 59):
+        net.assert_link(chain[i], "pre", chain[i + 1], round(rng.uniform(0.5, 2.0), 3))
+    for paper in papers:
+        for ref in sorted(rng.sample(refs, 2)):
+            net.assert_link(paper, "cites", ref)
+    _add_rule(net, "co-cite", (("?a", "cites", "?c"), ("?b", "cites", "?c")),
+              (("?a", "same", "?b"),))
+    _add_rule(net, "near", (("?a", "same", "?b"), ("?b", "cites", "?c")), (("?a", "near", "?c"),))
+    _add_rule(net, "tag", (("?x", "pre", "?y"),), (("?y", "tagged", "?x"),))
+    if variable_type_rule:
+        _add_rule(net, "via", (("?x", "?t", "?y"), ("?x", "cites", "?r")), (("?x", "via", "?y"),))
+    return net
+
+
+def _closed_form(net, variable_type_rule):
+    """The fact set the rules of _benchmark_sized_network close the explicit
+    links to, in closed form: the naive oracle re-joins every fact each
+    round, too slow at this size."""
+    explicit = {link.triple() for link in net.explicit_links()}
+    pre = oracles.transitive_closure((s, o) for s, t, o in explicit if t == "pre")
+    cites = {(s, o) for s, t, o in explicit if t == "cites"}
+    citing = {}
+    for paper, ref in cites:
+        citing.setdefault(ref, set()).add(paper)
+    same = {(a, b) for group in citing.values() for a in group for b in group}
+    facts = explicit | {(x, "pre", y) for x, y in pre} | {(y, "tagged", x) for x, y in pre}
+    facts |= {(a, "same", b) for a, b in same}
+    facts |= {(a, "near", c) for a, b in same for b2, c in cites if b2 == b}
+    if variable_type_rule:  # every fact out of a paper that cites something
+        papers = {paper for paper, _ref in cites}
+        facts |= {(x, "via", y) for x, _t, y in facts if x in papers}
+    return facts
+
+
+@pytest.mark.parametrize("variable_type_rule", [False, True],
+                         ids=["typed-atoms", "variable-type-atom"])
+def test_derive_and_retract_match_closed_forms_at_benchmark_sizes(monkeypatch,
+                                                                   variable_type_rule):
+    """Derive builds delta rows only for the types some body reads: with
+    typed atoms it skips tagged and near, which nothing reads, and with a
+    variable-type atom it keeps every type. Either way the derive, and each
+    retraction maintained in place, equal the closed form and a derive from
+    scratch."""
+    rng = random.Random(150)
+    net = _benchmark_sized_network(rng, variable_type_rule)
+    delta_types = set()
+    real_rows = rules.rows_from_links
+
+    def recording_rows(links, symmetric=()):
+        found = real_rows(links, symmetric)
+        delta_types.update(found)
+        return found
+
+    monkeypatch.setattr(rules, "rows_from_links", recording_rows)
+    derive_fixpoint(net)
+    monkeypatch.undo()
+    read = {"pre", "cites", "same"}
+    assert delta_types == (read | {"tagged", "near", "via"} if variable_type_rule else read)
+    assert engine_fact_set(net) == _closed_form(net, variable_type_rule)
+    middle = next(l.id for l in net.explicit_links() if l.triple() == ("c29", "pre", "c30"))
+    for link_id in (middle, rng.choice([l.id for l in net.explicit_links() if l.type == "cites"])):
+        retract_with_maintenance(net, link_id)
+        assert engine_fact_set(net) == _closed_form(net, variable_type_rule)
+        scratch = _scratch_copy(net)
+        derive_fixpoint(scratch)
+        assert engine_fact_set(scratch) == engine_fact_set(net)
 
 
 def test_join_matches_naive_on_rich_rules():

@@ -2,8 +2,10 @@
 
 Everything here is deterministic: verification and analogy each derive one
 scratch copy of the caller's network once and reuse that saturated copy,
-problems come out in sorted order, the analogy search visits nodes in
+problems come out in sorted order, the analogy searches visit nodes in
 a fixed order, and ability reports replay the same measurements per increment.
+Both analogy searches (first full map, best partial map) read one
+backtracking enumeration of injective node maps, after Ullmann (JACM 1976).
 
 The problem records a state keeps, `Problem` and `AnomalyRule`, are defined
 in `state`; this module raises and evaluates them, and `from
@@ -16,7 +18,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .concepts import ConceptStore
 from .errors import (
@@ -436,6 +438,30 @@ def _degree_tables(nodes, triples):
     return out, inn
 
 
+def _injections(order: List[str], k: int, t_nodes: List[str],
+                fits: Optional[Callable[[Dict[str, str], str, str], bool]],
+                assignment: Dict[str, str], used: Set[str]) -> Iterator[Dict[str, str]]:
+    """Yield assignment once per injective map of order[k:] (not empty) into
+    the unused t_nodes that fits(assignment, sn, tn) accepts at every step
+    (None accepts all): source nodes in the given order, each tried against
+    the target nodes in theirs. The one dict is yielded each time and
+    changed in place after; a map the caller stops at stays as yielded.
+    Module-level, as a nested recursive function would be a reference cycle."""
+    sn = order[k]
+    last = k + 1 == len(order)
+    for tn in t_nodes:
+        if tn in used or (fits is not None and not fits(assignment, sn, tn)):
+            continue
+        assignment[sn] = tn
+        if last:
+            yield assignment
+        else:
+            used.add(tn)
+            yield from _injections(order, k + 1, t_nodes, fits, assignment, used)
+            used.discard(tn)
+        del assignment[sn]
+
+
 def _search_injection(
     s_nodes: List[str],
     s_triples: List[Tuple[str, str, str]],
@@ -445,17 +471,13 @@ def _search_injection(
     t_in,
 ) -> Optional[Dict[str, str]]:
     """First injective node map preserving every source triple, or None."""
-    if len(s_nodes) > len(t_nodes):
-        return None
     s_out, s_in = _degree_tables(s_nodes, s_triples)
     order = sorted(
         s_nodes,
         key=lambda n: (-(sum(s_out[n].values()) + sum(s_in[n].values())), n),
     )
-    assignment: Dict[str, str] = {}
-    used: Set[str] = set()
 
-    def feasible(sn: str, tn: str) -> bool:
+    def feasible(assignment: Dict[str, str], sn: str, tn: str) -> bool:
         for tid, need in s_out[sn].items():
             if t_out[tn].get(tid, 0) < need:
                 return False
@@ -469,22 +491,7 @@ def _search_injection(
                 return False
         return True
 
-    def walk(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        sn = order[idx]
-        for tn in t_nodes:
-            if tn in used or not feasible(sn, tn):
-                continue
-            assignment[sn] = tn
-            used.add(tn)
-            if walk(idx + 1):
-                return True
-            del assignment[sn]
-            used.discard(tn)
-        return False
-
-    return dict(assignment) if walk(0) else None
+    return next(_injections(order, 0, t_nodes, feasible, {}, set()), None)
 
 
 def _best_partial_map(
@@ -492,48 +499,21 @@ def _best_partial_map(
     s_triples: List[Tuple[str, str, str]],
     t_nodes: List[str],
     t_triple_set: Set[Tuple[str, str, str]],
-) -> Tuple[Optional[Dict[str, str]], int]:
-    """Injective map maximizing preserved source triples (first best wins)."""
-    if len(s_nodes) > len(t_nodes):
-        return None, 0
-    order = sorted(s_nodes)
+) -> Dict[str, str]:
+    """Injective map maximizing preserved source triples (first best wins);
+    the caller has checked that the target has enough nodes for one."""
     best: Dict[str, str] = {}
     best_count = -1
-    assignment: Dict[str, str] = {}
-    used: Set[str] = set()
-
-    def preserved() -> int:
+    for node_map in _injections(sorted(s_nodes), 0, t_nodes, None, {}, set()):
         count = 0
         for s, tid, t in s_triples:
-            ms, mt = assignment.get(s), assignment.get(t)
-            if ms is not None and mt is not None and (ms, tid, mt) in t_triple_set:
+            if (node_map[s], tid, node_map[t]) in t_triple_set:
                 count += 1
-        return count
-
-    def walk(idx: int) -> None:
-        nonlocal best, best_count
-        if idx == len(order):
-            count = preserved()
-            if count > best_count:
-                best, best_count = dict(assignment), count
-            return
-        if best_count >= len(s_triples):
-            return  # cannot improve on total preservation
-        sn = order[idx]
-        for tn in t_nodes:
-            if tn in used:
-                continue
-            assignment[sn] = tn
-            used.add(tn)
-            walk(idx + 1)
-            del assignment[sn]
-            used.discard(tn)
-        return
-
-    walk(0)
-    if best_count < 0:
-        return None, 0
-    return best, best_count
+        if count > best_count:
+            best, best_count = dict(node_map), count
+            if count == len(s_triples):
+                break  # cannot improve on total preservation
+    return best
 
 
 def analogize(
@@ -567,6 +547,8 @@ def analogize(
     for lid in solution_ids:
         if lid not in source.links:
             raise UnknownLink(f"solution link {lid!r} not in source")
+    if len(s_nodes) > len(t_nodes):
+        return AnalogyResult("none")  # no injective map exists
     solution_set = set(solution_ids)
     s_links = [link for lid, link in sorted(source.links.items())
                if link.is_explicit or lid in solution_set]
@@ -605,9 +587,7 @@ def analogize(
         type_map = lifted
 
     # Conjecture and verify, on one saturated copy of the target.
-    node_map, _count = _best_partial_map(s_nodes, s_triples, t_nodes, t_triple_set)
-    if node_map is None:
-        return AnalogyResult("none")
+    node_map = _best_partial_map(s_nodes, s_triples, t_nodes, t_triple_set)
     work = copy.deepcopy(target)
     derive_fixpoint(work)
 
@@ -684,8 +664,11 @@ def ingest_fragment(network: Network, fragment: IncrementFragment) -> None:
             raise InvalidRule(f"rule {rule.id!r} already present")
         network.rules[rule.id] = rule
     for link in sorted(fragment.links, key=lambda x: x.id):
+        # A triple the network derived is upgraded in place under its stored
+        # id, so provenance citing it stays valid; the fragment's id goes unused.
+        stored = network.has_fact(link.source, link.type, link.target)
         network.assert_link(link.source, link.type, link.target, link.weight,
-                            link_id=link.id)
+                            link_id=None if stored else link.id)
 
 
 @dataclass(frozen=True)

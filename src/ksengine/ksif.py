@@ -5,8 +5,10 @@ followed by records. Export is canonical — records grouped by kind in a fixed
 order, each group sorted, floats written with repr() — so equal states produce
 byte-identical text. Import accepts records in any order, resolves forward
 references in a second phase, and reports the line number of anything
-malformed. Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids
-never need escaping. Blank lines and '#' comment lines are skipped on import
+malformed; a mutator's fault while import builds the state (a repeated
+triple, a parent or class cycle) names its line too and keeps its class.
+Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids never need
+escaping. Blank lines and '#' comment lines are skipped on import
 and never emitted on export.
 
 Each record kind's field layout is written once, as a row of _ROWS built
@@ -31,8 +33,10 @@ from .concepts import (
 )
 from .errors import (
     BadHeader,
+    CyclicHierarchy,
     DanglingReference,
     DimensionNameClash,
+    DuplicateExplicitLink,
     DuplicateId,
     InvalidRep,
     InvalidRule,
@@ -568,7 +572,11 @@ def _build_network(records: Records, net: Network) -> None:
     for line, tid, parent in pending_parents:
         if parent not in net.link_types:
             raise DanglingReference(parent, f"line {line}: parent of link type {tid!r}")
-        net.set_type_parent(tid, parent)
+        try:
+            net.set_type_parent(tid, parent)
+        except CyclicHierarchy as exc:
+            exc.args = (f"line {line}: {exc}",)
+            raise
     for _line, node in records["NODE"]:
         net.add_node(node.rep, node.attributes, node_id=node.id)
         net.nodes[node.id].rank = node.rank
@@ -576,28 +584,32 @@ def _build_network(records: Records, net: Network) -> None:
         net.rules[rule.id] = rule
     lines: Dict[str, int] = {}  # derived link id -> its line, in file order
     premises: Dict[str, Tuple[str, ...]] = {}  # derived link id -> premise ids
-    for line, link in records["LINK"]:
-        for endpoint, name in ((link.source, "source"), (link.target, "target")):
-            if endpoint not in net.nodes:
-                raise DanglingReference(
-                    endpoint, f"line {line}: {name} of link {link.id!r}"
-                )
-        if link.type not in net.link_types:
-            raise DanglingReference(link.type, f"line {line}: type of link {link.id!r}")
-        if link.is_explicit:
-            net.assert_link(link.source, link.type, link.target, link.weight,
-                            link_id=link.id)
-        else:
-            prov = link.provenance
-            try:
-                get_rule(net, prov.rule_id)
-            except Exception:
-                raise DanglingReference(
-                    prov.rule_id, f"line {line}: rule of link {link.id!r}"
-                ) from None
-            net.add_derived(link.source, link.type, link.target, link.weight,
-                            prov, link_id=link.id)
-            lines[link.id], premises[link.id] = line, prov.premises
+    try:
+        for line, link in records["LINK"]:
+            for endpoint, name in ((link.source, "source"), (link.target, "target")):
+                if endpoint not in net.nodes:
+                    raise DanglingReference(
+                        endpoint, f"line {line}: {name} of link {link.id!r}"
+                    )
+            if link.type not in net.link_types:
+                raise DanglingReference(link.type, f"line {line}: type of link {link.id!r}")
+            if link.is_explicit:
+                net.assert_link(link.source, link.type, link.target, link.weight,
+                                link_id=link.id)
+            else:
+                prov = link.provenance
+                try:
+                    get_rule(net, prov.rule_id)
+                except Exception:
+                    raise DanglingReference(
+                        prov.rule_id, f"line {line}: rule of link {link.id!r}"
+                    ) from None
+                net.add_derived(link.source, link.type, link.target, link.weight,
+                                prov, link_id=link.id)
+                lines[link.id], premises[link.id] = line, prov.premises
+    except (DuplicateExplicitLink, DuplicateId) as exc:  # the triple is stored already
+        exc.args = (f"line {line}: {exc}",)
+        raise
     for lid, pids in premises.items():
         for pid in pids:
             if pid not in net.links:
@@ -701,7 +713,11 @@ def _build_lexicon(state: EngineState, records: Records) -> None:
                 raise DanglingReference(
                     parent, f"line {line}: class of concept {concept.id!r}"
                 )
-            store.add_class_link(concept.id, parent)
+            try:
+                store.add_class_link(concept.id, parent)
+            except CyclicHierarchy as exc:
+                exc.args = (f"line {line}: {exc}",)
+                raise
         for (_label, target) in concept.structure.relations:
             if target not in store:
                 raise DanglingReference(

@@ -888,6 +888,29 @@ def test_ability_counts_answers_per_increment(capsys, tmp_path):
     assert state_file.read_text(encoding="utf-8") == before
 
 
+def test_ability_takes_an_increment_asserting_a_derived_triple(capsys, tmp_path):
+    state = new_state()
+    net = state.network
+    net.add_link_type(RepBundle(word="t"), transitive=True, type_id="t")
+    for name in ("a", "b", "c"):
+        net.add_node(RepBundle(word=name), node_id=name)
+    net.assert_link("a", "t", "b", link_id="k1")
+    net.assert_link("b", "t", "c", link_id="k2")
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, state)
+    questions = tmp_path / "questions.txt"
+    questions.write_text("(a, t, ?)\n", encoding="utf-8")
+    inc = tmp_path / "inc.ksif"
+    inc.write_text("KSIF 1\nLINK\tkx1\ta\tt\tc\t1.0\tE\n", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["ability", "--questions", str(questions), "--increments", str(inc),
+         "--state", str(state_file)],
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0\t1\t1\t0", "1\t1\t1\t0"]
+
+
 # ===== capacity =====
 
 def test_capacity_prints_verdict(capsys):

@@ -1,6 +1,9 @@
 """Verification, problem discovery, analogy, and ability reporting."""
 
+import collections
 import copy
+import gc
+import hashlib
 import random
 
 import pytest
@@ -33,6 +36,7 @@ from ksengine.errors import (
     InvalidCandidate,
     InvalidId,
     InvalidRule,
+    KsError,
     MalformedRecord,
     NonPositiveInput,
     TooLarge,
@@ -681,6 +685,25 @@ def test_analogize_conjecture_copies_the_target_once(monkeypatch):
     assert calls == ["Network"]
 
 
+def test_analogize_leaves_no_reference_cycles():
+    """Both map searches read one module-level enumeration; a nested
+    recursive search closure would be a reference cycle per call, left
+    for the cyclic collector."""
+    exact = (net_from_triples([("p1", "cites", "p2"), ("p2", "cites", "p3")]),
+             net_from_triples([("q1", "cites", "q2"), ("q2", "cites", "q3")]))
+    conjecture = cocite_analogy()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert analogize(exact[0], [], exact[1]).outcome == "exact"
+        assert analogize(conjecture[0], [], conjecture[1]).outcome == "conjecture"
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _symmetric_closure(triples, symmetric):
     return set(triples) | {(t, tid, s) for s, tid, t in triples if tid in symmetric}
 
@@ -741,6 +764,52 @@ def test_analogize_answers_do_not_depend_on_saturation():
     assert {"exact", "conjecture"} <= outcomes
 
 
+def _analogy_case(rng):
+    """A seeded analogize call: source types get random ancestors among
+    themselves so lifting can succeed, some solutions name an unknown link,
+    and some node limits are too small."""
+    source = random_network(rng, max_nodes=4, max_types=3, max_rules=0)
+    target = random_network(rng, max_nodes=6, max_types=3, max_rules=2)
+    types = sorted(source.link_types)
+    for k, tid in enumerate(types[1:], start=1):
+        if rng.random() < 0.8:
+            source.set_type_parent(tid, rng.choice(types[:k]))
+    solution = [lid for lid in sorted(source.links) if rng.random() < 0.4]
+    if rng.random() < 0.05:
+        solution.append("k999999")
+    return source, solution, target, rng.choice((5, 6, 10))
+
+
+def _analogy_text(source, solution, target, max_nodes):
+    try:
+        r = analogize(source, solution, target, max_nodes=max_nodes)
+    except KsError as exc:
+        return type(exc).__name__, f"{type(exc).__name__}: {exc}"
+    return r.outcome, repr((
+        r.outcome, sorted((r.node_map or {}).items()), r.mapped_solution,
+        sorted(r.generalization.items()),
+        [(rs.triple, rs.status) for rs in r.problem_relations],
+        [(rs.triple, rs.status) for rs in r.solution_relations], r.impact,
+    ))
+
+
+def test_analogize_output_is_pinned():
+    """Which map each search picks (first found, first best), the statuses
+    and impact it leads to, and the errors are all output; a different
+    search must give the same."""
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for _ in range(300):
+        outcome, text = _analogy_text(*_analogy_case(rng))
+        outcomes[outcome] += 1
+        digest.update(text.encode() + b"\n")
+    assert outcomes == {"conjecture": 160, "none": 60, "exact": 28, "generalized": 12,
+                        "TooLarge": 23, "UnknownLink": 17}
+    assert digest.hexdigest() == (
+        "17e37945ff8de8c94f628c0f9a2853e10583baacfac9093ada46cc94156bf9f5")
+
+
 def test_analogize_reads_a_derived_target_relation_as_derivable():
     source = net_from_triples([("p1", "cites", "p2"), ("p2", "cites", "p3"),
                                ("p1", "cites", "p3")])
@@ -784,6 +853,23 @@ def test_ability_report_counts_problems():
     report = ability_report(copy.deepcopy(net), [], [fragment], anomaly_rules=[rule])
     assert report.entries[0].problems == 0
     assert report.entries[1].problems == 1
+
+
+def test_ability_report_upgrades_a_derived_triple_an_increment_asserts():
+    """The increment asserts a triple the network has derived: the stored
+    link turns explicit in place, keeping its id, and the fragment's id
+    goes unused."""
+    net = net_from_triples([("a", "t", "b"), ("b", "t", "c")], type_flags={"t": (True, False)})
+    fragment = IncrementFragment(
+        links=[SemanticLink("kx1", "a", "t", "c", 2.0, Explicit())]
+    )
+    derive_fixpoint(net)
+    (derived,) = [l for l in net.links.values() if l.triple() == ("a", "t", "c")]
+    assert not derived.is_explicit
+    report = ability_report(net, [QueryPattern("a", "t", None)], [fragment])
+    assert [(e.answered, e.questions) for e in report.entries] == [(1, 1), (1, 1)]
+    assert net.links[derived.id].is_explicit and net.links[derived.id].weight == 2.0
+    assert "kx1" not in net.links
 
 
 def test_ingest_fragment_rejects_duplicate_rule():

@@ -9,7 +9,9 @@ import pytest
 from ksengine.cli import main
 from ksengine.errors import (
     BadHeader,
+    CyclicHierarchy,
     DanglingReference,
+    DuplicateExplicitLink,
     DuplicateId,
     KsError,
     MalformedRecord,
@@ -439,6 +441,10 @@ def test_numbers_at_their_bounds_import():
         assert export_state(import_state(export_state(state))) == export_state(state)
 
 
+_AB = ("LINKTYPE\tt\t1\t0\t\tS\t\tt\t\t0\nNODE\ta\t0.0\tS\t\ta\t\t0\t0\n"
+       "NODE\tb\t0.0\tS\t\tb\t\t0\t0\n")  # a transitive type t and nodes a, b
+
+
 @pytest.mark.parametrize("records, error, line", [
     ("CAT\tn1\t\tn2\tx\nCAT\tn2\t\tn1\ty\n", MalformedTree, 2),
     ("DIM\td1\taxis\nCAT\tc1\td1\tc2\tx\nCAT\tc2\td1\tc1\ty\n", MalformedTree, 3),
@@ -448,8 +454,19 @@ def test_numbers_at_their_bounds_import():
     ("CAT\tc1\t\t\tr\nCAT\tc3\t\tc2\tx\nCAT\tc2\t\tc3\ty\n", MalformedTree, 4),
     ("NODE\ta\t0.0\tS\t\ta\t\t1\tnowhere\t0\n", DanglingReference, 2),
     ("LINKTYPE\tt\t0\t0\t\tS\t\tt\t\t1\tnowhere\n", DanglingReference, 2),
+    (_AB + "LINK\tk1\ta\tt\tb\t1.0\tE\nLINK\tk2\ta\tt\tb\t1.0\tE\n",
+     DuplicateExplicitLink, 6),
+    (_AB + "LINK\tk1\ta\tt\tb\t1.0\tE\nLINK\tk2\ta\tt\tb\t1.0\tD\t"
+     "sys.transitive.t\t2\tk1\tk1\n", DuplicateId, 6),
+    (_AB + "LINK\tk2\ta\tt\tb\t1.0\tD\tsys.transitive.t\t2\tk1\tk1\n"
+     "LINK\tk1\ta\tt\tb\t1.0\tE\n", DuplicateId, 6),
+    ("LINKTYPE\ta\t0\t0\tb\tS\t\ta\t\t0\nLINKTYPE\tb\t0\t0\ta\tS\t\tb\t\t0\n",
+     CyclicHierarchy, 3),
+    ("CONCEPT\tc1\tc1\t0\t\t0\t1\tc2" + "\t0" * 10 + "\n"
+     "CONCEPT\tc2\tc2\t0\t\t0\t1\tc1" + "\t0" * 10 + "\n", CyclicHierarchy, 3),
 ], ids=["net-rootless", "dim-rootless", "second-root", "absent-parent", "stray-cycle",
-        "node-anchor", "linktype-anchor"])
+        "node-anchor", "linktype-anchor", "explicit-repeat", "derived-repeat",
+        "explicit-after-derived", "linktype-cycle", "concept-cycle"])
 def test_tree_and_anchor_faults_name_their_line(records, error, line):
     with pytest.raises(error) as err:
         import_state(HEADER + "\n" + records)

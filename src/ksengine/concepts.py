@@ -12,8 +12,7 @@ strengthen windowed co-occurrence links.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import (
     CyclicHierarchy,
@@ -23,50 +22,71 @@ from .errors import (
     UnknownCompartment,
     UnknownConcept,
 )
+from .record import Record
 from .sln import Scalar, check_attribute, check_id, check_text, fresh_id
 from .taxonomy import CategoryTree
 
 COOCCUR_LABEL = "co-occur"
 
 
-@dataclass
-class ConceptStructure:
-    attributes: Dict[str, Scalar] = field(default_factory=dict)
-    classes: List[str] = field(default_factory=list)
-    instances: List[str] = field(default_factory=list)
-    relations: Dict[Tuple[str, str], float] = field(default_factory=dict)
+class ConceptStructure(Record):
+    __slots__ = ("attributes", "classes", "instances", "relations")
+
+    def __init__(self, attributes: Optional[Dict[str, Scalar]] = None,
+                 classes: Optional[List[str]] = None, instances: Optional[List[str]] = None,
+                 relations: Optional[Dict[Tuple[str, str], float]] = None) -> None:
+        self.attributes = {} if attributes is None else attributes
+        self.classes = [] if classes is None else classes
+        self.instances = [] if instances is None else instances
+        self.relations = {} if relations is None else relations
 
 
-@dataclass
-class ConceptServices:
-    interfaces: List[str] = field(default_factory=list)
-    processes: List[Tuple[str, ...]] = field(default_factory=list)
+class ConceptServices(Record):
+    __slots__ = ("interfaces", "processes")
+
+    def __init__(self, interfaces: Optional[List[str]] = None,
+                 processes: Optional[List[Tuple[str, ...]]] = None) -> None:
+        self.interfaces = [] if interfaces is None else interfaces
+        self.processes = [] if processes is None else processes
 
 
-@dataclass
-class ConceptExperiences:
-    use_cases: List[str] = field(default_factory=list)
-    objects: List[str] = field(default_factory=list)
-    events: List[str] = field(default_factory=list)
+class ConceptExperiences(Record):
+    __slots__ = ("use_cases", "objects", "events")
+
+    def __init__(self, use_cases: Optional[List[str]] = None,
+                 objects: Optional[List[str]] = None, events: Optional[List[str]] = None) -> None:
+        self.use_cases = [] if use_cases is None else use_cases
+        self.objects = [] if objects is None else objects
+        self.events = [] if events is None else events
 
 
-@dataclass
-class ConceptSense:
-    media: List[str] = field(default_factory=list)
-    language: List[str] = field(default_factory=list)
+class ConceptSense(Record):
+    __slots__ = ("media", "language")
+
+    def __init__(self, media: Optional[List[str]] = None,
+                 language: Optional[List[str]] = None) -> None:
+        self.media = [] if media is None else media
+        self.language = [] if language is None else language
 
 
-@dataclass
-class Concept:
-    id: str
-    name: str
-    priori: bool = False
-    link_type: Optional[str] = None  # set when this word denotes a relation
-    structure: ConceptStructure = field(default_factory=ConceptStructure)
-    services: ConceptServices = field(default_factory=ConceptServices)
-    experiences: ConceptExperiences = field(default_factory=ConceptExperiences)
-    rules: List[str] = field(default_factory=list)
-    sense: ConceptSense = field(default_factory=ConceptSense)
+class Concept(Record):
+    __slots__ = ("id", "name", "priori", "link_type", "structure", "services", "experiences",
+                 "rules", "sense")
+
+    def __init__(self, id: str, name: str, priori: bool = False, link_type: Optional[str] = None,
+                 structure: Optional[ConceptStructure] = None,
+                 services: Optional[ConceptServices] = None,
+                 experiences: Optional[ConceptExperiences] = None,
+                 rules: Optional[List[str]] = None, sense: Optional[ConceptSense] = None) -> None:
+        self.id = id
+        self.name = name
+        self.priori = priori
+        self.link_type = link_type  # set when this word denotes a relation
+        self.structure = ConceptStructure() if structure is None else structure
+        self.services = ConceptServices() if services is None else services
+        self.experiences = ConceptExperiences() if experiences is None else experiences
+        self.rules = [] if rules is None else rules
+        self.sense = ConceptSense() if sense is None else sense
 
 
 class Lexicon:
@@ -103,17 +123,17 @@ class Lexicon:
         return len(self._entries)
 
 
-@dataclass
-class ObservationScope:
+class ObservationScope(Record):
     """The reading window [center - radius, center + radius], clipped."""
 
-    center: int
-    radius: int
-    length: int
+    __slots__ = ("center", "radius", "length")
 
-    def __post_init__(self) -> None:
-        if self.radius < 1:
+    def __init__(self, center: int, radius: int, length: int) -> None:
+        if radius < 1:
             raise ValueError("radius must be >= 1")
+        self.center = center
+        self.radius = radius
+        self.length = length
 
     @property
     def window(self) -> range:
@@ -122,8 +142,7 @@ class ObservationScope:
         return range(lo, hi + 1)
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(NamedTuple):
     position: int
     token: str
     action: str  # resolved | skipped | relation | relation-dropped
@@ -131,19 +150,25 @@ class TraceEvent:
     detail: str = ""
 
 
-@dataclass
-class ReadSummary:
-    tokens: int = 0
-    resolved: int = 0
-    skipped: int = 0
-    relations_created: int = 0
-    cooccurrence_updates: int = 0
+class ReadSummary(Record):
+    __slots__ = ("tokens", "resolved", "skipped", "relations_created", "cooccurrence_updates")
+
+    def __init__(self, tokens: int = 0, resolved: int = 0, skipped: int = 0,
+                 relations_created: int = 0, cooccurrence_updates: int = 0) -> None:
+        self.tokens = tokens
+        self.resolved = resolved
+        self.skipped = skipped
+        self.relations_created = relations_created
+        self.cooccurrence_updates = cooccurrence_updates
 
 
-@dataclass
-class ReadTrace:
-    events: List[TraceEvent] = field(default_factory=list)
-    summary: ReadSummary = field(default_factory=ReadSummary)
+class ReadTrace(Record):
+    __slots__ = ("events", "summary")
+
+    def __init__(self, events: Optional[List[TraceEvent]] = None,
+                 summary: Optional[ReadSummary] = None) -> None:
+        self.events = [] if events is None else events
+        self.summary = ReadSummary() if summary is None else summary
 
 
 class ConceptStore:

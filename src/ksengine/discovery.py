@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .concepts import ConceptStore
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
     UnknownNode,
     NonPositiveInput,
 )
+from .record import Record
 from .rules import (
     Rule,
     derive_fixpoint,
@@ -53,23 +55,20 @@ from .taxonomy import CategoryTree
 
 # ===== verification =====
 
-@dataclass(frozen=True)
-class LinkCandidate:
+class LinkCandidate(NamedTuple):
     source: str
     type: str
     target: str
     weight: float = 1.0
 
 
-@dataclass
-class Candidate:
+class Candidate(NamedTuple):
     kind: str  # link | rule | concept
     payload: object
     source: str = ""  # free-text provenance note
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     reason: Optional[str]
     mode: str  # which mode produced the decision
@@ -173,8 +172,7 @@ def _first_missing_head(network: Network, rule: Rule) -> Optional[str]:
 
 # ===== cause-effect tracing =====
 
-@dataclass(frozen=True)
-class CauseEffectEdge:
+class CauseEffectEdge(NamedTuple):
     source: str
     label: str
     target: str
@@ -182,8 +180,7 @@ class CauseEffectEdge:
     directions: Tuple[str, ...]  # subset of ("backward", "forward")
 
 
-@dataclass
-class CauseEffectTrace:
+class CauseEffectTrace(NamedTuple):
     nodes: List[str]
     edges: List[CauseEffectEdge]
 
@@ -284,7 +281,7 @@ def generalize_problem(problem: Problem, hierarchy: CategoryTree) -> Problem:
     parent = hierarchy.parent(problem.category)
     if parent is None:
         raise AlreadyAtRoot(f"category {problem.category!r} is the root")
-    return replace(problem, id=f"{problem.id}.up", kind="generalized", category=parent)
+    return problem._replace(id=f"{problem.id}.up", kind="generalized", category=parent)
 
 
 def specialize_problem(problem: Problem, hierarchy: CategoryTree) -> List[Problem]:
@@ -293,8 +290,7 @@ def specialize_problem(problem: Problem, hierarchy: CategoryTree) -> List[Proble
     if problem.category not in hierarchy:
         raise UnknownCategory(f"category {problem.category!r} not in hierarchy")
     return [
-        replace(problem, id=f"{problem.id}.down.{child}", kind="specialized",
-                category=child)
+        problem._replace(id=f"{problem.id}.down.{child}", kind="specialized", category=child)
         for child in hierarchy.children(problem.category)
     ]
 
@@ -394,8 +390,7 @@ def find_solution(
     return sorted(set(trace.nodes) - set(goals))
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     problem_id: str
     solutions: Tuple[str, ...]
     unsolved: bool
@@ -412,21 +407,28 @@ def recommend(pairs: Sequence[Tuple[Problem, Iterable[str]]]) -> List[Recommenda
 
 # ===== analogy =====
 
-@dataclass
-class RelationStatus:
+class RelationStatus(NamedTuple):
     triple: Tuple[str, str, str]
     status: str  # present | derivable | conjectured
 
 
-@dataclass
-class AnalogyResult:
-    outcome: str  # exact | generalized | conjecture | none
-    node_map: Optional[Dict[str, str]] = None
-    mapped_solution: List[Tuple[str, str, str]] = field(default_factory=list)
-    generalization: Dict[str, str] = field(default_factory=dict)
-    problem_relations: List[RelationStatus] = field(default_factory=list)
-    solution_relations: List[RelationStatus] = field(default_factory=list)
-    impact: List[Tuple[str, str, str]] = field(default_factory=list)
+class AnalogyResult(Record):
+    __slots__ = ("outcome", "node_map", "mapped_solution", "generalization",
+                 "problem_relations", "solution_relations", "impact")
+
+    def __init__(self, outcome: str, node_map: Optional[Dict[str, str]] = None,
+                 mapped_solution: Optional[List[Tuple[str, str, str]]] = None,
+                 generalization: Optional[Dict[str, str]] = None,
+                 problem_relations: Optional[List[RelationStatus]] = None,
+                 solution_relations: Optional[List[RelationStatus]] = None,
+                 impact: Optional[List[Tuple[str, str, str]]] = None) -> None:
+        self.outcome = outcome  # exact | generalized | conjecture | none
+        self.node_map = node_map
+        self.mapped_solution = [] if mapped_solution is None else mapped_solution
+        self.generalization = {} if generalization is None else generalization
+        self.problem_relations = [] if problem_relations is None else problem_relations
+        self.solution_relations = [] if solution_relations is None else solution_relations
+        self.impact = [] if impact is None else impact
 
 
 def _degree_tables(nodes, triples):
@@ -439,18 +441,18 @@ def _degree_tables(nodes, triples):
 
 
 def _injections(order: List[str], k: int, t_nodes: List[str],
-                fits: Optional[Callable[[Dict[str, str], str, str], bool]],
+                fits: Callable[[Dict[str, str], str, str], bool],
                 assignment: Dict[str, str], used: Set[str]) -> Iterator[Dict[str, str]]:
     """Yield assignment once per injective map of order[k:] (not empty) into
-    the unused t_nodes that fits(assignment, sn, tn) accepts at every step
-    (None accepts all): source nodes in the given order, each tried against
-    the target nodes in theirs. The one dict is yielded each time and
-    changed in place after; a map the caller stops at stays as yielded.
-    Module-level, as a nested recursive function would be a reference cycle."""
+    the unused t_nodes that fits(assignment, sn, tn) accepts at every step:
+    source nodes in the given order, each tried against the target nodes in
+    theirs. The one dict is yielded each time and changed in place after; a
+    map the caller stops at stays as yielded. Module-level, as a nested
+    recursive function would be a reference cycle."""
     sn = order[k]
     last = k + 1 == len(order)
     for tn in t_nodes:
-        if tn in used or (fits is not None and not fits(assignment, sn, tn)):
+        if tn in used or not fits(assignment, sn, tn):
             continue
         assignment[sn] = tn
         if last:
@@ -501,18 +503,27 @@ def _best_partial_map(
     t_triple_set: Set[Tuple[str, str, str]],
 ) -> Dict[str, str]:
     """Injective map maximizing preserved source triples (first best wins);
-    the caller has checked that the target has enough nodes for one."""
+    the caller has checked that the target has enough nodes for one. A
+    partial map is cut when the triples it keeps plus those still undecided
+    cannot beat the best so far, so the walk yields only improving maps."""
     best: Dict[str, str] = {}
     best_count = -1
-    for node_map in _injections(sorted(s_nodes), 0, t_nodes, None, {}, set()):
-        count = 0
+
+    def promising(assignment: Dict[str, str], sn: str, tn: str) -> bool:
+        missed = 0
         for s, tid, t in s_triples:
-            if (node_map[s], tid, node_map[t]) in t_triple_set:
-                count += 1
-        if count > best_count:
-            best, best_count = dict(node_map), count
-            if count == len(s_triples):
-                break  # cannot improve on total preservation
+            ms = tn if s == sn else assignment.get(s)
+            mt = tn if t == sn else assignment.get(t)
+            if ms is not None and mt is not None and (ms, tid, mt) not in t_triple_set:
+                missed += 1
+        return len(s_triples) - missed > best_count
+
+    for node_map in _injections(sorted(s_nodes), 0, t_nodes, promising, {}, set()):
+        best = dict(node_map)
+        best_count = sum((node_map[s], tid, node_map[t]) in t_triple_set
+                         for s, tid, t in s_triples)
+        if best_count == len(s_triples):
+            break  # cannot improve on total preservation
     return best
 
 
@@ -640,14 +651,18 @@ def analogize(
 
 # ===== ability reports =====
 
-@dataclass
-class IncrementFragment:
+class IncrementFragment(Record):
     """Network additions: new types, nodes, rules, and explicit links."""
 
-    link_types: List[LinkType] = field(default_factory=list)
-    nodes: List[SemanticNode] = field(default_factory=list)
-    rules: List[Rule] = field(default_factory=list)
-    links: List[SemanticLink] = field(default_factory=list)
+    __slots__ = ("link_types", "nodes", "rules", "links")
+
+    def __init__(self, link_types: Optional[List[LinkType]] = None,
+                 nodes: Optional[List[SemanticNode]] = None, rules: Optional[List[Rule]] = None,
+                 links: Optional[List[SemanticLink]] = None) -> None:
+        self.link_types = [] if link_types is None else link_types
+        self.nodes = [] if nodes is None else nodes
+        self.rules = [] if rules is None else rules
+        self.links = [] if links is None else links
 
 
 def ingest_fragment(network: Network, fragment: IncrementFragment) -> None:
@@ -671,16 +686,14 @@ def ingest_fragment(network: Network, fragment: IncrementFragment) -> None:
                             link_id=None if stored else link.id)
 
 
-@dataclass(frozen=True)
-class AbilityEntry:
+class AbilityEntry(NamedTuple):
     increment: int  # 0 is the state before any increment
     answered: int
     questions: int
     problems: int
 
 
-@dataclass
-class AbilityReport:
+class AbilityReport(NamedTuple):
     entries: List[AbilityEntry]
 
 

@@ -75,13 +75,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import (
-    Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar,
-    Union,
+    Callable, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    TypeVar, Union,
 )
 
 from .errors import InvalidRule
+from .record import FrozenRecord, _set
 from .sln import (
     Derived,
     Explicit,
@@ -120,13 +120,15 @@ def term_problems(where: str, atoms: Sequence["PatternAtom"]) -> List[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class PatternAtom:
+class PatternAtom(FrozenRecord):
     """One triple pattern; each field is a variable ("?x") or an id."""
 
-    source: str
-    type: str
-    target: str
+    __slots__ = ("source", "type", "target")
+
+    def __init__(self, source: str, type: str, target: str) -> None:
+        _set(self, "source", source)
+        _set(self, "type", type)
+        _set(self, "target", target)
 
     def variables(self) -> Tuple[str, ...]:
         return tuple(t for t in (self.source, self.type, self.target) if is_variable(t))
@@ -139,33 +141,41 @@ class PatternAtom:
         )
 
 
-@dataclass(frozen=True)
 class BaseAtom(PatternAtom):
     """A body atom that reads only base links: links the rule named skip did
     not derive. It makes the synthesized transitive rule linear."""
 
-    skip: str
+    __slots__ = ("skip",)
+
+    def __init__(self, source: str, type: str, target: str, skip: str) -> None:
+        super().__init__(source, type, target)
+        _set(self, "skip", skip)
 
 
-@dataclass
-class Rule:
+class Rule(NamedTuple):
     id: str
     rep: RepBundle
     body: Tuple[PatternAtom, ...]
     head: Tuple[PatternAtom, ...]
 
 
-@dataclass(eq=False, repr=False)  # nodes compare and hash by identity, as premise_walk keys them
 class Explanation:
-    """Why a link holds: an explicit leaf, or a rule step over premises."""
+    """Why a link holds: an explicit leaf, or a rule step over premises.
+    Nodes compare and hash by identity, as premise_walk keys them."""
 
-    link_id: str
-    triple: Tuple[str, str, str]
-    kind: str  # "explicit" | "derived"
-    rule_id: Optional[str] = None
-    substitution: Optional[Dict[str, str]] = None
-    premises: Tuple[str, ...] = ()
-    children: List["Explanation"] = field(default_factory=list)
+    __slots__ = ("link_id", "triple", "kind", "rule_id", "substitution", "premises", "children")
+
+    def __init__(self, link_id: str, triple: Tuple[str, str, str], kind: str,
+                 rule_id: Optional[str] = None, substitution: Optional[Dict[str, str]] = None,
+                 premises: Tuple[str, ...] = (),
+                 children: Optional[List["Explanation"]] = None) -> None:
+        self.link_id = link_id
+        self.triple = triple
+        self.kind = kind  # "explicit" | "derived"
+        self.rule_id = rule_id
+        self.substitution = substitution
+        self.premises = premises
+        self.children = [] if children is None else children
 
     def __repr__(self) -> str:
         # One node: children are named by their link ids, the premises, so a

@@ -13,13 +13,18 @@ stay a pure function of the link set, and identical operation sequences on
 empty networks produce identical canonical exports. Other modules read links
 through Network.rows (or a Network.prober) and Network.readings, never
 through the indexes.
+
+Records follow one convention across the package: a typing.NamedTuple for
+an immutable value, and otherwise a slotted class with a hand-written
+__init__ on the ksengine.record bases. No module uses dataclasses: each
+decorated class generates and execs code at import, and every CLI process
+would pay for it.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import (
     Callable, Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union,
 )
@@ -37,6 +42,7 @@ from .errors import (
     UnknownLinkType,
     UnknownNode,
 )
+from .record import FrozenRecord, Record, _set
 from .taxonomy import CategoryTree
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -62,25 +68,28 @@ def fresh_id(counters: Dict[str, int], prefix: str, taken: Collection[str]) -> s
     return token
 
 
-@dataclass(frozen=True)
-class FileRef:
+class FileRef(FrozenRecord):
     """Machine representation pointing at an external file."""
 
-    path: str
+    __slots__ = ("path",)
+
+    def __init__(self, path: str) -> None:
+        _set(self, "path", path)
 
 
-@dataclass(frozen=True)
-class ClassRef:
+class ClassRef(FrozenRecord):
     """Machine representation naming a class of entities."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
 RepValue = Union[str, int, float, FileRef, ClassRef]
 
 
-@dataclass
-class RepBundle:
+class RepBundle(Record):
     """Three-level representation: machine scalar, words, and anchor ids.
 
     word must be non-empty; rep_k anchors are kept in first-seen order with
@@ -88,22 +97,23 @@ class RepBundle:
     validation-time concern, not a construction-time one.
     """
 
-    word: str
-    rep_c: RepValue = ""
-    rep_h: str = ""
-    rep_k: Tuple[str, ...] = ()
+    __slots__ = ("word", "rep_c", "rep_h", "rep_k")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.word, str) or self.word == "":
+    def __init__(self, word: str, rep_c: RepValue = "", rep_h: str = "",
+                 rep_k: Tuple[str, ...] = ()) -> None:
+        if not isinstance(word, str) or word == "":
             raise InvalidRep("word must be a non-empty string")
-        if not isinstance(self.rep_c, (FileRef, ClassRef)):
-            check_scalar(self.rep_c, "machine value")
+        if not isinstance(rep_c, (FileRef, ClassRef)):
+            check_scalar(rep_c, "machine value")
         seen = []
-        for anchor in self.rep_k:
+        for anchor in rep_k:
             check_id(anchor, "anchor")
             if anchor not in seen:
                 seen.append(anchor)
-        object.__setattr__(self, "rep_k", tuple(seen))
+        self.word = word
+        self.rep_c = rep_c
+        self.rep_h = rep_h
+        self.rep_k = tuple(seen)
 
 
 def check_weight(weight: float) -> float:
@@ -136,27 +146,33 @@ def check_attribute(label: str, value: Scalar) -> Tuple[str, Scalar]:
     return check_text(label, "attribute label"), check_scalar(value, f"attribute {label!r}")
 
 
-@dataclass
-class SemanticNode:
-    id: str
-    rep: RepBundle
-    attributes: Dict[str, Scalar] = field(default_factory=dict)
-    rank: float = 0.0
+class SemanticNode(Record):
+    __slots__ = ("id", "rep", "attributes", "rank")
+
+    def __init__(self, id: str, rep: RepBundle, attributes: Optional[Dict[str, Scalar]] = None,
+                 rank: float = 0.0) -> None:
+        self.id = id
+        self.rep = rep
+        self.attributes = {} if attributes is None else attributes
+        self.rank = rank
 
 
-@dataclass
-class LinkType:
-    id: str
-    rep: RepBundle
-    transitive: bool = False
-    symmetric: bool = False
-    parent: Optional[str] = None
+class LinkType(Record):
+    __slots__ = ("id", "rep", "transitive", "symmetric", "parent")
+
+    def __init__(self, id: str, rep: RepBundle, transitive: bool = False,
+                 symmetric: bool = False, parent: Optional[str] = None) -> None:
+        self.id = id
+        self.rep = rep
+        self.transitive = transitive
+        self.symmetric = symmetric
+        self.parent = parent
 
 
-@dataclass(frozen=True, slots=True)
-class Explicit:
+class Explicit(FrozenRecord):
     """Provenance of an asserted link, which cites no premises."""
 
+    __slots__ = ()
     premises = ()  # a class attribute, not a field
 
 
@@ -171,14 +187,17 @@ class Derived(NamedTuple):
 Provenance = Union[Explicit, Derived]
 
 
-@dataclass(slots=True)
-class SemanticLink:
-    id: str
-    source: str
-    type: str
-    target: str
-    weight: float
-    provenance: Provenance
+class SemanticLink(Record):
+    __slots__ = ("id", "source", "type", "target", "weight", "provenance")
+
+    def __init__(self, id: str, source: str, type: str, target: str, weight: float,
+                 provenance: Provenance) -> None:
+        self.id = id
+        self.source = source
+        self.type = type
+        self.target = target
+        self.weight = weight
+        self.provenance = provenance
 
     @property
     def is_explicit(self) -> bool:
@@ -188,20 +207,21 @@ class SemanticLink:
         return (self.source, self.type, self.target)
 
 
-@dataclass(frozen=True)
-class QueryPattern:
+class QueryPattern(FrozenRecord):
     """A link query with exactly one hole (None) among the three fields."""
 
-    source: Optional[str]
-    type: Optional[str]
-    target: Optional[str]
+    __slots__ = ("source", "type", "target")
 
-    def __post_init__(self) -> None:
-        holes = [self.source, self.type, self.target].count(None)
+    def __init__(self, source: Optional[str], type: Optional[str],
+                 target: Optional[str]) -> None:
+        holes = [source, type, target].count(None)
         if holes != 1:
             raise MalformedPattern(
                 f"pattern must have exactly one hole, found {holes}"
             )
+        _set(self, "source", source)
+        _set(self, "type", type)
+        _set(self, "target", target)
 
 
 _PATTERN_RE = re.compile(r"^\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$")

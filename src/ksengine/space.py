@@ -9,8 +9,7 @@ the capacity comparison can_hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
     AlreadyPlaced,
@@ -25,6 +24,7 @@ from .errors import (
     UnknownDimension,
     UnknownResource,
 )
+from .record import Record
 from .sln import check_id, check_text, fresh_id
 from .taxonomy import CategoryTree
 
@@ -41,11 +41,13 @@ def can_hold(x: float, n: int) -> bool:
     return n >= x
 
 
-@dataclass
-class Dimension:
-    id: str
-    name: str
-    tree: CategoryTree = field(default_factory=CategoryTree)
+class Dimension(Record):
+    __slots__ = ("id", "name", "tree")
+
+    def __init__(self, id: str, name: str, tree: Optional[CategoryTree] = None) -> None:
+        self.id = id
+        self.name = name
+        self.tree = CategoryTree() if tree is None else tree
 
     @property
     def root(self) -> str:
@@ -326,8 +328,7 @@ class Space:
             point.pop(dim_id, None)
 
 
-@dataclass
-class NormalFormReport:
+class NormalFormReport(NamedTuple):
     """Violations found by check_normal_forms.
 
     duplicate_names rows are (dimension, parent category, duplicated name);

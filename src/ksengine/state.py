@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import copy
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .concepts import ConceptStore, Lexicon
+from .record import Record
 from .rules import PatternAtom, term_problems
 from .sln import Network
 from .space import Space
@@ -23,8 +23,7 @@ from .space import Space
 PROBLEM_KINDS = ("anomaly", "relationship", "generalized", "specialized", "limitation")
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     id: str
     kind: str
     statement: str
@@ -33,16 +32,19 @@ class Problem:
     concepts: Tuple[str, ...] = ()  # the entities the problem is about
 
 
-@dataclass
-class AnomalyRule:
+class AnomalyRule(Record):
     """Human-assigned pattern + threshold that turns observations into a Problem."""
 
-    id: str
-    atoms: Tuple[PatternAtom, ...]
-    metric: str  # count | freq
-    op: str  # ge | gt | le | lt | eq
-    threshold: float
-    template: str
+    __slots__ = ("id", "atoms", "metric", "op", "threshold", "template")
+
+    def __init__(self, id: str, atoms: Tuple[PatternAtom, ...], metric: str, op: str,
+                 threshold: float, template: str) -> None:
+        self.id = id
+        self.atoms = atoms
+        self.metric = metric  # count | freq
+        self.op = op  # ge | gt | le | lt | eq
+        self.threshold = threshold
+        self.template = template
 
     def fires(self, value: float) -> bool:
         """Whether a measured value passes the rule's comparison."""
@@ -73,14 +75,19 @@ def validate_anomaly_rule(rule: AnomalyRule) -> List[str]:
     return problems
 
 
-@dataclass
-class EngineState:
-    network: Network = field(default_factory=Network)
-    space: Space = field(default_factory=Space)
-    concepts: ConceptStore = field(default_factory=ConceptStore)
-    lexicon: Lexicon = field(default_factory=Lexicon)
-    problems: Dict[str, Problem] = field(default_factory=dict)
-    anomaly_rules: Dict[str, AnomalyRule] = field(default_factory=dict)
+class EngineState(Record):
+    __slots__ = ("network", "space", "concepts", "lexicon", "problems", "anomaly_rules")
+
+    def __init__(self, network: Optional[Network] = None, space: Optional[Space] = None,
+                 concepts: Optional[ConceptStore] = None, lexicon: Optional[Lexicon] = None,
+                 problems: Optional[Dict[str, Problem]] = None,
+                 anomaly_rules: Optional[Dict[str, AnomalyRule]] = None) -> None:
+        self.network = Network() if network is None else network
+        self.space = Space() if space is None else space
+        self.concepts = ConceptStore() if concepts is None else concepts
+        self.lexicon = Lexicon() if lexicon is None else lexicon
+        self.problems = {} if problems is None else problems
+        self.anomaly_rules = {} if anomaly_rules is None else anomaly_rules
 
     def copy(self) -> "EngineState":
         return copy.deepcopy(self)

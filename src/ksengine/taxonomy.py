@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DanglingReference,
@@ -19,8 +18,7 @@ def _at(cat_id: str, exc: KsError) -> KsError:
     return exc
 
 
-@dataclass
-class CategoryNode:
+class CategoryNode(NamedTuple):
     id: str
     name: str
     parent: Optional[str]  # None marks the root

@@ -254,6 +254,23 @@ def iso_search(source_nodes: Sequence[str],
     return None
 
 
+def best_partial_map(source_nodes: Sequence[str],
+                     source_triples: Sequence[Triple],
+                     target_nodes: Sequence[str],
+                     target_triples: Iterable[Triple]) -> Dict[str, str]:
+    """The first injection, in permutation order, preserving the most source
+    triples; every injection is counted."""
+    have = set(target_triples)
+    best: Dict[str, str] = {}
+    best_count = -1
+    for image in itertools.permutations(target_nodes, len(source_nodes)):
+        mapping = dict(zip(sorted(source_nodes), image))
+        count = sum((mapping[s], tid, mapping[t]) in have for s, tid, t in source_triples)
+        if count > best_count:
+            best, best_count = mapping, count
+    return best
+
+
 def replay_map(mapping: Mapping[str, str],
                source_triples: Iterable[Triple],
                target_triples: Iterable[Triple]) -> bool:

@@ -140,6 +140,34 @@ def test_commands_outside_discovery_never_load_it(tmp_path):
     assert report["bare"] == []
 
 
+# Run by a fresh interpreter: whether importing the CLI, then discovery,
+# loads dataclasses or inspect.
+NO_CODEGEN_CHILD = """
+import json, sys
+import ksengine.cli
+after_cli = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+import ksengine.discovery
+after_discovery = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([after_cli, after_discovery]))
+"""
+
+
+def test_cli_and_discovery_load_no_dataclasses():
+    """Each decorated dataclass generates and execs code at import, which
+    every CLI process would pay; records are NamedTuples or plain classes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksengine.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_CODEGEN_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], []]
+    for name in sorted(os.listdir(os.path.join(src, "ksengine"))):
+        if name.endswith(".py"):
+            with open(os.path.join(src, "ksengine", name), encoding="utf-8") as handle:
+                text = handle.read()
+            assert "@dataclass" not in text and "from dataclasses" not in text, name
+
+
 def test_verify_loads_discovery(tmp_path):
     (tmp_path / "state.ksif").write_text(export_state(_small_state()), encoding="utf-8")
     (tmp_path / "cands.ksif").write_text(

@@ -23,7 +23,6 @@ from ksengine.discovery import (
     AbilityEntry, AbilityReport, AnalogyResult, Candidate, CauseEffectEdge, CauseEffectTrace,
     IncrementFragment, LinkCandidate, Recommendation, RelationStatus, Verdict,
 )
-from ksengine.errors import InvalidRep, MalformedPattern
 from ksengine.record import Record
 from ksengine.rules import BaseAtom, Explanation, PatternAtom, Rule
 from ksengine.sln import (
@@ -151,12 +150,3 @@ def test_explanations_compare_by_identity():
     assert len({a, b}) == 2
     assert a.children == [] and a.children is not b.children
 
-
-def test_validating_records_refuse_bad_fields():
-    with pytest.raises(InvalidRep, match="non-empty"):
-        RepBundle("")
-    with pytest.raises(MalformedPattern, match="exactly one hole"):
-        QueryPattern("a", "t", "b")
-    with pytest.raises(ValueError):
-        ObservationScope(3, 0, 10)
-    assert RepBundle("w", rep_k=("k1", "k2", "k1")).rep_k == ("k1", "k2")

@@ -113,7 +113,7 @@ def test_records_compare_by_class_and_fields(make, other):
         try:
             assert hash(a) == hash(b)
         except TypeError:  # a NamedTuple holding a list
-            assert isinstance(a, tuple) and not type(a) in FROZEN
+            assert isinstance(a, tuple) and type(a) not in FROZEN
         assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
         field = a._fields[0]
         with pytest.raises(AttributeError):

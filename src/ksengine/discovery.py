@@ -504,26 +504,31 @@ def _best_partial_map(
 ) -> Dict[str, str]:
     """Injective map maximizing preserved source triples (first best wins);
     the caller has checked that the target has enough nodes for one. A
-    partial map is cut when the triples it keeps plus those still undecided
-    cannot beat the best so far, so the walk yields only improving maps."""
+    triple is missed once no target triple matches it with its unmapped
+    ends left open, so one whose type the target lacks is missed from the
+    start. A partial map is cut when the triples it has not missed cannot
+    beat the best so far, so the walk yields only improving maps, and it
+    stops at a map keeping every triple not missed from the start."""
+    # Each target triple with neither, either or both ends left open (None).
+    open_ends = {(s_, tid, t_) for s, tid, t in t_triple_set
+                 for s_ in (s, None) for t_ in (t, None)}
+    keepable = sum((None, tid, None) in open_ends for _s, tid, _t in s_triples)
     best: Dict[str, str] = {}
     best_count = -1
 
     def promising(assignment: Dict[str, str], sn: str, tn: str) -> bool:
         missed = 0
         for s, tid, t in s_triples:
-            ms = tn if s == sn else assignment.get(s)
-            mt = tn if t == sn else assignment.get(t)
-            if ms is not None and mt is not None and (ms, tid, mt) not in t_triple_set:
-                missed += 1
+            missed += (tn if s == sn else assignment.get(s), tid,
+                       tn if t == sn else assignment.get(t)) not in open_ends
         return len(s_triples) - missed > best_count
 
     for node_map in _injections(sorted(s_nodes), 0, t_nodes, promising, {}, set()):
         best = dict(node_map)
         best_count = sum((node_map[s], tid, node_map[t]) in t_triple_set
                          for s, tid, t in s_triples)
-        if best_count == len(s_triples):
-            break  # cannot improve on total preservation
+        if best_count == keepable:
+            break  # cannot improve on keeping every keepable triple
     return best
 
 

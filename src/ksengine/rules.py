@@ -42,13 +42,13 @@ identical inputs give identical ids and provenance.
 
 A transitive type t is evaluated as linear recursion, not as the chain rule
 ?x t ?y, ?y t ?z -> ?x t ?z. The synthesized rule's first atom is a BaseAtom:
-it reads only base t links, those the rule did not derive itself (explicit
-links and links of user rules), while the second reads every stored t link.
-Each closure link then has exactly one firing, so an n-chain costs O(n^2)
-join results rather than O(n^3), and a closure link's proof is one base step
-plus one closure step, about n levels deep on an n-chain, which premise_walk
-takes without recursion. Any stored premise pair that satisfies the chain
-rule still replays, so KSIF is unchanged.
+it reads only base t links (sln.is_base: those the rule did not derive), from
+the delta or from the network's base view of t, while the second reads every
+stored t link. Each closure link then has exactly one firing, so an n-chain
+costs O(n^2) join results rather than O(n^3), and a closure link's proof is
+one base step plus one closure step, about n levels deep on an n-chain,
+which premise_walk takes without recursion. Any stored premise pair that
+satisfies the chain rule still replays, so KSIF is unchanged.
 
 A derived link keeps one provenance: the rule id and premise link ids (in
 body order) of the firing that first produced it, which is what KSIF saves,
@@ -90,6 +90,8 @@ from .sln import (
     RepBundle,
     Row,
     SemanticLink,
+    TRANSITIVE_PREFIX,
+    is_base,
     no_rows,
 )
 
@@ -142,14 +144,10 @@ class PatternAtom(FrozenRecord):
 
 
 class BaseAtom(PatternAtom):
-    """A body atom that reads only base links: links the rule named skip did
-    not derive. It makes the synthesized transitive rule linear."""
+    """A body atom that reads only base links of its constant type
+    (sln.is_base); it makes the synthesized transitive rule linear."""
 
-    __slots__ = ("skip",)
-
-    def __init__(self, source: str, type: str, target: str, skip: str) -> None:
-        super().__init__(source, type, target)
-        _set(self, "skip", skip)
+    __slots__ = ()
 
 
 class Rule(NamedTuple):
@@ -247,10 +245,10 @@ def rows_from_links(links: Iterable[SemanticLink], symmetric: Collection[str] = 
 
 
 def _rows_prober(rows: FactRows) -> Callable[..., Probe]:
-    """Network.prober over plain rows, ignoring the stamp limit and skip
-    rule; a probe groups its type's rows by source or by target on first
+    """Network.prober over plain rows, ignoring the stamp limit and the base
+    flag; a probe groups its type's rows by source or by target on first
     use, keeping their order."""
-    def prober(tid: str, _before: Optional[int] = None, _skip: Optional[str] = None) -> Probe:
+    def prober(tid: str, _before: Optional[int] = None, _base: bool = False) -> Probe:
         bucket, groups = rows.get(tid, []), ({}, {})
 
         def probe(s: Optional[str], t: Optional[str]) -> Sequence[Row]:
@@ -282,11 +280,11 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
 
     facts is a Network, read through Network.prober (an index lookup
     wherever an atom's source or target is bound), or plain per-type rows;
-    on a Network a BaseAtom reads only the links its skip rule did not
-    derive, from the delta rows and from the network alike. When delta_rows
-    and delta_pos are given, the atom at delta_pos is matched first and only
-    against delta_rows (the semi-naive restriction); the other atoms follow
-    in body order. With split = (delta_from, new_from), a Network's atoms
+    on a Network a BaseAtom reads only base links (sln.is_base), from the
+    delta rows and from the network alike. When delta_rows and delta_pos
+    are given, the atom at delta_pos is matched first and only against
+    delta_rows (the semi-naive restriction); the other atoms follow in body
+    order. With split = (delta_from, new_from), a Network's atoms
     before delta_pos see only links stamped below delta_from (old facts) and
     atoms after it only links stamped below new_from (old and delta facts),
     so no firing of a round is found at two delta positions.
@@ -303,8 +301,8 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
     if delta_rows is not None:
         first = atoms[delta_pos]
         if network and isinstance(first, BaseAtom):
-            delta_rows = {tid: [row for row in bucket if not facts.derived_by(row[2], first.skip)]
-                          for tid, bucket in delta_rows.items()}
+            delta_rows = {first.type: [row for row in delta_rows.get(first.type, ())
+                                       if is_base(facts.links[row[2]])]}
         if not (any(delta_rows.values()) if first.type[:1] == "?" else
                 delta_rows.get(first.type)):
             return []  # no delta row for the atom read first
@@ -330,7 +328,7 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
                     live.add(bound_at[i])
         src_mode = _BIND if fresh[1] else _READ
         tgt_mode = _BIND if fresh[2] else _SAME if tgt == src and fresh[1] else _READ
-        skip = atom.skip if network and isinstance(atom, BaseAtom) else None
+        base = network and isinstance(atom, BaseAtom)
         step_prober, step_types, limit = prober, None, None
         if k == 0 and delta_rows is not None:
             step_prober, step_types = _rows_prober(delta_rows), delta_rows
@@ -340,9 +338,9 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
             if step_types is None:
                 step_types = facts.link_types if network else facts
             step_types = sorted(step_types)
-            probes = {tid: step_prober(tid, limit, skip) for tid in step_types}
+            probes = {tid: step_prober(tid, limit, base) for tid in step_types}
         else:
-            probes = {ty: step_prober(ty, limit, skip)}
+            probes = {ty: step_prober(ty, limit, base)}
         steps.append([pos, slot[ty], step_types if fresh[0] else None,
                       slot[src], src_mode, slot[tgt], tgt_mode, probes, False])
     if heads is None:
@@ -400,9 +398,6 @@ def _walk(steps: list, k: int, slots: List[str], premises: List[str],
 
 # ===== synthesized flag rules =====
 
-TRANSITIVE_PREFIX = "sys.transitive."
-
-
 @functools.lru_cache(maxsize=None)  # shared by every caller: never mutate the result
 def _transitive_rule(type_id: str) -> Rule:
     """?x t ?y, ?y t ?z -> ?x t ?z as linear recursion: the first atom reads
@@ -412,7 +407,7 @@ def _transitive_rule(type_id: str) -> Rule:
     return Rule(
         id=rule_id,
         rep=RepBundle(word=f"transitive closure of {type_id}"),
-        body=(BaseAtom("?x", type_id, "?y", rule_id), PatternAtom("?y", type_id, "?z")),
+        body=(BaseAtom("?x", type_id, "?y"), PatternAtom("?y", type_id, "?z")),
         head=(PatternAtom("?x", type_id, "?z"),),
     )
 

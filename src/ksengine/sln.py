@@ -12,7 +12,9 @@ Network._store, so the link indexes (by type and source, by type and target)
 stay a pure function of the link set, and identical operation sequences on
 empty networks produce identical canonical exports. Other modules read links
 through Network.rows (or a Network.prober) and Network.readings, never
-through the indexes.
+through the indexes. rows(..., base=True) reads only a type's base links
+(is_base: those its transitive closure rule did not derive) from a view of
+the indexes, built on first use and kept in step with them.
 
 Records follow one convention across the package: a typing.NamedTuple for
 an immutable value, and otherwise a slotted class with a hand-written
@@ -243,6 +245,16 @@ def parse_pattern(text: str) -> QueryPattern:
     return QueryPattern(parts[0], parts[1], parts[2])
 
 
+TRANSITIVE_PREFIX = "sys.transitive."  # + a type id: that type's closure rule
+
+
+def is_base(link: SemanticLink) -> bool:
+    """Whether a link is a base link of its type: one that the type's
+    transitive closure rule did not derive (an explicit link or one of a
+    user rule)."""
+    return link.is_explicit or link.provenance.rule_id != TRANSITIVE_PREFIX + link.type
+
+
 _NO_ENDS: Dict = {}  # stands in for a missing index bucket; never written
 Row = Tuple[str, str, str]  # (source, target, link id)
 
@@ -269,13 +281,12 @@ class Network:
         # delta is every link stamped at or after the round's first new link.
         self._stamp: Dict[str, int] = {}
         self._next_stamp = 0
-        # type -> rule id -> (by source, by target): that type's indexes less
-        # the links the rule derived, read by rows(..., skip=rule id). Built on
-        # first use, then kept in step with the main indexes by each insertion
-        # and removal; an upgrade drops them. They hold every outer key of the
-        # main indexes, emptied or not, so they stay the main indexes
-        # filtered, in the same order.
-        self._skip_index: Dict[str, Dict[str, Tuple[dict, dict]]] = {}
+        # type -> (by source, by target) of the type's base links alone,
+        # read by rows(..., base=True). Built from the main indexes on first
+        # use, then kept in step by each insertion and removal of a base
+        # link; an upgrade drops its type's view. An end's links keep the
+        # main index order; an end with no base link has no entry.
+        self._base: Dict[str, Tuple[dict, dict]] = {}
         # (rule/type signature, link count) at the last fixpoint, written by
         # rules.derive_fixpoint and rules.retract_with_maintenance; any link
         # removal voids it.
@@ -355,24 +366,19 @@ class Network:
     # ===== link store =====
 
     def _index_remove(self, link: SemanticLink) -> None:
-        skipping = self._skip_index.get(link.type, _NO_ENDS).values()
-        for side, index, near, far in (
-            (0, self._by_source, link.source, link.target),
-            (1, self._by_target, link.target, link.source),
-        ):
-            per_type = index[link.type]
-            ends = per_type[near]
-            del ends[far]
-            emptied = not ends
-            if emptied:
-                del per_type[near]
-                if not per_type:
-                    del index[link.type]
-            for pair in skipping:
-                kept = pair[side]
-                kept[near].pop(far, None)
-                if emptied:
-                    del kept[near]
+        tid = link.type
+        indexes = [(self._by_source[tid], self._by_target[tid])]
+        if tid in self._base and is_base(link):
+            indexes.append(self._base[tid])
+        for forward, backward in indexes:
+            for index, near, far in ((forward, link.source, link.target),
+                                     (backward, link.target, link.source)):
+                ends = index[near]
+                del ends[far]
+                if not ends:
+                    del index[near]
+        if not self._by_source[tid]:  # both indexes hold a type or neither does
+            del self._by_source[tid], self._by_target[tid]
         del self._stamp[link.id]
 
     def _find_stored(self, source: str, type_id: str, target: str) -> Optional[SemanticLink]:
@@ -390,14 +396,7 @@ class Network:
         If the triple already exists as a derived link, that link is upgraded
         to explicit in place (same id) so provenance references stay valid.
         """
-        if source not in self.nodes:
-            raise UnknownNode(f"node {source!r} not found")
-        if target not in self.nodes:
-            raise UnknownNode(f"node {target!r} not found")
-        if type_id not in self.link_types:
-            raise UnknownLinkType(f"link type {type_id!r} not found")
-        weight = check_weight(weight)
-        existing = self._find_stored(source, type_id, target)
+        weight, existing = self._check_link(source, type_id, target, weight)
         if existing is not None:
             if existing.is_explicit:
                 raise DuplicateExplicitLink(
@@ -409,7 +408,7 @@ class Network:
                     f"triple already stored as {existing.id!r}, cannot use {link_id!r}"
                 )
             existing.provenance = Explicit()
-            self._skip_index.clear()
+            self._base.pop(type_id, None)  # the link may just have become base
             existing.weight = weight
             return existing.id
         self._check_free(link_id)
@@ -419,15 +418,23 @@ class Network:
                     provenance: Derived, link_id: Optional[str] = None) -> str:
         """Check and record a rule-derived link (import uses it); the rule
         engine's firings have made these checks, so it calls _store."""
-        if source not in self.nodes or target not in self.nodes:
-            raise UnknownNode(f"derived link endpoint missing: {source!r}/{target!r}")
-        if type_id not in self.link_types:
-            raise UnknownLinkType(f"link type {type_id!r} not found")
-        weight = check_weight(weight)
-        if self._find_stored(source, type_id, target) is not None:
+        weight, existing = self._check_link(source, type_id, target, weight)
+        if existing is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
         self._check_free(link_id)
         return self._store(source, type_id, target, weight, provenance, link_id).id
+
+    def _check_link(self, source: str, type_id: str, target: str, weight: float
+                    ) -> Tuple[float, Optional[SemanticLink]]:
+        """An inserted link's checks: both ends and the type exist and the
+        weight is valid. Returns the weight as a float and the stored link
+        answering the triple, if any."""
+        for end in (source, target):
+            if end not in self.nodes:
+                raise UnknownNode(f"node {end!r} not found")
+        if type_id not in self.link_types:
+            raise UnknownLinkType(f"link type {type_id!r} not found")
+        return check_weight(weight), self._find_stored(source, type_id, target)
 
     def _check_free(self, link_id: Optional[str]) -> None:
         if link_id is not None:
@@ -450,23 +457,15 @@ class Network:
         if type_id not in self._by_source:  # both indexes hold a type or neither does
             self._by_source[type_id], self._by_target[type_id] = {}, {}
         forward, backward = self._by_source[type_id], self._by_target[type_id]
-        new_source, new_target = source not in forward, target not in backward
-        if new_source:
+        if source not in forward:
             forward[source] = {}
-        if new_target:
+        if target not in backward:
             backward[target] = {}
         forward[source][target] = backward[target][source] = link_id
-        skipping = self._skip_index.get(type_id)
-        if skipping:
-            rule_id = getattr(provenance, "rule_id", None)
-            for skip, (fwd, bwd) in skipping.items():
-                # The same outer keys as the main indexes, emptied or not.
-                if new_source:
-                    fwd[source] = {}
-                if new_target:
-                    bwd[target] = {}
-                if skip != rule_id:
-                    fwd[source][target] = bwd[target][source] = link_id
+        view = self._base.get(type_id)
+        if view is not None and is_base(link):
+            view[0].setdefault(source, {})[target] = link_id
+            view[1].setdefault(target, {})[source] = link_id
         self._stamp[link_id] = self._next_stamp
         self._next_stamp += 1
         return link
@@ -515,44 +514,41 @@ class Network:
             return [(link.source, link.target), (link.target, link.source)]
         return [(link.source, link.target)]
 
-    def derived_by(self, link_id: str, rule_id: str) -> bool:
-        """Whether the stored link's provenance names the rule rule_id."""
-        return getattr(self.links[link_id].provenance, "rule_id", None) == rule_id
-
-    def _indexes_skipping(self, type_id: str, rule_id: str) -> Tuple[dict, dict]:
-        """The type's (by source, by target) indexes less the links rule_id
-        derived."""
-        per_rule = self._skip_index.setdefault(type_id, {})
-        pair = per_rule.get(rule_id)
-        if pair is None:
-            pair = per_rule[rule_id] = ({}, {})
-            for index, kept in zip((self._by_source, self._by_target), pair):
+    def _base_view(self, type_id: str) -> Tuple[dict, dict]:
+        """The type's (by source, by target) indexes of base links alone."""
+        view = self._base.get(type_id)
+        if view is None:
+            view = self._base[type_id] = ({}, {})
+            for index, kept in zip((self._by_source, self._by_target), view):
                 for near, ends in index.get(type_id, _NO_ENDS).items():
-                    kept[near] = {far: lid for far, lid in ends.items()
-                                  if not self.derived_by(lid, rule_id)}
-        return pair
+                    base = {far: lid for far, lid in ends.items() if is_base(self.links[lid])}
+                    if base:
+                        kept[near] = base
+        return view
 
     def rows(self, type_id: str, source: Optional[str] = None, target: Optional[str] = None,
-             before: Optional[int] = None, skip: Optional[str] = None) -> List[Row]:
+             before: Optional[int] = None, base: bool = False) -> List[Row]:
         """(source, target, link id) rows of one type, each stored link read
         as self.readings says, restricted to a bound source and/or target, to
-        links stamped below before (all links when None) and, when skip names
-        a rule, to links that rule did not derive.
+        links stamped below before (all links when None) and, when base is
+        true, to base links (is_base).
 
         A bound source or target is looked up in the (type, source) or (type,
-        target) index, never scanned; rows come in index order.
+        target) index, never scanned; rows come in index order, which for a
+        base read with an end bound is the order of the unfiltered rows. A
+        base read with both ends free gives the same rows in no set order.
         """
-        return self.prober(type_id, before, skip)(source, target)
+        return self.prober(type_id, before, base)(source, target)
 
-    def prober(self, type_id: str, before: Optional[int] = None, skip: Optional[str] = None
+    def prober(self, type_id: str, before: Optional[int] = None, base: bool = False
                ) -> Callable[[Optional[str], Optional[str]], List[Row]]:
-        """rows(type_id, source, target, before, skip) as a function of source
+        """rows(type_id, source, target, before, base) as a function of source
         and target, with the type's indexes looked up once, for a join that
         probes one type many times; valid until the network next changes."""
-        if skip is None:
-            forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
+        if base:
+            forward, backward = self._base_view(type_id)
         else:
-            forward, backward = self._indexes_skipping(type_id, skip)
+            forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
         if not forward:
             return no_rows
         limit = self._next_stamp if before is None else before

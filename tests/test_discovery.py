@@ -49,7 +49,9 @@ from ksengine.errors import (
 )
 from ksengine.ksif import export_state, import_state
 from ksengine.rules import PatternAtom, Rule, derive_fixpoint
-from ksengine.sln import Explicit, Network, QueryPattern, RepBundle, SemanticLink
+from ksengine.sln import (
+    Explicit, LinkType, Network, QueryPattern, RepBundle, SemanticLink, SemanticNode,
+)
 from ksengine.state import new_state, validate_anomaly_rule
 from ksengine.taxonomy import CategoryTree
 
@@ -679,6 +681,24 @@ def test_conjecture_search_cuts_a_cycle_into_a_chain():
     assert [rs.status for rs in result.problem_relations].count("conjectured") == 1
 
 
+def test_conjecture_search_stops_when_no_triple_can_be_kept():
+    """The source's one triple has a type the 10-node target lacks, on the
+    two nodes last in sorted order, so every map keeps nothing and the
+    first map is the best. The walk that waited for both ends to be mapped
+    before counting the triple as missed visited nearly all 3.6 million
+    injections of the 9 nodes (seconds); the bounded one stops at once."""
+    source = net_from_triples([("s7", "x", "s8")])
+    for i in range(7):
+        source.add_node(RepBundle(word=f"s{i}"), node_id=f"s{i}")
+    target = net_from_triples([(f"t{i}", "r", f"t{i + 1}") for i in range(9)])
+    started = time.perf_counter()
+    result = analogize(source, [], target)
+    assert time.perf_counter() - started < 1.0
+    assert result.outcome == "conjecture"
+    assert result.node_map == {f"s{i}": f"t{i}" for i in range(9)}
+    assert [rs.status for rs in result.problem_relations] == ["conjectured"]
+
+
 def cocite_analogy():
     """A source whose best map into the target conjectures two citations
     that only re-derive what the target's co-citation rule already gives."""
@@ -901,6 +921,37 @@ def test_ability_report_upgrades_a_derived_triple_an_increment_asserts():
     assert [(e.answered, e.questions) for e in report.entries] == [(1, 1), (1, 1)]
     assert net.links[derived.id].is_explicit and net.links[derived.id].weight == 2.0
     assert "kx1" not in net.links
+
+
+def test_ability_report_ingests_types_nodes_and_rules():
+    """An increment's link types (one under a parent), nodes and rules enter
+    the network before its links, so its links may use them and its rules
+    derive over them; the new type's parent answers nothing by itself."""
+    net = net_from_triples([("a", "t", "b")])
+    fragment = IncrementFragment(
+        link_types=[LinkType("sub", RepBundle(word="sub"), parent="t"),
+                    LinkType("lift", RepBundle(word="lift"))],
+        nodes=[SemanticNode("c", RepBundle(word="c"), {"size": 3})],
+        rules=[Rule("up", RepBundle(word="up"), (PatternAtom("?x", "sub", "?y"),),
+                    (PatternAtom("?x", "lift", "?y"),))],
+        links=[SemanticLink("kx1", "b", "sub", "c", 1.0, Explicit())],
+    )
+    questions = [QueryPattern("b", "lift", None), QueryPattern("b", "sub", None)]
+    report = ability_report(net, questions, [fragment])
+    assert [(e.answered, e.questions) for e in report.entries] == [(0, 2), (2, 2)]
+    assert net.link_types["sub"].parent == "t" and net.link_types["lift"].parent is None
+    assert net.nodes["c"].attributes == {"size": 3}
+    assert net.has_fact("b", "lift", "c") and net.links["kx1"].is_explicit
+    assert net.answer_query(QueryPattern("b", "t", None)) == []
+
+
+def test_ability_report_rejects_a_rule_id_an_increment_repeats():
+    rule = Rule("up", RepBundle(word="up"), (PatternAtom("?x", "t", "?y"),),
+                (PatternAtom("?y", "t", "?x"),))
+    net = net_from_triples([("a", "t", "b")])
+    with pytest.raises(InvalidRule, match="'up' already present"):
+        ability_report(net, [], [IncrementFragment(rules=[rule]),
+                                 IncrementFragment(rules=[rule])])
 
 
 def test_ingest_fragment_rejects_duplicate_rule():

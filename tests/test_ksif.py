@@ -485,6 +485,21 @@ def test_malformed_records():
         import_state(base + "DIM\td1\tname\textra\n")
 
 
+@pytest.mark.parametrize("parse, records, reason", [
+    (import_state, "NODE\ta\t0.0\tS\t\ta\t\t0\t2\tx\tI\t1\tx\tI\t2\n",
+     "attribute 'x' repeated"),
+    (import_state, "DIM\td1\taxis\nCAT\tc1\td1\t\troot\nPLACE\tr1\t2\td1\tc1\td1\tc1\n",
+     "dimension 'd1' repeated"),
+    (parse_candidates, "LINK\tk1\ta\tt\tb\t1.0\tE\nLINK\tk2\ta\tt\tb\t1.0\tD\tr\t1\tk1\n",
+     "candidate links must be explicit"),
+], ids=["node-attribute-repeat", "place-dimension-repeat", "derived-candidate"])
+def test_record_faults_name_their_line(parse, records, reason):
+    with pytest.raises(MalformedRecord) as err:
+        parse(HEADER + "\n" + records)
+    assert err.value.reason == reason
+    assert str(err.value).startswith(f"line {records.count(chr(10)) + 1}: ")
+
+
 def test_category_owner_must_exist():
     doc = HEADER + "\nCAT\tc1\td9\t\tname\n"
     with pytest.raises(DanglingReference):

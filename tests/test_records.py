@@ -49,7 +49,7 @@ RECORDS = [
      lambda: SemanticLink("k1", "a", "t", "b", 2.0, Explicit())),
     (lambda: QueryPattern("a", None, "b"), lambda: QueryPattern(None, "t", "b")),
     (lambda: PatternAtom("?x", "t", "?y"), lambda: PatternAtom("?x", "t", "?z")),
-    (lambda: BaseAtom("?x", "t", "?y", "r"), lambda: BaseAtom("?x", "t", "?y", "s")),
+    (lambda: BaseAtom("?x", "t", "?y"), lambda: BaseAtom("?x", "t", "?z")),
     (lambda: Rule("r", REP, (ATOM,), (ATOM,)), lambda: Rule("r", REP, (ATOM,), ())),
     (lambda: Problem("p1", "anomaly", "s"), lambda: Problem("p1", "anomaly", "s", ("e",))),
     (lambda: AnomalyRule("a1", (ATOM,), "count", "ge", 1.0, "t"),
@@ -136,10 +136,18 @@ def test_explicit_provenance_is_one_frozen_value():
 
 def test_records_of_different_classes_never_compare_equal():
     assert FileRef("x") != ClassRef("x") and ClassRef("x") != FileRef("x")
-    atom, base = PatternAtom("?x", "t", "?y"), BaseAtom("?x", "t", "?y", "r")
+    atom, base = PatternAtom("?x", "t", "?y"), BaseAtom("?x", "t", "?y")
     assert atom != base and base != atom
     assert isinstance(base, PatternAtom)
     assert len({atom, base}) == 2
+
+
+def test_record_repr_names_the_class_and_each_field():
+    assert repr(FileRef("a.txt")) == "FileRef(path='a.txt')"
+    assert repr(BaseAtom("?x", "t", "?y")) == "BaseAtom(source='?x', type='t', target='?y')"
+    assert repr(SemanticLink("k1", "a", "t", "b", 1.0, Explicit())) == (
+        "SemanticLink(id='k1', source='a', type='t', target='b', weight=1.0, "
+        "provenance=Explicit())")
 
 
 def test_explanations_compare_by_identity():

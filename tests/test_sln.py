@@ -24,6 +24,7 @@ from ksengine.sln import (
     Network,
     QueryPattern,
     RepBundle,
+    is_base,
     parse_pattern,
 )
 
@@ -117,6 +118,34 @@ def test_assert_link_validates_everything():
     net.assert_link(a, t, b)
     with pytest.raises(DuplicateExplicitLink):
         net.assert_link(a, t, b)
+
+
+@pytest.mark.parametrize("mutator", ["assert_link", "add_derived"])
+def test_link_mutators_check_ends_type_and_id(mutator):
+    """Both insertion mutators make the same checks, and a refused link
+    leaves the network as it was."""
+    net = Network()
+    a = net.add_node(RepBundle(word="a"))
+    b = net.add_node(RepBundle(word="b"))
+    t = net.add_link_type(RepBundle(word="t"))
+    taken = net.assert_link(b, t, a)
+
+    def insert(source, type_id, target, link_id=None):
+        if mutator == "assert_link":
+            return net.assert_link(source, type_id, target, 1.0, link_id)
+        return net.add_derived(source, type_id, target, 1.0, Derived("r", (taken,)), link_id)
+
+    for source, target in (("ghost", b), (a, "ghost")):
+        with pytest.raises(UnknownNode, match="'ghost' not found"):
+            insert(source, t, target)
+    with pytest.raises(UnknownLinkType, match="'ghost' not found"):
+        insert(a, "ghost", b)
+    with pytest.raises(DuplicateId, match=f"link '{taken}' already exists"):
+        insert(a, t, b, link_id=taken)
+    with pytest.raises(InvalidId):
+        insert(a, t, b, link_id="no spaces")
+    assert list(net.links) == [taken]
+    assert insert(a, t, b, link_id="k9") == "k9"
 
 
 @pytest.mark.parametrize("weight", [
@@ -324,19 +353,21 @@ def test_index_agrees_with_brute_grouping():
             assert set(net._stamp) == set(net.links)
 
 
-def test_rows_skipping_a_rule_are_rows_less_its_links():
-    """rows(..., skip=rule) equals rows(...) without the links that rule
-    derived, in the same order, after every kind of change: the skipping
-    indexes are read at each step, so later steps test their upkeep. A
-    removal keeps the indexes already built."""
+def test_base_rows_are_rows_of_base_links():
+    """rows(..., base=True) equals rows(...) filtered to base links after
+    every kind of change: in the same order when an end is bound, and as
+    the same rows in some order on a full scan. The views are read at each
+    step, so later steps test their upkeep. A retraction keeps every view
+    already built; an upgrade drops its own type's view and no other."""
     rng = random.Random(4242)
+    upgrades = {"dropped": 0, "kept": 0}
     for _ in range(20):
         net = random_network(rng, max_nodes=10, flag_bias=0.5)
         nodes = sorted(net.nodes)
         types = sorted(net.link_types)
-        skips = [f"sys.transitive.{tid}" for tid in types] + sorted(net.rules)
         for _step in range(8):
             action = rng.choice(("assert", "derive", "retract", "upgrade"))
+            built = dict(net._base)
             if action == "assert":
                 for _ in range(3):
                     try:
@@ -347,21 +378,31 @@ def test_rows_skipping_a_rule_are_rows_less_its_links():
             elif action == "derive":
                 derive_fixpoint(net)
             elif action == "retract" and net.explicit_links():
-                built = {tid: set(per_rule) for tid, per_rule in net._skip_index.items()}
                 net.retract_link(rng.choice(net.explicit_links()).id)
-                assert {tid: set(per_rule) for tid, per_rule in net._skip_index.items()} == built
+                assert net._base.keys() == built.keys()
+                assert all(net._base[tid] is view for tid, view in built.items())
             elif action == "upgrade" and net.derived_links():
                 link = rng.choice(net.derived_links())
                 net.assert_link(link.source, link.type, link.target)
+                assert link.type not in net._base
+                assert all(net._base[tid] is view for tid, view in built.items()
+                           if tid != link.type)
+                upgrades["dropped"] += link.type in built
+                upgrades["kept"] += len(built) - (link.type in built)
             top = max(net._stamp.values(), default=0) + 1
             for tid in types:
-                for skip in skips:
-                    for source, target in ((None, None), (rng.choice(nodes), None),
-                                           (None, rng.choice(nodes))):
-                        for before in (None, rng.randrange(top + 1)):
-                            want = [row for row in net.rows(tid, source, target, before)
-                                    if not net.derived_by(row[2], skip)]
-                            assert net.rows(tid, source, target, before, skip) == want
+                for source, target in ((None, None), (rng.choice(nodes), None),
+                                       (None, rng.choice(nodes)),
+                                       (rng.choice(nodes), rng.choice(nodes))):
+                    for before in (None, rng.randrange(top + 1)):
+                        want = [row for row in net.rows(tid, source, target, before)
+                                if is_base(net.links[row[2]])]
+                        got = net.rows(tid, source, target, before, base=True)
+                        if source is None and target is None:
+                            assert sorted(got) == sorted(want)
+                        else:
+                            assert got == want
+    assert upgrades["dropped"] and upgrades["kept"]
 
 
 def _indexed_network(rng, size):

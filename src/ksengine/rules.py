@@ -15,16 +15,25 @@ Delta rows are built only for the link types some rule body reads (every
 type once an atom has a variable link type); a round that added no link of
 a read type ends the fixpoint.
 
-match_atoms is the one join. Each call compiles its atoms into a walk over
-fixed slots: every term gets a slot in one list (constants filled in), and
-every atom a probe per link type it can read, from Network.prober, which
-looks the type's indexes up once; an atom whose source or target is bound
-probes the (type, source) or (type, target) index instead of scanning. The
-walk binds a variable by writing its slot, and derive reads each firing's
-head triples from the slots with one itemgetter. Given heads, a step that
-binds only variables no later atom and no head reads stops after its first
-row: every further row leads to the same head triples, and only the first
-firing of a triple is kept.
+match_atoms is the one join. _compile turns its atoms into a plan, a walk
+over fixed slots: every term gets a slot in one list (constants filled in)
+and the walk binds a variable by writing its slot. Derive compiles each
+(rule, delta position) once per call; each call makes only the probes, from
+Network.prober, which looks a type's indexes up once; an atom whose source
+or target is bound probes the (type, source) or (type, target) index
+instead of scanning. Derive reads a firing's head triples from the slots
+with one itemgetter. Given heads, a step that binds only variables no later
+atom and no head reads stops after its first row: every further row leads
+to the same head triples, and only the first firing of a triple is kept.
+
+Derive knows which rule stored each link: after round one it skips a join
+whose delta-first BaseAtom's type gained no base link, and tells _store
+base-ness. A rule whose two body atoms trade places when its symmetric
+head's variables swap (co-cite) fires in mirror pairs. Derive skips its
+join with the delta second, and with the delta first drops a firing whose
+second premise is a delta row and whose swapped variable sorts below the
+other: delta rows go sorted by (source, target, id), so its mirror came
+earlier in the walk and stored the fact. Ids and provenance do not change.
 
 Derive and the DRed restore store firings through _store_firings, which
 binds the one lookup (Network._find_stored) and the one insertion step
@@ -275,7 +284,8 @@ _READ, _BIND, _SAME = 0, 1, 2
 def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
                 delta_rows: Optional[FactRows] = None, delta_pos: Optional[int] = None,
                 split: Optional[Tuple[int, int]] = None,
-                heads: Optional[Sequence[PatternAtom]] = None) -> List[Match]:
+                heads: Optional[Sequence[PatternAtom]] = None,
+                plan: Optional[tuple] = None) -> List[Match]:
     """All substitutions satisfying the atom conjunction, in deterministic order.
 
     facts is a Network, read through Network.prober (an index lookup
@@ -295,9 +305,11 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
     and a step binding only variables that no later atom and no head reads
     contributes its first row alone; every head triple still appears, first
     with the premises a full walk would give it first.
+
+    plan is _compile's plan of these arguments (a mirror rule's drops
+    mirrored firings); by default the call compiles its own.
     """
     network = isinstance(facts, Network)
-    order: Sequence[int] = range(len(atoms))
     if delta_rows is not None:
         first = atoms[delta_pos]
         if network and isinstance(first, BaseAtom):
@@ -306,8 +318,33 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
         if not (any(delta_rows.values()) if first.type[:1] == "?" else
                 delta_rows.get(first.type)):
             return []  # no delta row for the atom read first
-        order = [delta_pos, *range(delta_pos), *range(delta_pos + 1, len(atoms))]
+    steps, initial, emit, mirror = plan or _compile(
+        facts, atoms, None if delta_rows is None else delta_pos, heads)
     prober = facts.prober if network else _rows_prober(facts)
+    bounds = (None, None, None) if split is None else (*split, None)
+    check = mirror and (*mirror, facts._stamp, split[0])
+    walk = []
+    for k, (*step, first_only, tids, side, base) in enumerate(steps):
+        step_prober = _rows_prober(delta_rows) if side == 2 else prober
+        walk.append((*step, {tid: step_prober(tid, bounds[side], base)
+                             for tid in (sorted(delta_rows) if tids is None else tids)},
+                     first_only, check if k else None))
+    results: List[Match] = []
+    _walk(walk, 0, list(initial), [""] * len(atoms), emit, results)
+    return results
+
+
+def _compile(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
+             delta_pos: Optional[int] = None, heads: Optional[Sequence[PatternAtom]] = None,
+             mirror: Optional[Tuple[str, str]] = None) -> tuple:
+    """match_atoms' plan: (steps, initial slots, emit, mirror). A step is an
+    atom's slots and modes, its first-row flag, the types it probes (None:
+    the delta's), its stamp bound (0, 1 of the split; 2 the delta rows) and
+    its base flag; mirror, _mirror's pair of head variables, becomes theirs."""
+    network = isinstance(facts, Network)
+    order: Sequence[int] = range(len(atoms))
+    if delta_pos is not None:
+        order = [delta_pos, *range(delta_pos), *range(delta_pos + 1, len(atoms))]
     slot: Dict[str, int] = {}  # term -> slot, in binding order
     bound_at: List[int] = []  # slot -> the step that filled it
     live = set()  # steps binding a variable that a later step or a head reads
@@ -328,21 +365,13 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
                     live.add(bound_at[i])
         src_mode = _BIND if fresh[1] else _READ
         tgt_mode = _BIND if fresh[2] else _SAME if tgt == src and fresh[1] else _READ
-        base = network and isinstance(atom, BaseAtom)
-        step_prober, step_types, limit = prober, None, None
-        if k == 0 and delta_rows is not None:
-            step_prober, step_types = _rows_prober(delta_rows), delta_rows
-        elif split is not None:
-            limit = split[0] if pos < delta_pos else split[1]
-        if ty[:1] == "?":
-            if step_types is None:
-                step_types = facts.link_types if network else facts
-            step_types = sorted(step_types)
-            probes = {tid: step_prober(tid, limit, base) for tid in step_types}
+        side = 2 if k == 0 and delta_pos is not None else int(delta_pos is None or pos > delta_pos)
+        if ty[:1] != "?":
+            tids: Optional[List[str]] = [ty]
         else:
-            probes = {ty: step_prober(ty, limit, base)}
-        steps.append([pos, slot[ty], step_types if fresh[0] else None,
-                      slot[src], src_mode, slot[tgt], tgt_mode, probes, False])
+            tids = None if side == 2 else sorted(facts.link_types if network else facts)
+        steps.append([pos, slot[ty], fresh[0], slot[src], src_mode, slot[tgt], tgt_mode, False,
+                      tids, side, network and isinstance(atom, BaseAtom)])
     if heads is None:
         names = [(term, i) for term, i in slot.items() if term[:1] == "?"]
         emit = lambda filled: {term: filled[i] for term, i in names}  # noqa: E731
@@ -359,24 +388,25 @@ def match_atoms(facts: Union[Network, FactRows], atoms: Sequence[PatternAtom],
         # A step binding only variables that nothing after it reads leads
         # every row to the same head triples: its first row stands for all.
         for k, step in enumerate(steps):
-            step[-1] = k not in live
+            step[7] = k not in live
         emit = operator.itemgetter(*picks)
-    results: List[Match] = []
-    _walk(steps, 0, list(slot), [""] * len(atoms), emit, results)
-    return results
+    return steps, list(slot), emit, mirror and (slot[mirror[0]], slot[mirror[1]])
 
 
 def _walk(steps: list, k: int, slots: List[str], premises: List[str],
           emit: Callable, results: List[Match]) -> None:
     """Extend the slots through steps k.., appending each full match to
-    results; a step marked first-only stops after its first row. Slots bound
-    at a step are overwritten, never unbound: no later step reads them
-    before binding them again on the current path. Module-level, as a
-    nested recursive function would be a reference cycle holding the network
-    until the cyclic collector runs."""
-    pos, ty, types, src, src_mode, tgt, tgt_mode, probes, first_only = steps[k]
+    results; a step marked first-only stops after its first row, and one
+    with a mirror check drops mirrored firings. Slots bound at a step are
+    overwritten, never unbound: no later step reads them before binding them
+    again on the current path. Module-level, as a nested recursive function
+    would be a reference cycle holding the network until the cyclic
+    collector runs."""
+    pos, ty, bind_type, src, src_mode, tgt, tgt_mode, probes, first_only, mirror = steps[k]
     last = k + 1 == len(steps)
-    for tid in (slots[ty],) if types is None else types:
+    if mirror is not None:
+        held, swapped, stamp, delta_from = mirror
+    for tid in probes if bind_type else (slots[ty],):
         slots[ty] = tid
         s = None if src_mode == _BIND else slots[src]
         t = None if tgt_mode != _READ else slots[tgt]
@@ -389,7 +419,8 @@ def _walk(steps: list, k: int, slots: List[str], premises: List[str],
                 continue
             premises[pos] = lid
             if last:
-                results.append((emit(slots), tuple(premises)))
+                if mirror is None or slots[swapped] >= slots[held] or stamp[lid] < delta_from:
+                    results.append((emit(slots), tuple(premises)))
             else:
                 _walk(steps, k + 1, slots, premises, emit, results)
             if first_only:
@@ -445,6 +476,20 @@ def _signature(network: Network, rules: Sequence[Rule]) -> tuple:
     )
 
 
+def _mirror(rule: Rule, symmetric: Collection[str]) -> Optional[Tuple[str, str]]:
+    """(the head variable met first in the first atom, the other) for a rule
+    whose two plain body atoms trade places when its one head atom's
+    variables swap, under a symmetric type (co-cite); None for any other."""
+    first, second, head = rule.body[0], rule.body[-1], rule.head[0]
+    swap = {head.source: head.target, head.target: head.source}
+    if (len(rule.body) != 2 or len(rule.head) != 1 or head.type not in symmetric
+            or len(swap) != 2 or not all(map(is_variable, swap)) or first.type in swap
+            or not type(first) is type(second) is PatternAtom
+            or PatternAtom(*first.substituted(swap)) != second):
+        return None
+    return next((term, swap[term]) for term in (first.source, first.target) if term in swap)
+
+
 def _store_firings(network: Network, rule_id: str, matches: List[Match],
                    stored: List[SemanticLink]) -> None:
     """Store, in order, each head triple of matches (match_atoms given the
@@ -452,14 +497,15 @@ def _store_firings(network: Network, rule_id: str, matches: List[Match],
     weighted by its firing's weakest premise, and append the new links to
     stored. The one lookup and the one insertion step are bound once per
     call, not per firing; a firing has made add_derived's checks, so it
-    goes straight to Network._store."""
+    goes straight to Network._store, told that a user rule's links are base."""
     if matches and len(matches[0][0]) > 3:  # two head atoms: a firing per triple
         matches = [(found[i:i + 3], premises) for found, premises in matches for i in (0, 3)]
     find, store, links = network._find_stored, network._store, network.links
+    base = not rule_id.startswith(TRANSITIVE_PREFIX)
     for triple, premises in matches:
         if find(*triple) is None:
             stored.append(store(*triple, min([links[p].weight for p in premises]),
-                                Derived(rule_id, premises)))
+                                Derived(rule_id, premises), base))
 
 
 def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:
@@ -492,6 +538,12 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
     # The link types some body reads; an atom with a variable type reads all.
     read = {atom.type for rule in rules for atom in rule.body}
     everything = any(is_variable(tid) for tid in read)
+    # Each rule's join per delta position, compiled once; a rule with mirror
+    # firings has position 0 alone, as each at position 1 mirrors one at 0.
+    plans = {rule.id: [_compile(network, rule.body, pos, rule.head, mirror)
+                       for pos in range(1 if mirror else len(rule.body))]
+             for rule in rules for mirror in [_mirror(rule, symmetric)]}
+    gained = read  # types that may have a base link in the delta: all in round one
     while delta:
         split = (network._stamp[delta[0].id], network._next_stamp)
         # A link of a type no body reads joins nothing: no rows, and a round
@@ -504,11 +556,17 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
         # is every link, only delta position 0 can match.
         old_facts = len(delta) < len(network.links)
         done = len(new_links)
+        next_gained = set()
         for rule in rules:
-            for pos in range(len(rule.body) if old_facts else 1):
+            stored = len(new_links)
+            for pos, plan in enumerate(plans[rule.id] if old_facts else plans[rule.id][:1]):
+                if isinstance(rule.body[pos], BaseAtom) and rule.body[pos].type not in gained:
+                    continue  # no base row in the delta
                 _store_firings(network, rule.id, match_atoms(network, rule.body, delta_rows, pos,
-                                                             split, rule.head), new_links)
-        delta = new_links[done:]
+                                                             split, rule.head, plan), new_links)
+            if not rule.id.startswith(TRANSITIVE_PREFIX):  # its links are base links
+                next_gained.update(link.type for link in new_links[stored:])
+        delta, gained = new_links[done:], next_gained
     network.derive_mark = (signature, len(network.links))
     return new_links, [link.provenance for link in new_links]
 

@@ -412,7 +412,7 @@ class Network:
             existing.weight = weight
             return existing.id
         self._check_free(link_id)
-        return self._store(source, type_id, target, weight, Explicit(), link_id).id
+        return self._store(source, type_id, target, weight, Explicit(), True, link_id).id
 
     def add_derived(self, source: str, type_id: str, target: str, weight: float,
                     provenance: Derived, link_id: Optional[str] = None) -> str:
@@ -422,7 +422,8 @@ class Network:
         if existing is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
         self._check_free(link_id)
-        return self._store(source, type_id, target, weight, provenance, link_id).id
+        return self._store(source, type_id, target, weight, provenance,
+                           provenance.rule_id != TRANSITIVE_PREFIX + type_id, link_id).id
 
     def _check_link(self, source: str, type_id: str, target: str, weight: float
                     ) -> Tuple[float, Optional[SemanticLink]]:
@@ -443,13 +444,14 @@ class Network:
                 raise DuplicateId(f"link {link_id!r} already exists")
 
     def _store(self, source: str, type_id: str, target: str, weight: float,
-               provenance: Provenance, link_id: Optional[str] = None) -> SemanticLink:
+               provenance: Provenance, base: bool, link_id: Optional[str] = None) -> SemanticLink:
         """Insert and index a link, checking nothing; every insertion comes
         here. The caller vouches that both ends and the type exist, the
-        weight is valid, no stored link answers the triple and link_id is
-        free: assert_link and add_derived check it, and a rule firing has
-        proved it (the triple was just looked up, the weight is the least of
-        stored weights, and validate_rule vouches for the head's terms)."""
+        weight is valid, no stored link answers the triple, link_id is free
+        and base is is_base(link): assert_link and add_derived check it, and
+        a rule firing has proved it (the triple was just looked up, the
+        weight is the least of stored weights, and validate_rule and the
+        rule vouch for the head's terms and its links' base-ness)."""
         if link_id is None:
             link_id = fresh_id(self._counters, "k", self.links)
         link = self.links[link_id] = SemanticLink(link_id, source, type_id, target, weight,
@@ -462,8 +464,8 @@ class Network:
         if target not in backward:
             backward[target] = {}
         forward[source][target] = backward[target][source] = link_id
-        view = self._base.get(type_id)
-        if view is not None and is_base(link):
+        view = self._base.get(type_id) if base else None
+        if view is not None:
             view[0].setdefault(source, {})[target] = link_id
             view[1].setdefault(target, {})[source] = link_id
         self._stamp[link_id] = self._next_stamp

@@ -822,6 +822,76 @@ def test_derive_and_retract_output_is_pinned(build, seed, derived, explained, re
     assert _digest(net) == retracted
 
 
+def _cocitation_batches(rng):
+    """40 papers and 20 references gaining cites links in four batches of
+    mixed weights; co-cite (shared reference) and co-ref (shared paper) each
+    derive a symmetric type. Yields the network after each batch."""
+    net = Network()
+    papers = [net.add_node(RepBundle(word=f"paper {i}"), node_id=f"p{i:02d}") for i in range(40)]
+    refs = [net.add_node(RepBundle(word=f"ref {i}"), node_id=f"r{i:02d}") for i in range(20)]
+    net.add_link_type(RepBundle(word="cites"), type_id="cites")
+    net.add_link_type(RepBundle(word="same topic"), symmetric=True, type_id="same")
+    net.add_link_type(RepBundle(word="coupled"), symmetric=True, type_id="coupled")
+    _add_rule(net, "co-cite", (("?a", "cites", "?c"), ("?b", "cites", "?c")),
+              (("?a", "same", "?b"),))
+    _add_rule(net, "co-ref", (("?c", "cites", "?a"), ("?c", "cites", "?b")),
+              (("?a", "coupled", "?b"),))
+    pairs = rng.sample([(p, r) for p in papers for r in refs], 120)
+    for batch in (pairs[:45], pairs[45:75], pairs[75:100], pairs[100:]):
+        for paper, ref in batch:
+            net.assert_link(paper, "cites", ref, rng.choice((0.25, 0.5, 1.0, 1.5, 2.0)))
+        yield net
+
+
+def _chain_batches(rng):
+    """A 40-node transitive chain grown from its middle: eleven links first,
+    then links at both ends in three more batches, in seeded order and of
+    mixed weights. Yields the network after each batch."""
+    net = Network()
+    for i in range(40):
+        net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    for lo, hi, new in ((14, 25, range(14, 25)), (9, 30, [*range(9, 14), *range(25, 30)]),
+                        (4, 35, [*range(4, 9), *range(30, 35)]),
+                        (0, 39, [*range(0, 4), *range(35, 39)])):
+        for i in rng.sample(list(new), len(new)):
+            net.assert_link(f"v{i:02d}", "pre", f"v{i + 1:02d}", round(rng.uniform(0.5, 2.0), 3))
+        yield net
+
+
+# (batch builder, seed, sha256 of the exports after each batch's
+# derive_fixpoint, of the explain roots after the last, and of the export
+# after retract_with_maintenance of a seeded explicit link)
+PINNED_INCREMENTAL_DERIVES = [
+    (_cocitation_batches, 61,
+     "379034a70d66c8a3d46ca9f229791241e59e2720cdd90c58038ab72a54574fe4",
+     "a37880c50b59cd09f55a0519c8a67dee4282fee946c88f5c6872e877b82dd97b",
+     "ab49dece13ff538c6bbb94d8ae58265d42b13d0d0e6f1cda4684303822241a38"),
+    (_chain_batches, 41,
+     "d74ade9260d246415507df30d35b7801e777131772fc5e1849b3f01f8d4b1c7a",
+     "431856ef5da852143461e1dd69c556454cd0e95ad8aefb8fdd999f372688ea91",
+     "5ae950452db8f9b3b44e716b79b802768a4b0dc51eb3b825f98b46622a491a43"),
+]
+
+
+@pytest.mark.parametrize("batches, seed, derived, explained, retracted",
+                         PINNED_INCREMENTAL_DERIVES, ids=["cocitation", "chain"])
+def test_incremental_derive_output_is_pinned(batches, seed, derived, explained, retracted):
+    """Derives after each batch start from the links added since the last
+    fixpoint, so they run the joins with the delta at every body position;
+    their ids, weights and provenance are pinned as a cold derive's are."""
+    rng = random.Random(seed)
+    exports = hashlib.sha256()
+    for net in batches(rng):
+        derive_fixpoint(net)
+        exports.update(export_state(EngineState(network=net)).encode())
+    assert exports.hexdigest() == derived
+    assert _explain_digest(net) == explained
+    explicit = net.explicit_links()
+    retract_with_maintenance(net, explicit[rng.randrange(len(explicit))].id)
+    assert _digest(net) == retracted
+
+
 def test_join_takes_one_row_of_a_step_nothing_reads(monkeypatch):
     """Rule r3 of this network binds ?c and ?e at steps whose variables no
     later atom and no head reads: every row of such a step leads to the same
@@ -969,3 +1039,117 @@ def test_join_matches_naive_on_rich_rules():
         _check_against_oracles(net)
         for _ in range(2):
             _retract_and_check(net, rng.choice(net.explicit_links()).id)
+
+
+# ===== plans, base-aware deltas and mirror firings =====
+
+def _rule(body, head):
+    return Rule("r", RepBundle(word="r"),
+                tuple(a if isinstance(a, PatternAtom) else PatternAtom(*a) for a in body),
+                tuple(PatternAtom(*a) for a in head))
+
+
+@pytest.mark.parametrize("body, head, found", [
+    ((("?a", "cites", "?c"), ("?b", "cites", "?c")), (("?a", "same", "?b"),), ("?a", "?b")),
+    ((("?c", "cites", "?a"), ("?c", "cites", "?b")), (("?a", "same", "?b"),), ("?a", "?b")),
+    ((("?b", "sym", "?c"), ("?a", "sym", "?c")), (("?a", "same", "?b"),), ("?b", "?a")),
+    ((("?a", "?t", "r1"), ("?b", "?t", "r1")), (("?a", "same", "?b"),), ("?a", "?b")),
+    ((("?a", "cites", "?b"), ("?b", "cites", "?a")), (("?b", "same", "?a"),), ("?a", "?b")),
+    # A plain head type, a three-atom body, a base atom, a head that does not
+    # swap, a constant in a swapped position, two heads, a head variable at a
+    # type.
+    ((("?a", "cites", "?c"), ("?b", "cites", "?c")), (("?a", "rel", "?b"),), None),
+    ((("?a", "cites", "?c"), ("?b", "cites", "?c"), ("?c", "rel", "?d")),
+     (("?a", "same", "?b"),), None),
+    ((rules.BaseAtom("?a", "cites", "?c"), ("?b", "cites", "?c")), (("?a", "same", "?b"),), None),
+    ((("?a", "cites", "?c"), ("?b", "cites", "?c")), (("?a", "same", "?c"),), None),
+    ((("?a", "cites", "?c"), ("?b", "cites", "r1")), (("?a", "same", "?b"),), None),
+    ((("?a", "cites", "?c"), ("?b", "cites", "?c")), (("?a", "same", "?b"), ("?b", "same", "?a")),
+     None),
+    ((("?a", "?a", "?c"), ("?b", "?b", "?c")), (("?a", "same", "?b"),), None),
+], ids=["co-cite", "shared-source", "symmetric-body", "variable-type", "cycle", "plain-head",
+        "three-atoms", "base-atom", "no-swap", "swapped-constant", "two-heads", "type-position"])
+def test_mirror_rules_are_detected_by_swapping_the_head_variables(body, head, found):
+    assert rules._mirror(_rule(body, head), ("same", "sym")) == found
+
+
+def _cocitation_shaped(rng, size):
+    """size nodes under co-citation-shaped rules drawn at random: shared
+    target or shared source, over a plain or a symmetric type, into a plain
+    or a symmetric head type, and one whose atoms each hold both head
+    variables; a transitive pre, which a bridge rule also
+    derives, so later rounds gain base pre links. Returns the network and
+    its explicit links in a seeded order, not yet asserted."""
+    net = Network()
+    nodes = [net.add_node(RepBundle(word=f"n{i}"), node_id=f"n{i:02d}") for i in range(size)]
+    for tid, transitive, symmetric in (("cites", False, False), ("sym", False, True),
+                                       ("rel", False, False), ("same", False, True),
+                                       ("pre", True, False)):
+        net.add_link_type(RepBundle(word=tid), transitive, symmetric, type_id=tid)
+    for i, head_type in enumerate(("same", "same", rng.choice(("rel", "same")), "rel")):
+        body_type = rng.choice(("cites", "sym"))
+        shape = ((("?a", body_type, "?c"), ("?b", body_type, "?c")) if i % 2 else
+                 (("?c", body_type, "?a"), ("?c", body_type, "?b")))
+        _add_rule(net, f"r{i}", shape, (("?a", head_type, "?b"),))
+    mutual = rng.choice(("cites", "sym"))  # both head variables in each atom
+    _add_rule(net, "r4", (("?a", mutual, "?b"), ("?b", mutual, "?a")), (("?b", "same", "?a"),))
+    _add_rule(net, "bridge", (("?a", "rel", "?b"), ("?b", "cites", "?c")), (("?a", "pre", "?c"),))
+    links = set()
+    while len(links) < size:
+        a, b = rng.sample(nodes, 2)
+        links.add((a, rng.choice(("cites", "cites", "sym")), b))
+    for _ in range(size // 3):
+        i = rng.randrange(size - 2)
+        links.add((nodes[i], "pre", nodes[i + rng.randint(1, 2)]))
+    return net, rng.sample(sorted(links), len(links))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mirror_skip_matches_naive_and_the_unskipped_join_in_batches(monkeypatch, seed):
+    """30 to 60 nodes derived in four batches: each derive equals the naive
+    fixpoint, and the exports equal those of the same derives with mirror
+    detection off, ids and provenance included."""
+    exports = []
+    for mirrors in (True, False):
+        if not mirrors:
+            monkeypatch.setattr(rules, "_mirror", lambda rule, symmetric: None)
+        rng = random.Random(seed)
+        net, links = _cocitation_shaped(rng, rng.randint(30, 60))
+        for batch in range(4):
+            for source, tid, target in links[batch::4]:
+                _try_assert(net, source, tid, target)
+            derive_fixpoint(net)
+            if mirrors:
+                explicit, rule_tuples, symmetric, transitive = network_as_tuples(net)
+                assert engine_fact_set(net) == oracles.naive_fixpoint(
+                    explicit, rule_tuples, symmetric, transitive), (seed, batch)
+            exports.append(export_state(EngineState(network=net)))
+    assert exports[:4] == exports[4:]
+
+
+def test_derive_compiles_each_join_once_and_runs_each_through_match_atoms(monkeypatch):
+    """A 30-chain derives in 29 rounds. Its one rule's join with the delta
+    first runs in round one; after that the delta holds closure links only,
+    so only the join with the delta second runs. Each is compiled once, and
+    every join that runs enters rules.match_atoms with its plan."""
+    compiled, joined = [], []
+    real_compile, real_match = rules._compile, rules.match_atoms
+
+    def counting_compile(facts, atoms, delta_pos=None, heads=None, mirror=None):
+        compiled.append((atoms, delta_pos))
+        return real_compile(facts, atoms, delta_pos, heads, mirror)
+
+    def counting_match(facts, atoms, delta_rows=None, delta_pos=None, split=None, heads=None,
+                       plan=None):
+        joined.append((delta_pos, plan))
+        return real_match(facts, atoms, delta_rows, delta_pos, split, heads, plan)
+
+    monkeypatch.setattr(rules, "_compile", counting_compile)
+    monkeypatch.setattr(rules, "match_atoms", counting_match)
+    net = _chain(30)
+    new_links, _ = derive_fixpoint(net)
+    assert len(new_links) == math.comb(29, 2)
+    body = rules._transitive_rule("pre").body
+    assert compiled == [(body, 0), (body, 1)]
+    assert [pos for pos, _plan in joined] == [0] + [1] * 28
+    assert len({id(plan) for _pos, plan in joined}) == 2 and all(plan for _pos, plan in joined)

@@ -23,7 +23,7 @@ from ksengine.rules import (
     validate_rule,
     verify_explanation,
 )
-from ksengine.sln import Derived, Network, RepBundle
+from ksengine.sln import Derived, Network, RepBundle, fresh_id
 from ksengine.state import EngineState
 
 import oracles
@@ -549,6 +549,36 @@ def test_chain_closure_fires_once_per_new_link(monkeypatch, n):
     # as (i, i + 1), (i + 1, k).
     assert len(new_links) == math.comb(n - 1, 2)
     assert sum(map(len, calls)) == math.comb(n - 1, 2)
+
+
+def _fresh_ids(net, count):
+    """The next count ids that repeated fresh_id(counters, "k", links) gives."""
+    counters, taken, ids = dict(net._counters), set(net.links), []
+    for _ in range(count):
+        ids.append(fresh_id(counters, "k", taken))
+        taken.add(ids[-1])
+    return ids
+
+
+def test_derived_link_ids_follow_fresh_id_around_taken_ids():
+    """Derive numbers its new links as fresh_id would, stepping over ids that
+    links took by hand and over the gaps of an imported state."""
+    net = Network()
+    for i in range(8):
+        net.add_node(RepBundle(word=f"v{i}"), node_id=f"v{i:02d}")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    chosen = ["k000002", "k000005", None, "k000011", None, "k000004", None]
+    for i, link_id in enumerate(chosen):
+        net.assert_link(f"v{i:02d}", "pre", f"v{i + 1:02d}", link_id=link_id)
+    assert sorted(net.links) == ["k000001", "k000002", "k000003", "k000004", "k000005",
+                                 "k000006", "k000011"]
+    gapped = export_state(EngineState(network=net))
+    expected = _fresh_ids(net, math.comb(7, 2))
+    assert expected[:6] == ["k000007", "k000008", "k000009", "k000010", "k000012", "k000013"]
+    assert [link.id for link in derive_fixpoint(net)[0]] == expected
+    loaded = import_state(gapped).network
+    expected = _fresh_ids(loaded, math.comb(7, 2))
+    assert [link.id for link in derive_fixpoint(loaded)[0]] == expected
 
 
 def test_deep_proof_explains_and_verifies_within_recursion_limit():
@@ -1125,6 +1155,110 @@ def test_mirror_skip_matches_naive_and_the_unskipped_join_in_batches(monkeypatch
                     explicit, rule_tuples, symmetric, transitive), (seed, batch)
             exports.append(export_state(EngineState(network=net)))
     assert exports[:4] == exports[4:]
+
+
+def _store_path_network(rng, size):
+    """size nodes under rules that reach every branch of the store step: a
+    variable-type head, two head atoms, head-only types (out, same) whose
+    indexes the first firing creates, a three-atom body over mixed weights,
+    and a bridge rule storing base links of the transitive pre. Two papers
+    cite the same two references, so the co-cite link between them has two
+    firings. Returns the network and its explicit links, weighted, in a
+    seeded order, not yet asserted."""
+    net = Network()
+    nodes = [net.add_node(RepBundle(word=f"n{i}"), node_id=f"n{i:02d}") for i in range(size)]
+    for tid, transitive, symmetric in (("cites", False, False), ("sym", False, True),
+                                       ("rel", False, False), ("flag", False, False),
+                                       ("pre", True, False), ("out", False, False),
+                                       ("same", False, True)):
+        net.add_link_type(RepBundle(word=tid), transitive, symmetric, type_id=tid)
+    _add_rule(net, "both", (("?a", "rel", "?b"),), (("?a", "out", "?b"), ("?b", "out", "?a")))
+    _add_rule(net, "bridge", (("?a", "rel", "?b"), ("?b", "cites", "?c")), (("?a", "pre", "?c"),))
+    _add_rule(net, "co", (("?a", "cites", "?c"), ("?b", "cites", "?c")), (("?a", "same", "?b"),))
+    _add_rule(net, "flip", (("?a", "?t", "?b"), ("?b", "flag", "?b")), (("?b", "?t", "?a"),))
+    _add_rule(net, "w3", (("?a", "cites", "?b"), ("?b", "rel", "?c"), ("?c", "sym", "?d")),
+              (("?a", "out", "?d"),))
+    weights = (0.25, 0.5, 1.0, 1.5, 2.0)
+    links = {(nodes[0], "cites", nodes[2]): 1.0, (nodes[0], "cites", nodes[3]): 1.0,
+             (nodes[1], "cites", nodes[2]): 1.0, (nodes[1], "cites", nodes[3]): 1.0}
+    while len(links) < size:
+        a, b = rng.sample(nodes, 2)
+        links[a, rng.choice(("cites", "cites", "sym", "rel")), b] = rng.choice(weights)
+    for node in rng.sample(nodes, 4):
+        links[node, "flag", node] = rng.choice(weights)
+    for _ in range(size // 4):
+        i = rng.randrange(size - 2)
+        links[nodes[i], "pre", nodes[i + rng.randint(1, 2)]] = rng.choice(weights)
+    return net, [(*triple, links[triple]) for triple in rng.sample(sorted(links), len(links))]
+
+
+def _check_store_path(net):
+    """The fixpoint equals the naive one, every derived link weighs its
+    weakest premise, and no symmetric triple is stored in both readings."""
+    explicit, rule_tuples, symmetric, transitive = network_as_tuples(net)
+    assert engine_fact_set(net) == oracles.naive_fixpoint(
+        explicit, rule_tuples, symmetric, transitive)
+    for link in net.derived_links():
+        assert link.weight == min(net.links[p].weight for p in link.provenance.premises)
+    same = [link for link in net.links.values() if link.type == "same"]
+    assert len({frozenset((link.source, link.target)) for link in same}) == len(same)
+
+
+# sha256 of the exports after each batch's derive and after each retraction,
+# per seed of test_store_path_matches_naive_through_batches_and_restores
+PINNED_STORE_PATH = {
+    5: "cca7fc10d269b1454bb5d1b5a3a4d20959b7991ebfccc47836cc05c1605e189e",
+    17: "9068f5d54bd9c6a799d114180d40a2e3d1a14e8653ac279223aecec0b617848f",
+    29: "f1c1cdd36fea7d2eae9f33ba9978e97de58089697d874c7352924c5bd4b3649c",
+    43: "775083e1e09945977a138b66722b970aaa9cadccbff09c0168818ab3b4020bc1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_STORE_PATH))
+def test_store_path_matches_naive_through_batches_and_restores(monkeypatch, seed):
+    """40 to 60 nodes derived in three batches, then two retractions with
+    maintenance. Each fixpoint equals the naive one and each weight the
+    least of its premises'; the variable-type head switches head type
+    within one join, and a restore finds a co-cite triple in both readings
+    and stores it once. Exports are pinned byte for byte."""
+    calls = []  # (rule id, the head triples a _store_firings call was given)
+    real_store_firings = rules._store_firings
+
+    def recording_store_firings(network, rule_id, matches, stored):
+        triples = [found[i:i + 3] for found, _premises in matches for i in range(0, len(found), 3)]
+        calls.append((rule_id, triples))
+        return real_store_firings(network, rule_id, matches, stored)
+
+    monkeypatch.setattr(rules, "_store_firings", recording_store_firings)
+    rng = random.Random(seed)
+    net, links = _store_path_network(rng, rng.randint(40, 60))
+    exports = hashlib.sha256()
+    for batch in range(3):
+        for source, tid, target, weight in links[batch::3]:
+            if not net.has_fact(source, tid, target):  # an upgrade would reweigh dependents
+                net.assert_link(source, tid, target, weight)
+        if batch == 0:
+            assert not net.rows("out") and not net.rows("same")
+        derive_fixpoint(net)
+        _check_store_path(net)
+        exports.update(export_state(EngineState(network=net)).encode())
+    assert any(rid == "flip" and len({t[1] for t in triples}) > 1 for rid, triples in calls)
+    assert any(rid == "both" and triples for rid, triples in calls)
+    # Retract the first premise of the co-cite link between n00 and n01, which
+    # the other shared reference still supports, then a seeded explicit link.
+    twin = next(link for link in net.links.values()
+                if {link.source, link.target} == {"n00", "n01"} and link.type == "same")
+    for link_id in (twin.provenance.premises[0], rng.choice(net.explicit_links()).id):
+        del calls[:]
+        retract_with_maintenance(net, link_id)
+        _check_store_path(net)
+        exports.update(export_state(EngineState(network=net)).encode())
+        if link_id == twin.provenance.premises[0]:
+            restored = [t for rid, triples in calls if rid == "co" for t in triples
+                        if {t[0], t[2]} == {"n00", "n01"}]
+            assert len(restored) == 2 and restored[0] != restored[1]
+            assert net.has_fact("n00", "same", "n01")
+    assert exports.hexdigest() == PINNED_STORE_PATH[seed]
 
 
 def test_derive_compiles_each_join_once_and_runs_each_through_match_atoms(monkeypatch):

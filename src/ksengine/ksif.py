@@ -300,7 +300,7 @@ _PROVENANCE = _Tagged((
     ("E", Explicit, None),
     ("D", Derived, _Group(
         (("rule id", _ID), ("premises", _Counted(_ID, "premise"))),
-        lambda rule_id, premises: Derived(rule_id, tuple(premises)),
+        lambda rule_id, premises: Derived((rule_id, tuple(premises))),
         attrgetter("rule_id", "premises"),
     )),
 ))

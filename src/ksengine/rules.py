@@ -37,10 +37,11 @@ earlier in the walk and stored the fact. Ids and provenance do not change.
 
 Derive and the DRed restore store firings through _store_firings, which
 binds the one lookup (Network._find_stored) and the one insertion step
-(Network._store, which takes ids from fresh_id) once per join, so a firing
-costs one lookup and, if its triple is new, one insertion weighted by its
-weakest premise. The insertion checks nothing: the firing has proved what
-add_derived would check.
+(Network._store) once per join, so a firing costs one lookup and, if its
+triple is new, one insertion: weighted by its weakest premise, with a
+Derived made by the tuple constructor, under the id fresh_id would give,
+which _store counts inline. The insertion checks nothing: the firing has
+proved what add_derived would check.
 
 At the fixpoint the network keeps a mark: the rule/type signature and its
 link count. The next derive starts from the links inserted since the mark,
@@ -496,16 +497,22 @@ def _store_firings(network: Network, rule_id: str, matches: List[Match],
     heads) that no stored link answers yet, as derived by rule_id and
     weighted by its firing's weakest premise, and append the new links to
     stored. The one lookup and the one insertion step are bound once per
-    call, not per firing; a firing has made add_derived's checks, so it
-    goes straight to Network._store, told that a user rule's links are base."""
+    call, never across calls (a later join's prober can build a base view
+    that the next stores must update); a firing has made add_derived's
+    checks, so it goes straight to Network._store, told that a user rule's
+    links are base."""
     if matches and len(matches[0][0]) > 3:  # two head atoms: a firing per triple
         matches = [(found[i:i + 3], premises) for found, premises in matches for i in (0, 3)]
     find, store, links = network._find_stored, network._store, network.links
     base = not rule_id.startswith(TRANSITIVE_PREFIX)
-    for triple, premises in matches:
-        if find(*triple) is None:
-            stored.append(store(*triple, min([links[p].weight for p in premises]),
-                                Derived(rule_id, premises), base))
+    for (source, type_id, target), premises in matches:
+        if find(source, type_id, target) is None:
+            weight = links[premises[0]].weight
+            for premise in premises:
+                if links[premise].weight < weight:
+                    weight = links[premise].weight
+            stored.append(store(source, type_id, target, weight, Derived((rule_id, premises)),
+                                base))
 
 
 def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:

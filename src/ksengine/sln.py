@@ -17,7 +17,8 @@ through the indexes. rows(..., base=True) reads only a type's base links
 the indexes, built on first use and kept in step with them.
 
 Records follow one convention across the package: a typing.NamedTuple for
-an immutable value, and otherwise a slotted class with a hand-written
+an immutable value (Derived, made once per derived link, is a bare tuple
+subclass instead), and otherwise a slotted class with a hand-written
 __init__ on the ksengine.record bases. No module uses dataclasses: each
 decorated class generates and execs code at import, and every CLI process
 would pay for it.
@@ -25,11 +26,10 @@ would pay for it.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
-from typing import (
-    Callable, Collection, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union,
-)
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import (
     CannotRetractDerived,
@@ -178,12 +178,16 @@ class Explicit(FrozenRecord):
     premises = ()  # a class attribute, not a field
 
 
-class Derived(NamedTuple):
-    """Provenance of a rule-derived link (a named tuple: one is made per
-    derived link, and a tuple is the cheapest immutable record to make)."""
+class Derived(tuple):
+    """Provenance of a rule-derived link: the pair (rule id, premise link
+    ids), made as Derived((rule_id, premises)). One is made per derived link,
+    so it is a plain tuple with named fields: the tuple constructor runs no
+    Python frame, where a NamedTuple's __new__ does."""
 
-    rule_id: str
-    premises: Tuple[str, ...]
+    __slots__ = ()
+    _fields = ("rule_id", "premises")
+    rule_id = property(operator.itemgetter(0))
+    premises = property(operator.itemgetter(1))
 
 
 Provenance = Union[Explicit, Derived]
@@ -451,21 +455,27 @@ class Network:
         and base is is_base(link): assert_link and add_derived check it, and
         a rule firing has proved it (the triple was just looked up, the
         weight is the least of stored weights, and validate_rule and the
-        rule vouch for the head's terms and its links' base-ness)."""
+        rule vouch for the head's terms and its links' base-ness). Without
+        link_id it takes the next id fresh_id(counters, "k", links) would,
+        counting inline: derive stores one link per firing."""
+        links = self.links
         if link_id is None:
-            link_id = fresh_id(self._counters, "k", self.links)
-        link = self.links[link_id] = SemanticLink(link_id, source, type_id, target, weight,
-                                                  provenance)
-        if type_id not in self._by_source:  # both indexes hold a type or neither does
-            self._by_source[type_id], self._by_target[type_id] = {}, {}
-        forward, backward = self._by_source[type_id], self._by_target[type_id]
-        if source not in forward:
-            forward[source] = {}
-        if target not in backward:
-            backward[target] = {}
-        forward[source][target] = backward[target][source] = link_id
-        view = self._base.get(type_id) if base else None
-        if view is not None:
+            n = self._counters.get("k", 1)
+            link_id = f"k{n:06d}"
+            while link_id in links:
+                n += 1
+                link_id = f"k{n:06d}"
+            self._counters["k"] = n + 1
+        link = links[link_id] = SemanticLink(link_id, source, type_id, target, weight, provenance)
+        forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
+        if forward is None:  # both indexes hold a type or neither does
+            forward = self._by_source[type_id] = {}
+            backward = self._by_target[type_id] = {}
+        # get first: only a missing end costs a setdefault and a new dict
+        (forward.get(source) or forward.setdefault(source, {}))[target] = link_id
+        (backward.get(target) or backward.setdefault(target, {}))[source] = link_id
+        if base and type_id in self._base:
+            view = self._base[type_id]
             view[0].setdefault(source, {})[target] = link_id
             view[1].setdefault(target, {})[source] = link_id
         self._stamp[link_id] = self._next_stamp
@@ -495,9 +505,9 @@ class Network:
         """The given link ids plus every derived link whose provenance cites
         one of them, directly or through other derived links."""
         dependents: Dict[str, List[str]] = {}  # premise id -> ids citing it
-        for link in self.links.values():
+        for lid, link in self.links.items():
             for premise in link.provenance.premises:
-                dependents.setdefault(premise, []).append(link.id)
+                dependents.setdefault(premise, []).append(lid)
         closure = set(ids)
         stack = list(closure)
         while stack:

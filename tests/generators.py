@@ -176,7 +176,7 @@ def deep_proof_network(n: int) -> Tuple[Network, str]:
     rest = steps[-1]
     for i in range(n - 3, -1, -1):
         rest = net.add_derived(f"v{i:04d}", "pre", last, 1.0,
-                               Derived("sys.transitive.pre", (steps[i], rest)))
+                               Derived(("sys.transitive.pre", (steps[i], rest))))
     return net, rest
 
 

@@ -302,7 +302,7 @@ def test_explain_of_short_premise_list_is_data_error(capsys, tmp_path):
     # Import refuses the step; a network built in process can still hold it,
     # and explain then reports it as an engine (data) error.
     net = chain_state().network
-    net.add_derived("a", "t", "c", 1.0, Derived("sys.transitive.t", ("k1",)), link_id="k3")
+    net.add_derived("a", "t", "c", 1.0, Derived(("sys.transitive.t", ("k1",))), link_id="k3")
     with pytest.raises(KsError) as caught:
         explain(net, "k3")
     assert "premises ('k1',) do not satisfy the body of rule 'sys.transitive.t'" in str(

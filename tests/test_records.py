@@ -1,12 +1,13 @@
 """The engine's record classes: equality, hashing and immutability.
 
-Records are NamedTuples (immutable values) or slotted classes built on
-ksengine.record. Records of one class with equal fields are equal, and
-records of different classes are not; a slotted record that can change is
-unhashable, a frozen one hashes by its fields and refuses assignment, and
-an Explanation compares by identity. The NamedTuples are immutable and
-hash as tuples do (a list field makes them unhashable); those that were
-mutable dataclasses are records nothing reassigns a field of.
+Records are NamedTuples (immutable values; Derived is a bare tuple subclass
+with named fields) or slotted classes built on ksengine.record. Records of
+one class with equal fields are equal, and records of different classes are
+not; a slotted record that can change is unhashable, a frozen one hashes by
+its fields and refuses assignment, and an Explanation compares by identity.
+The tuples are immutable and hash as tuples do (a list field makes them
+unhashable); those that were mutable dataclasses are records nothing
+reassigns a field of.
 """
 
 import copy
@@ -45,6 +46,7 @@ RECORDS = [
     (lambda: RepBundle("w", "m", "h", ("k1",)), lambda: RepBundle("w", "m", "h", ("k2",))),
     (lambda: SemanticNode("n1", REP), lambda: SemanticNode("n1", REP, {"x": 1})),
     (lambda: LinkType("t", REP), lambda: LinkType("t", REP, transitive=True)),
+    (lambda: Derived(("r", ("k1",))), lambda: Derived(("r", ("k2",)))),
     (lambda: SemanticLink("k1", "a", "t", "b", 1.0, Explicit()),
      lambda: SemanticLink("k1", "a", "t", "b", 2.0, Explicit())),
     (lambda: QueryPattern("a", None, "b"), lambda: QueryPattern(None, "t", "b")),
@@ -93,8 +95,7 @@ def _name(pair):
 
 def test_every_record_class_is_covered():
     covered = {type(make()) for make, _other in RECORDS} | {Explicit, Explanation}
-    assert len(covered) == 38
-    covered.add(Derived)  # a NamedTuple from the start
+    assert len(covered) == 39
     for module_name in RECORD_MODULES:
         module = importlib.import_module(f"ksengine.{module_name}")
         for value in vars(module).values():
@@ -132,6 +133,20 @@ def test_explicit_provenance_is_one_frozen_value():
     assert Explicit().premises == ()
     with pytest.raises(AttributeError):
         Explicit().premises = ("k1",)
+
+
+def test_derived_provenance_is_a_tuple_with_named_fields():
+    """Derived is built by the tuple constructor from its (rule id, premises)
+    pair; copies keep the class, and its fields cannot be reassigned."""
+    made = Derived(("r", ("k1", "k2")))
+    assert (made.rule_id, made.premises) == ("r", ("k1", "k2"))
+    same = Derived(("r", ("k1", "k2")))
+    assert made == same and hash(made) == hash(same) and made != Derived(("r", ("k1",)))
+    for copied in copy.deepcopy(made), pickle.loads(pickle.dumps(made)):
+        assert type(copied) is Derived and copied == made and copied.premises == ("k1", "k2")
+    for field in Derived._fields:
+        with pytest.raises(AttributeError):
+            setattr(made, field, "x")
 
 
 def test_records_of_different_classes_never_compare_equal():

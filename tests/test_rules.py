@@ -322,7 +322,7 @@ def test_retract_with_maintenance_restores_alternate_support():
     # onward from the restored link.
     lifted = [l for l in net.derived_links() if l.triple() == ("a", "h", "b")]
     assert len(lifted) == 1
-    assert lifted[0].provenance == Derived("lift", (survivors[0].id,))
+    assert lifted[0].provenance == Derived(("lift", (survivors[0].id,)))
 
 
 def test_retract_before_any_derive_reaches_the_fixpoint():
@@ -619,9 +619,9 @@ def test_provenance_cycle_is_an_error_not_a_loop():
     net.assert_link("a", "t", "b", link_id="k1")
     net.assert_link("b", "t", "a", link_id="k0")
     # Each step is sound on its own, but k2 cites k3, which cites k2.
-    net.add_derived("a", "t", "c", 1.0, Derived("sys.transitive.t", ("k1", "k3")),
+    net.add_derived("a", "t", "c", 1.0, Derived(("sys.transitive.t", ("k1", "k3"))),
                     link_id="k2")
-    net.add_derived("b", "t", "c", 1.0, Derived("sys.transitive.t", ("k0", "k2")),
+    net.add_derived("b", "t", "c", 1.0, Derived(("sys.transitive.t", ("k0", "k2"))),
                     link_id="k3")
     with pytest.raises(InvalidRule, match="among its own premises"):
         explain(net, "k2")
@@ -758,11 +758,11 @@ def test_closure_step_over_two_closure_links_still_replays():
     k = {(link.source, link.target): link.id for link in net.links.values()}
     step = "sys.transitive.pre"
     k["v00", "v02"] = net.add_derived("v00", "pre", "v02", 1.0,
-                                      Derived(step, (k["v00", "v01"], k["v01", "v02"])))
+                                      Derived((step, (k["v00", "v01"], k["v01", "v02"]))))
     k["v02", "v04"] = net.add_derived("v02", "pre", "v04", 1.0,
-                                      Derived(step, (k["v02", "v03"], k["v03", "v04"])))
+                                      Derived((step, (k["v02", "v03"], k["v03", "v04"]))))
     top = net.add_derived("v00", "pre", "v04", 1.0,
-                          Derived(step, (k["v00", "v02"], k["v02", "v04"])))
+                          Derived((step, (k["v00", "v02"], k["v02", "v04"]))))
     text = export_state(EngineState(network=net))
     loaded = import_state(text).network
     assert verify_explanation(loaded, explain(loaded, top))

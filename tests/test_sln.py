@@ -133,7 +133,7 @@ def test_link_mutators_check_ends_type_and_id(mutator):
     def insert(source, type_id, target, link_id=None):
         if mutator == "assert_link":
             return net.assert_link(source, type_id, target, 1.0, link_id)
-        return net.add_derived(source, type_id, target, 1.0, Derived("r", (taken,)), link_id)
+        return net.add_derived(source, type_id, target, 1.0, Derived(("r", (taken,))), link_id)
 
     for source, target in (("ghost", b), (a, "ghost")):
         with pytest.raises(UnknownNode, match="'ghost' not found"):
@@ -159,7 +159,7 @@ def test_link_mutators_reject_bad_weights(weight):
     with pytest.raises(NegativeWeight):
         net.assert_link(a, t, b, weight=weight)
     with pytest.raises(NegativeWeight):
-        net.add_derived(a, t, b, weight, Derived(rule_id="r", premises=()))
+        net.add_derived(a, t, b, weight, Derived(("r", ())))
     assert net.links == {}
     assert net.links[net.assert_link(a, t, b, weight=0)].weight == 0.0
 
@@ -179,7 +179,7 @@ def test_explicit_upgrade_keeps_id():
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
-    lid = net.add_derived(a, t, b, 0.7, Derived(rule_id="r", premises=("x",)))
+    lid = net.add_derived(a, t, b, 0.7, Derived(("r", ("x",))))
     same = net.assert_link(a, t, b, weight=1.5)
     assert same == lid
     assert net.link(lid).is_explicit
@@ -191,7 +191,7 @@ def test_retract_refuses_derived():
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
-    lid = net.add_derived(a, t, b, 1.0, Derived(rule_id="r", premises=()))
+    lid = net.add_derived(a, t, b, 1.0, Derived(("r", ())))
     with pytest.raises(CannotRetractDerived):
         net.retract_link(lid)
 
@@ -203,8 +203,8 @@ def test_retract_removes_dependents_transitively():
     c = net.add_node(RepBundle(word="c"))
     t = net.add_link_type(RepBundle(word="t"))
     base = net.assert_link(a, t, b)
-    d1 = net.add_derived(b, t, c, 1.0, Derived(rule_id="r", premises=(base,)))
-    d2 = net.add_derived(a, t, c, 1.0, Derived(rule_id="r", premises=(d1,)))
+    d1 = net.add_derived(b, t, c, 1.0, Derived(("r", (base,))))
+    d2 = net.add_derived(a, t, c, 1.0, Derived(("r", (d1,))))
     keeper = net.assert_link(c, t, a)
     net.derive_mark = ("signature", len(net.links))
     removed = net.retract_link(base)

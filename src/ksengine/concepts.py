@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from .errors import (
     CyclicHierarchy,
-    DuplicateId,
     NonFiniteWeight,
     TooFewConcepts,
     UnknownCompartment,
@@ -200,12 +199,7 @@ class ConceptStore:
         priori: bool = False,
         link_type: Optional[str] = None,
     ) -> Concept:
-        if concept_id is None:
-            concept_id = fresh_id(self._counters, "c", self.concepts)
-        else:
-            check_id(concept_id, "concept id")
-            if concept_id in self.concepts:
-                raise DuplicateId(f"concept {concept_id!r} already exists")
+        concept_id = fresh_id(self._counters, "c", self.concepts, concept_id, "concept")
         concept = Concept(concept_id, name, priori=priori, link_type=link_type)
         self.concepts[concept_id] = concept
         return concept

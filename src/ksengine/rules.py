@@ -39,9 +39,9 @@ Derive and the DRed restore store firings through _store_firings, which
 binds the one lookup (Network._find_stored) and the one insertion step
 (Network._store) once per join, so a firing costs one lookup and, if its
 triple is new, one insertion: weighted by its weakest premise, with a
-Derived made by the tuple constructor, under the id fresh_id would give,
-which _store counts inline. The insertion checks nothing: the firing has
-proved what add_derived would check.
+Derived made by the tuple constructor, under the next fresh "k" id, which
+_store claims through fresh_id like every other id. The insertion checks
+nothing else: the firing has proved what add_derived would check.
 
 At the fixpoint the network keeps a mark: the rule/type signature and its
 link count. The next derive starts from the links inserted since the mark,

@@ -58,14 +58,21 @@ def check_id(token: str, what: str = "id") -> str:
     return token
 
 
-def fresh_id(counters: Dict[str, int], prefix: str, taken: Collection[str]) -> str:
-    """The next "<prefix>NNNNNN" id not in taken; counters keeps, per prefix,
-    where the next search starts."""
+def fresh_id(counters: Dict[str, int], prefix: str, taken: Collection[str],
+             given: Optional[str] = None, noun: str = "record") -> str:
+    """The engine's one id allocator. A given id comes back as it is once
+    check_id accepts it and taken lacks it, else DuplicateId "<noun> '<id>'
+    already exists". With none, the next "<prefix>NNNNNN" id not in taken;
+    counters keeps, per prefix, where the next search starts. Only that
+    numbering changes anything, so a mutator that claims its id after its
+    other checks leaves no trace when it raises."""
+    if given is not None:
+        if check_id(given, f"{noun} id") in taken:
+            raise DuplicateId(f"{noun} {given!r} already exists")
+        return given
     n = counters.get(prefix, 1)
-    token = prefix + str(n).zfill(6)
-    while token in taken:
+    while (token := f"{prefix}{n:06d}") in taken:
         n += 1
-        token = prefix + str(n).zfill(6)
     counters[prefix] = n + 1
     return token
 
@@ -306,13 +313,8 @@ class Network:
         attributes: Optional[Dict[str, Scalar]] = None,
         node_id: Optional[str] = None,
     ) -> str:
-        if node_id is None:
-            node_id = fresh_id(self._counters, "n", self.nodes)
-        else:
-            check_id(node_id, "node id")
-            if node_id in self.nodes:
-                raise DuplicateId(f"node {node_id!r} already exists")
         attrs = dict(check_attribute(*item) for item in (attributes or {}).items())
+        node_id = fresh_id(self._counters, "n", self.nodes, node_id, "node")
         self.nodes[node_id] = SemanticNode(node_id, rep, attrs, 0.0)
         return node_id
 
@@ -324,14 +326,9 @@ class Network:
         parent: Optional[str] = None,
         type_id: Optional[str] = None,
     ) -> str:
-        if type_id is None:
-            type_id = fresh_id(self._counters, "t", self.link_types)
-        else:
-            check_id(type_id, "link-type id")
-            if type_id in self.link_types:
-                raise DuplicateId(f"link type {type_id!r} already exists")
         if parent is not None and parent not in self.link_types:
             raise UnknownLinkType(f"parent link type {parent!r} not found")
+        type_id = fresh_id(self._counters, "t", self.link_types, type_id, "link type")
         self.link_types[type_id] = LinkType(type_id, rep, transitive, symmetric, parent)
         return type_id
 
@@ -416,7 +413,6 @@ class Network:
             self._base.pop(type_id, None)  # the link may just have become base
             existing.weight = weight
             return existing.id
-        self._check_free(link_id)
         return self._store(source, type_id, target, weight, Explicit(), True, link_id).id
 
     def add_derived(self, source: str, type_id: str, target: str, weight: float,
@@ -426,7 +422,6 @@ class Network:
         weight, existing = self._check_link(source, type_id, target, weight)
         if existing is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
-        self._check_free(link_id)
         return self._store(source, type_id, target, weight, provenance,
                            provenance.rule_id != TRANSITIVE_PREFIX + type_id, link_id).id
 
@@ -442,31 +437,19 @@ class Network:
             raise UnknownLinkType(f"link type {type_id!r} not found")
         return check_weight(weight), self._find_stored(source, type_id, target)
 
-    def _check_free(self, link_id: Optional[str]) -> None:
-        if link_id is not None:
-            check_id(link_id, "link id")
-            if link_id in self.links:
-                raise DuplicateId(f"link {link_id!r} already exists")
-
     def _store(self, source: str, type_id: str, target: str, weight: float,
                provenance: Provenance, base: bool, link_id: Optional[str] = None) -> SemanticLink:
-        """Insert and index a link, checking nothing; every insertion comes
-        here. The caller vouches that both ends and the type exist, the
-        weight is valid, no stored link answers the triple, link_id is free
-        and base is is_base(link): assert_link and add_derived check it, and
-        a rule firing has proved it (the triple was just looked up, the
-        weight is the least of stored weights, and validate_rule and the
-        rule vouch for the head's terms and its links' base-ness). Without
-        link_id it takes the next id fresh_id(counters, "k", links) would,
-        counting inline: derive stores one link per firing."""
+        """Insert and index a link under link_id or, without one, the next
+        fresh "k" id; every insertion comes here, and claims its id here,
+        through fresh_id. It checks nothing else: the caller vouches that
+        both ends and the type exist, the weight is valid, no stored link
+        answers the triple and base is is_base(link). assert_link and
+        add_derived check it, and a rule firing has proved it (the triple was
+        just looked up, the weight is the least of stored weights, and
+        validate_rule and the rule vouch for the head's terms and its links'
+        base-ness)."""
         links = self.links
-        if link_id is None:
-            n = self._counters.get("k", 1)
-            link_id = f"k{n:06d}"
-            while link_id in links:
-                n += 1
-                link_id = f"k{n:06d}"
-            self._counters["k"] = n + 1
+        link_id = fresh_id(self._counters, "k", links, link_id, "link")
         link = links[link_id] = SemanticLink(link_id, source, type_id, target, weight, provenance)
         forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
         if forward is None:  # both indexes hold a type or neither does

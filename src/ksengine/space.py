@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 from .errors import (
     AlreadyPlaced,
     DimensionNameClash,
-    DuplicateId,
     EmptySubset,
     FullSubset,
     InvalidId,
@@ -101,14 +100,10 @@ class Space:
         for dim in self._dims.values():
             if dim.name == name:
                 raise DimensionNameClash(f"dimension name {name!r} already in use")
-        if dim_id is None:
-            dim_id = fresh_id(self._counters, "d", self._dims)
-        else:
-            check_id(dim_id, "dimension id")
-            if dim_id in self._dims:
-                raise DuplicateId(f"dimension {dim_id!r} already exists")
-        dim = Dimension(dim_id, name)
-        self._dims[dim_id] = dim
+        if root_id is not None:  # refuse a bad root before a fresh dimension id is used up
+            fresh_id(self._counters, "g", self._cat_owner, root_id, "category")
+        dim_id = fresh_id(self._counters, "d", self._dims, dim_id, "dimension")
+        dim = self._dims[dim_id] = Dimension(dim_id, name)
         if position is None:
             self._order.append(dim_id)
         else:
@@ -125,16 +120,11 @@ class Space:
         cat_id: Optional[str] = None,
     ) -> str:
         dim = self.dimension(dim_id)
-        if cat_id is None:
-            cat_id = fresh_id(self._counters, "g", self._cat_owner)
-        else:
-            check_id(cat_id, "category id")
-            if cat_id in self._cat_owner:
-                raise DuplicateId(f"category {cat_id!r} already exists in this space")
         if parent is not None and parent not in dim.tree:
             raise UnknownCategory(
                 f"parent {parent!r} not found in dimension {dim_id!r}"
             )
+        cat_id = fresh_id(self._counters, "g", self._cat_owner, cat_id, "category")
         dim.tree.add(cat_id, name, parent)
         self._cat_owner[cat_id] = dim_id
         return cat_id

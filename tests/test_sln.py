@@ -13,9 +13,11 @@ from ksengine.errors import (
     InvalidRep,
     MalformedPattern,
     NegativeWeight,
+    UnknownCategory,
     UnknownLinkType,
     UnknownNode,
 )
+from ksengine.ksif import export_state
 from ksengine.rules import derive_fixpoint
 from ksengine.sln import (
     ClassRef,
@@ -27,6 +29,8 @@ from ksengine.sln import (
     is_base,
     parse_pattern,
 )
+from ksengine.space import Space
+from ksengine.state import EngineState
 
 import oracles
 from generators import engine_fact_set, random_network
@@ -89,11 +93,86 @@ def test_add_node_rejects_bad_attribute():
         net.add_node(RepBundle(word="a"), attributes={"": "x"})
 
 
-def test_fresh_ids_skip_taken():
+def _stores():
+    """A state whose network names its nodes, type and link by hand and whose
+    concept store and space each hold one freshly numbered entry."""
     net = Network()
-    net.add_node(RepBundle(word="squatter"), node_id="n000001")
-    nid = net.add_node(RepBundle(word="next"))
-    assert nid == "n000002"
+    for name in ("a", "b"):
+        net.add_node(RepBundle(word=name), node_id=name)
+    net.add_link_type(RepBundle(word="t"), type_id="t")
+    net.assert_link("a", "t", "b", link_id="ab")
+    concepts = ConceptStore()
+    concepts.add_concept("one")
+    space = Space()
+    space.add_dimension("topic")
+    return EngineState(network=net, space=space, concepts=concepts)
+
+
+# Per claim site: its id prefix and noun, and a call claiming a given id
+# (a fresh one when None) in a _stores() state. Derive's link ids step over
+# taken ones in test_derived_link_ids_follow_fresh_id_around_taken_ids, and
+# the link message is checked in test_link_mutators_check_ends_type_and_id.
+CLAIMS = [
+    ("n", "node", lambda st, i: st.network.add_node(RepBundle(word="x"), None, i)),
+    ("t", "link type", lambda st, i: st.network.add_link_type(RepBundle(word="x"), type_id=i)),
+    ("c", "concept", lambda st, i: st.concepts.add_concept("x", i).id),
+    ("d", "dimension",
+     lambda st, i: st.space.add_dimension(f"x{len(st.space.dimensions())}", i).id),
+    ("g", "category", lambda st, i: st.space.add_category("d000001", "x", "g000001", i)),
+]
+
+
+def test_fresh_ids_skip_taken():
+    """Each store's fresh ids step over one taken by hand, and a taken id is
+    refused in the store's own noun."""
+    for prefix, noun, claim in CLAIMS:
+        state = _stores()
+        squatter = claim(_stores(), None)  # the id a fresh claim would take
+        assert claim(state, squatter) == squatter
+        assert claim(state, None) == f"{prefix}{int(squatter[1:]) + 1:06d}"
+        with pytest.raises(DuplicateId, match=f"^{noun} '{squatter}' already exists$"):
+            claim(state, squatter)
+
+
+def _next_ids(state):
+    """The ids one fresh claim at each store would take, claiming them."""
+    net, space = state.network, state.space
+    dim = space.add_dimension("next")
+    return [net.add_node(RepBundle(word="next")), net.add_link_type(RepBundle(word="next")),
+            net.assert_link("b", "t", "a"), state.concepts.add_concept("next").id,
+            dim.id, dim.root, space.add_category(dim.id, "next", dim.root)]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda st: st.network.add_node(RepBundle(word="x"), {"flag": True}), InvalidRep),
+    (lambda st: st.network.add_node(RepBundle(word="x"), node_id="a"), DuplicateId),
+    (lambda st: st.network.add_node(RepBundle(word="x"), node_id="no spaces"), InvalidId),
+    (lambda st: st.network.add_link_type(RepBundle(word="x"), parent="ghost"), UnknownLinkType),
+    (lambda st: st.network.add_link_type(RepBundle(word="x"), type_id="t"), DuplicateId),
+    (lambda st: st.network.add_link_type(RepBundle(word="x"), type_id="no spaces"), InvalidId),
+    (lambda st: st.network.assert_link("b", "t", "a", link_id="ab"), DuplicateId),
+    (lambda st: st.network.assert_link("b", "t", "a", link_id="no spaces"), InvalidId),
+    (lambda st: st.network.add_derived("b", "t", "a", 1.0, Derived(("r", ("ab",))), "ab"),
+     DuplicateId),
+    (lambda st: st.concepts.add_concept("x", "c000001"), DuplicateId),
+    (lambda st: st.concepts.add_concept("x", "no spaces"), InvalidId),
+    (lambda st: st.space.add_dimension("x", "d000001"), DuplicateId),
+    (lambda st: st.space.add_dimension("x", "no spaces"), InvalidId),
+    (lambda st: st.space.add_category("d000001", "x", "ghost"), UnknownCategory),
+    (lambda st: st.space.add_category("d000001", "x", "g000001", "g000001"), DuplicateId),
+    (lambda st: st.space.add_category("d000001", "x", "g000001", "no spaces"), InvalidId),
+], ids=["node-attribute", "node-taken", "node-invalid", "type-parent", "type-taken",
+        "type-invalid", "link-taken", "link-invalid", "derived-taken", "concept-taken",
+        "concept-invalid", "dimension-taken", "dimension-invalid", "category-parent",
+        "category-taken", "category-invalid"])
+def test_refused_claims_leave_no_trace(call, error):
+    """A mutator that raises changes nothing: the state exports as an
+    untouched twin does, and the next fresh ids are the twin's."""
+    state, twin = _stores(), _stores()
+    with pytest.raises(error):
+        call(state)
+    assert export_state(state) == export_state(twin)
+    assert _next_ids(state) == _next_ids(twin)
 
 
 def test_link_type_unknown_parent():

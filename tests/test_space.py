@@ -7,8 +7,10 @@ import pytest
 from ksengine.errors import (
     AlreadyPlaced,
     DimensionNameClash,
+    DuplicateId,
     EmptySubset,
     FullSubset,
+    InvalidId,
     InvalidRep,
     MissingCoordinate,
     NonPositiveInput,
@@ -16,7 +18,9 @@ from ksengine.errors import (
     UnknownDimension,
     UnknownResource,
 )
+from ksengine.ksif import export_state, import_state
 from ksengine.space import Space, can_hold, join_spaces
+from ksengine.state import EngineState
 
 import oracles
 from generators import random_space, space_as_tables
@@ -88,6 +92,26 @@ def test_category_ids_unique_across_space():
     space.add_category(d1.id, "x", d1.root, cat_id="shared")
     with pytest.raises(Exception):
         space.add_category(d2.id, "y", d2.root, cat_id="shared")
+
+
+@pytest.mark.parametrize("dim_id", [None, "year"])
+@pytest.mark.parametrize("root_id, error", [("g000001", DuplicateId), ("no spaces", InvalidId)])
+def test_refused_root_leaves_no_dimension_behind(dim_id, root_id, error):
+    """A taken or invalid root id refuses the whole dimension: no rootless
+    dimension stays behind to break place or the state's re-import, and no
+    fresh dimension id is used up."""
+    space = Space()
+    topic = space.add_dimension("topic")
+    state = EngineState(space=space)
+    before = export_state(state)
+    with pytest.raises(error):
+        space.add_dimension("year", dim_id, root_id=root_id)
+    assert space.dimensions() == [topic]
+    after = export_state(state)
+    import_state(after)
+    assert after == before
+    year = space.add_dimension("year")
+    assert (year.id, year.root) == ("d000002", "g000002")
 
 
 def test_category_parent_must_be_in_same_dimension():

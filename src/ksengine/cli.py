@@ -55,101 +55,6 @@ def _radius(text: str) -> int:
     return radius
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ksengine", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--state", help="state file path (or set KSENGINE_STATE)")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("import", parents=[common], help="replace the state from a KSIF file")
-    p.add_argument("file")
-
-    sub.add_parser("export", parents=[common], help="print the state as canonical KSIF")
-
-    sub.add_parser("derive", parents=[common], help="run rules to the fixpoint")
-
-    p = sub.add_parser("query", parents=[common], help="answer a one-hole pattern")
-    p.add_argument("pattern", help='e.g. "(N_1, ?, N_2)" or "(?, L_4, N_5)"')
-
-    p = sub.add_parser("explain", parents=[common], help="print a link's derivation tree")
-    p.add_argument("link_id")
-
-    p = sub.add_parser("place", parents=[common], help="place a resource at a point")
-    p.add_argument("resource")
-    p.add_argument("coords", nargs="+", metavar="DIM=CAT")
-    p.add_argument("--replace", action="store_true", help="overwrite an existing placement")
-
-    p = sub.add_parser("locate", parents=[common], help="find resources by coordinates")
-    p.add_argument("coords", nargs="+", metavar="DIM=CAT")
-    p.add_argument("--mode", choices=("exact", "subtree"), default="exact")
-
-    sub.add_parser("nf-check", parents=[common], help="report normal-form violations")
-
-    p = sub.add_parser("split", parents=[common],
-                       help="split dimensions off into a printed fragment")
-    p.add_argument("dims", help="comma-separated dimension ids or names")
-
-    p = sub.add_parser("join", parents=[common], help="join a space fragment file in")
-    p.add_argument("file")
-
-    p = sub.add_parser("merge-dims", parents=[common], help="merge two dimensions into one")
-    p.add_argument("dim1")
-    p.add_argument("dim2")
-
-    p = sub.add_parser("read", parents=[common], help="read text into the concept network")
-    p.add_argument("text", help="whitespace-separated tokens")
-    p.add_argument("--lexicon", help="KSIF fragment with CONCEPT/LEXEME records")
-    p.add_argument("--goals", default="", help="comma-separated goal concept ids")
-    p.add_argument("--radius", type=_radius, default=2)
-
-    p = sub.add_parser("verify", parents=[common], help="verify candidate links and rules")
-    p.add_argument("file", help="KSIF fragment with LINK/RULE candidate records")
-    p.add_argument("--mode", choices=("literal", "consistency"), default="literal")
-    p.add_argument("--exclusive", default="",
-                   help="contradiction pairs for consistency mode, e.g. T1:T2,T3:T4")
-
-    p = sub.add_parser("co-occur", parents=[common],
-                       help="raise co-occurrence problems from an events file")
-    p.add_argument("file", help="text file: one record id plus entities per line")
-    p.add_argument("--min-support", type=int, default=2)
-
-    p = sub.add_parser("find-problem", parents=[common],
-                       help="evaluate anomaly rules over the stored links")
-    p.add_argument("--rules", help="KSIF file with ANOMALYRULE records "
-                                   "(default: rules stored in the state)")
-
-    p = sub.add_parser("solve", parents=[common], help="find solution concepts for a problem")
-    p.add_argument("problem_id")
-    p.add_argument("--solution-types", default="",
-                   help="comma-separated relation labels to follow")
-
-    p = sub.add_parser("recommend", parents=[common],
-                       help="rank stored problems with their solutions")
-    p.add_argument("--solution-types", default="")
-
-    p = sub.add_parser("analogy", parents=[common],
-                       help="map a source network onto a target network")
-    p.add_argument("--source", required=True, help="KSIF file for the solved domain")
-    p.add_argument("--target", required=True, help="KSIF file for the new domain")
-    p.add_argument("--solution-links", default="",
-                   help="comma-separated link ids marking the source's solution")
-    p.add_argument("--max-nodes", type=int, default=10)
-
-    p = sub.add_parser("ability", parents=[common],
-                       help="measure question answering across data increments")
-    p.add_argument("--questions", required=True,
-                   help="text file with one query pattern per line")
-    p.add_argument("--increments", nargs="*", default=[],
-                   help="KSIF network fragments, applied in order")
-
-    p = sub.add_parser("capacity", parents=[common],
-                       help="check whether n branches can hold an x-branch tree")
-    p.add_argument("x", type=float)
-    p.add_argument("n", type=int)
-
-    return parser
-
-
 # ===== input helpers =====
 
 def _read_file(path: str) -> str:
@@ -350,8 +255,7 @@ def _cmd_solve(state, args) -> int:
     from .discovery import find_solution
     problem = state.problems.get(args.problem_id)
     if problem is None:
-        print(f"error: problem {args.problem_id!r} not found", file=sys.stderr)
-        return 2
+        raise KsError(f"problem {args.problem_id!r} not found")
     for solution in find_solution(
         state.concepts, problem, _split_csv(args.solution_types)
     ):
@@ -413,37 +317,106 @@ def _cmd_capacity(_state, args) -> int:
     return 0
 
 
-# ===== state lifecycle =====
+# ===== command table =====
 
 # Where a command's state comes from: the --state file (a fresh state when the
 # file does not exist yet), the KSIF file named by the command's `file`
 # argument, or nothing (an empty state the command ignores).
 _STATE_FILE, _FILE_ARG, _EMPTY = "state-file", "file-arg", "empty"
 
-# command -> (operation, state source, whether the state is saved back)
+
+def _arg(*flags: str, **options):
+    """One argument besides --state, as `add_argument(*flags, **options)` takes it."""
+    return flags, options
+
+
+# The one declaration of each command, in `--help` order: command -> (help,
+# arguments besides --state, operation, state source, whether the state is
+# saved back). The parser is built from this table.
 _COMMANDS = {
-    "import": (lambda _state, _args: 0, _FILE_ARG, True),
-    "export": (_cmd_export, _STATE_FILE, False),
-    "derive": (_cmd_derive, _STATE_FILE, True),
-    "query": (_cmd_query, _STATE_FILE, False),
-    "explain": (_cmd_explain, _STATE_FILE, False),
-    "place": (_cmd_place, _STATE_FILE, True),
-    "locate": (_cmd_locate, _STATE_FILE, False),
-    "nf-check": (_cmd_nf_check, _STATE_FILE, False),
-    "split": (_cmd_split, _STATE_FILE, True),
-    "join": (_cmd_join, _STATE_FILE, True),
-    "merge-dims": (_cmd_merge_dims, _STATE_FILE, True),
-    "read": (_cmd_read, _STATE_FILE, True),
-    "verify": (_cmd_verify, _STATE_FILE, False),
-    "co-occur": (_cmd_co_occur, _STATE_FILE, True),
-    "find-problem": (_cmd_find_problem, _STATE_FILE, True),
-    "solve": (_cmd_solve, _STATE_FILE, False),
-    "recommend": (_cmd_recommend, _STATE_FILE, False),
-    "analogy": (_cmd_analogy, _EMPTY, False),
-    "ability": (_cmd_ability, _STATE_FILE, False),
-    "capacity": (_cmd_capacity, _EMPTY, False),
+    "import": ("replace the state from a KSIF file", [_arg("file")],
+               lambda _state, _args: 0, _FILE_ARG, True),
+    "export": ("print the state as canonical KSIF", [], _cmd_export, _STATE_FILE, False),
+    "derive": ("run rules to the fixpoint", [], _cmd_derive, _STATE_FILE, True),
+    "query": ("answer a one-hole pattern", [
+        _arg("pattern", help='e.g. "(N_1, ?, N_2)" or "(?, L_4, N_5)"'),
+    ], _cmd_query, _STATE_FILE, False),
+    "explain": ("print a link's derivation tree", [_arg("link_id")],
+                _cmd_explain, _STATE_FILE, False),
+    "place": ("place a resource at a point", [
+        _arg("resource"),
+        _arg("coords", nargs="+", metavar="DIM=CAT"),
+        _arg("--replace", action="store_true", help="overwrite an existing placement"),
+    ], _cmd_place, _STATE_FILE, True),
+    "locate": ("find resources by coordinates", [
+        _arg("coords", nargs="+", metavar="DIM=CAT"),
+        _arg("--mode", choices=("exact", "subtree"), default="exact"),
+    ], _cmd_locate, _STATE_FILE, False),
+    "nf-check": ("report normal-form violations", [], _cmd_nf_check, _STATE_FILE, False),
+    "split": ("split dimensions off into a printed fragment", [
+        _arg("dims", help="comma-separated dimension ids or names"),
+    ], _cmd_split, _STATE_FILE, True),
+    "join": ("join a space fragment file in", [_arg("file")], _cmd_join, _STATE_FILE, True),
+    "merge-dims": ("merge two dimensions into one", [_arg("dim1"), _arg("dim2")],
+                   _cmd_merge_dims, _STATE_FILE, True),
+    "read": ("read text into the concept network", [
+        _arg("text", help="whitespace-separated tokens"),
+        _arg("--lexicon", help="KSIF fragment with CONCEPT/LEXEME records"),
+        _arg("--goals", default="", help="comma-separated goal concept ids"),
+        _arg("--radius", type=_radius, default=2),
+    ], _cmd_read, _STATE_FILE, True),
+    "verify": ("verify candidate links and rules", [
+        _arg("file", help="KSIF fragment with LINK/RULE candidate records"),
+        _arg("--mode", choices=("literal", "consistency"), default="literal"),
+        _arg("--exclusive", default="",
+             help="contradiction pairs for consistency mode, e.g. T1:T2,T3:T4"),
+    ], _cmd_verify, _STATE_FILE, False),
+    "co-occur": ("raise co-occurrence problems from an events file", [
+        _arg("file", help="text file: one record id plus entities per line"),
+        _arg("--min-support", type=int, default=2),
+    ], _cmd_co_occur, _STATE_FILE, True),
+    "find-problem": ("evaluate anomaly rules over the stored links", [
+        _arg("--rules", help="KSIF file with ANOMALYRULE records "
+                             "(default: rules stored in the state)"),
+    ], _cmd_find_problem, _STATE_FILE, True),
+    "solve": ("find solution concepts for a problem", [
+        _arg("problem_id"),
+        _arg("--solution-types", default="", help="comma-separated relation labels to follow"),
+    ], _cmd_solve, _STATE_FILE, False),
+    "recommend": ("rank stored problems with their solutions", [
+        _arg("--solution-types", default=""),
+    ], _cmd_recommend, _STATE_FILE, False),
+    "analogy": ("map a source network onto a target network", [
+        _arg("--source", required=True, help="KSIF file for the solved domain"),
+        _arg("--target", required=True, help="KSIF file for the new domain"),
+        _arg("--solution-links", default="",
+             help="comma-separated link ids marking the source's solution"),
+        _arg("--max-nodes", type=int, default=10),
+    ], _cmd_analogy, _EMPTY, False),
+    "ability": ("measure question answering across data increments", [
+        _arg("--questions", required=True, help="text file with one query pattern per line"),
+        _arg("--increments", nargs="*", default=[],
+             help="KSIF network fragments, applied in order"),
+    ], _cmd_ability, _STATE_FILE, False),
+    "capacity": ("check whether n branches can hold an x-branch tree", [
+        _arg("x", type=float),
+        _arg("n", type=int),
+    ], _cmd_capacity, _EMPTY, False),
 }
 
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="ksengine", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (help_text, arguments, *_lifecycle) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)  # --state first, as --help lists it
+        command.add_argument("--state", help="state file path (or set KSENGINE_STATE)")
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+    return parser
+
+
+# ===== state lifecycle =====
 
 @contextlib.contextmanager
 def _write_lock(path: str):
@@ -481,7 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    operation, source, saved = _COMMANDS[args.command]
+    operation, source, saved = _COMMANDS[args.command][2:]
     held_out, held_err = io.StringIO(), io.StringIO()
     try:
         path = args.state or os.environ.get("KSENGINE_STATE")

@@ -719,16 +719,18 @@ def verify_explanation(network: Network, node: Explanation) -> bool:
 def retract_with_maintenance(network: Network, link_id: str) -> List[str]:
     """Retract an explicit link and keep the network at its fixpoint (DRed).
 
-    Derives to the fixpoint first, then over-deletes the link's provenance
-    closure (Network.retract_link), restores each over-deleted triple that a
-    firing over the surviving links still supports, and derives onward from
-    the restored links. Only rules whose head can meet an over-deleted triple
+    Refuses an unknown or derived link id before it changes anything. Then
+    derives to the fixpoint, over-deletes the link's provenance closure
+    (Network.retract_link), restores each over-deleted triple that a firing
+    over the surviving links still supports, and derives onward from the
+    restored links. Only rules whose head can meet an over-deleted triple
     re-fire, and only against those triples. Links outside the closure keep
     their ids and provenance; a restored link gets a fresh id.
 
     Returns the ids, among links present before the call, that are gone
     after it.
     """
+    network.explicit_link(link_id)
     fresh = {link.id for link in derive_fixpoint(network)[0]}
     rules = effective_rules(network)
     removed = network.retract_link(link_id)

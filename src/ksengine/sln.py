@@ -365,6 +365,14 @@ class Network:
         except KeyError:
             raise UnknownLink(f"link {link_id!r} not found") from None
 
+    def explicit_link(self, link_id: str) -> SemanticLink:
+        """The stored link, refused unless it is explicit: only an explicit
+        link can be retracted."""
+        link = self.link(link_id)
+        if not link.is_explicit:
+            raise CannotRetractDerived(f"link {link_id!r} is derived")
+        return link
+
     # ===== link store =====
 
     def _index_remove(self, link: SemanticLink) -> None:
@@ -475,9 +483,7 @@ class Network:
         caller can re-derive their triples without walking the closure again;
         rules.retract_with_maintenance does. Any removal voids the derive mark.
         """
-        link = self.link(link_id)
-        if not link.is_explicit:
-            raise CannotRetractDerived(f"link {link_id!r} is derived")
+        self.explicit_link(link_id)
         closure = sorted(self.provenance_closure([link_id]), key=lambda r: (r != link_id, r))
         removed = [self.links.pop(rid) for rid in closure]
         for gone in removed:

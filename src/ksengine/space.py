@@ -9,14 +9,14 @@ the capacity comparison can_hold.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+import operator
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     AlreadyPlaced,
     DimensionNameClash,
     EmptySubset,
     FullSubset,
-    InvalidId,
     MissingCoordinate,
     NonPositiveInput,
     UnknownCategory,
@@ -100,6 +100,8 @@ class Space:
         for dim in self._dims.values():
             if dim.name == name:
                 raise DimensionNameClash(f"dimension name {name!r} already in use")
+        if position is not None:  # refuse a non-integer before any id is claimed
+            position = operator.index(position)
         if root_id is not None:  # refuse a bad root before a fresh dimension id is used up
             fresh_id(self._counters, "g", self._cat_owner, root_id, "category")
         dim_id = fresh_id(self._counters, "d", self._dims, dim_id, "dimension")

@@ -1,5 +1,7 @@
-"""The package surface: lazy exports, and which modules a CLI command loads."""
+"""The package surface: lazy exports, which modules a CLI command loads, and
+imports the source never uses."""
 
+import ast
 import importlib
 import json
 import os
@@ -177,3 +179,30 @@ def test_verify_loads_discovery(tmp_path):
     assert report["codes"] == [0]
     assert "ksengine.discovery" in report["loaded"]
     assert "ksengine.fixtures" not in report["loaded"]
+
+
+# ===== imports =====
+
+def _unused_imports(source):
+    """Names a module imports and never reads (an annotation is a read)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - read)
+
+
+def test_every_imported_name_is_used():
+    home = os.path.dirname(os.path.abspath(ksengine.__file__))
+    unused = {}
+    for name in sorted(os.listdir(home)):
+        if name.endswith(".py"):
+            with open(os.path.join(home, name), encoding="utf-8") as handle:
+                names = _unused_imports(handle.read())
+            if names:
+                unused[name] = names
+    assert unused == {}

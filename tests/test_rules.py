@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from ksengine import rules
-from ksengine.errors import DuplicateExplicitLink, InvalidRule
+from ksengine.errors import CannotRetractDerived, DuplicateExplicitLink, InvalidRule, UnknownLink
 from ksengine.ksif import export_state, import_state
 from ksengine.rules import (
     Explanation,
@@ -332,6 +332,24 @@ def test_retract_before_any_derive_reaches_the_fixpoint():
     assert retract_with_maintenance(net, middle) == [middle]
     assert set(net.links) - before == {l.id for l in net.derived_links()}
     _check_closure(net)
+
+
+@pytest.mark.parametrize("derived, error, message", [
+    (False, UnknownLink, "not found"), (True, CannotRetractDerived, "is derived"),
+], ids=["unknown", "derived"])
+def test_refused_retraction_changes_nothing(derived, error, message):
+    """An unknown or derived link id is refused before the derive: the links
+    added since the last fixpoint stay underived, and the mark is kept."""
+    net = _chain(3)
+    derive_fixpoint(net)
+    link_id = next(l.id for l in net.derived_links()) if derived else "nope"
+    net.add_node(RepBundle(word="v3"), node_id="v03")
+    net.assert_link("v02", "pre", "v03")
+    before, mark = export_state(EngineState(network=net)), net.derive_mark
+    with pytest.raises(error, match=f"^link '{link_id}' {message}$"):
+        retract_with_maintenance(net, link_id)
+    assert export_state(EngineState(network=net)) == before
+    assert net.derive_mark == mark
 
 
 def test_fixpoint_matches_naive_oracle():

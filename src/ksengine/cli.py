@@ -20,7 +20,7 @@ import fcntl
 import io
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .concepts import read_text
 from .errors import KsError, MalformedPattern
@@ -48,11 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _radius(text: str) -> int:
-    radius = int(text)
-    if radius < 1:
-        raise argparse.ArgumentTypeError(f"radius must be at least 1, got {radius}")
-    return radius
+def _at_least_one(name: str) -> Callable[[str], int]:
+    """The argparse type of the count option called name: an integer of at
+    least 1; anything else is a usage error naming the option and value."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {text}")
+        return value
+    return count
 
 
 # ===== input helpers =====
@@ -363,7 +370,7 @@ _COMMANDS = {
         _arg("text", help="whitespace-separated tokens"),
         _arg("--lexicon", help="KSIF fragment with CONCEPT/LEXEME records"),
         _arg("--goals", default="", help="comma-separated goal concept ids"),
-        _arg("--radius", type=_radius, default=2),
+        _arg("--radius", type=_at_least_one("radius"), default=2),
     ], _cmd_read, _STATE_FILE, True),
     "verify": ("verify candidate links and rules", [
         _arg("file", help="KSIF fragment with LINK/RULE candidate records"),
@@ -373,7 +380,7 @@ _COMMANDS = {
     ], _cmd_verify, _STATE_FILE, False),
     "co-occur": ("raise co-occurrence problems from an events file", [
         _arg("file", help="text file: one record id plus entities per line"),
-        _arg("--min-support", type=int, default=2),
+        _arg("--min-support", type=_at_least_one("min-support"), default=2),
     ], _cmd_co_occur, _STATE_FILE, True),
     "find-problem": ("evaluate anomaly rules over the stored links", [
         _arg("--rules", help="KSIF file with ANOMALYRULE records "

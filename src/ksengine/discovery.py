@@ -4,8 +4,9 @@ Everything here is deterministic: verification and analogy each derive one
 scratch copy of the caller's network once and reuse that saturated copy,
 problems come out in sorted order, the analogy searches visit nodes in
 a fixed order, and ability reports replay the same measurements per increment.
-Both analogy searches (first full map, best partial map) read one
-backtracking enumeration of injective node maps, after Ullmann (JACM 1976).
+One analogy search, the best-map search over a backtracking enumeration
+of injective node maps after Ullmann (JACM 1976), serves every stage: the
+exact and lifted stages ask it for a map keeping every triple.
 
 The problem records a state keeps, `Problem` and `AnomalyRule`, are defined
 in `state`; this module raises and evaluates them, and `from
@@ -431,15 +432,6 @@ class AnalogyResult(Record):
         self.impact = [] if impact is None else impact
 
 
-def _degree_tables(nodes, triples):
-    out: Dict[str, Dict[str, int]] = {n: {} for n in nodes}
-    inn: Dict[str, Dict[str, int]] = {n: {} for n in nodes}
-    for s, tid, t in triples:
-        out[s][tid] = out[s].get(tid, 0) + 1
-        inn[t][tid] = inn[t].get(tid, 0) + 1
-    return out, inn
-
-
 def _injections(order: List[str], k: int, t_nodes: List[str],
                 fits: Callable[[Dict[str, str], str, str], bool],
                 assignment: Dict[str, str], used: Set[str]) -> Iterator[Dict[str, str]]:
@@ -464,66 +456,40 @@ def _injections(order: List[str], k: int, t_nodes: List[str],
         del assignment[sn]
 
 
-def _search_injection(
-    s_nodes: List[str],
-    s_triples: List[Tuple[str, str, str]],
-    t_nodes: List[str],
-    t_triple_set: Set[Tuple[str, str, str]],
-    t_out,
-    t_in,
-) -> Optional[Dict[str, str]]:
-    """First injective node map preserving every source triple, or None."""
-    s_out, s_in = _degree_tables(s_nodes, s_triples)
-    order = sorted(
-        s_nodes,
-        key=lambda n: (-(sum(s_out[n].values()) + sum(s_in[n].values())), n),
-    )
-
-    def feasible(assignment: Dict[str, str], sn: str, tn: str) -> bool:
-        for tid, need in s_out[sn].items():
-            if t_out[tn].get(tid, 0) < need:
-                return False
-        for tid, need in s_in[sn].items():
-            if t_in[tn].get(tid, 0) < need:
-                return False
-        for s, tid, t in s_triples:
-            ms = tn if s == sn else assignment.get(s)
-            mt = tn if t == sn else assignment.get(t)
-            if ms is not None and mt is not None and (ms, tid, mt) not in t_triple_set:
-                return False
-        return True
-
-    return next(_injections(order, 0, t_nodes, feasible, {}, set()), None)
-
-
 def _best_partial_map(
     s_nodes: List[str],
     s_triples: List[Tuple[str, str, str]],
     t_nodes: List[str],
     t_triple_set: Set[Tuple[str, str, str]],
-) -> Dict[str, str]:
-    """Injective map maximizing preserved source triples (first best wins);
-    the caller has checked that the target has enough nodes for one. A
-    triple is missed once no target triple matches it with its unmapped
-    ends left open, so one whose type the target lacks is missed from the
-    start. A partial map is cut when the triples it has not missed cannot
-    beat the best so far, so the walk yields only improving maps, and it
-    stops at a map keeping every triple not missed from the start."""
+    floor: int = -1,
+) -> Optional[Dict[str, str]]:
+    """The first injective map, source nodes visited in the order given,
+    keeping the most source triples and more than floor of them; None if
+    no map keeps more than floor. floor=len(s_triples) - 1 asks for a map
+    keeping every triple. A triple is missed once no target triple matches
+    it with its unmapped ends left open, so one whose type the target lacks
+    is missed from the start. A partial map is cut at the first miss that
+    leaves it unable to beat the best so far, so the walk yields only
+    improving maps, and it stops at a map keeping every triple not missed
+    from the start."""
     # Each target triple with neither, either or both ends left open (None).
     open_ends = {(s_, tid, t_) for s, tid, t in t_triple_set
                  for s_ in (s, None) for t_ in (t, None)}
     keepable = sum((None, tid, None) in open_ends for _s, tid, _t in s_triples)
-    best: Dict[str, str] = {}
-    best_count = -1
+    best: Optional[Dict[str, str]] = None
+    best_count = floor
 
     def promising(assignment: Dict[str, str], sn: str, tn: str) -> bool:
-        missed = 0
+        misses_left = len(s_triples) - best_count - 1
         for s, tid, t in s_triples:
-            missed += (tn if s == sn else assignment.get(s), tid,
-                       tn if t == sn else assignment.get(t)) not in open_ends
-        return len(s_triples) - missed > best_count
+            if (tn if s == sn else assignment.get(s), tid,
+                    tn if t == sn else assignment.get(t)) not in open_ends:
+                misses_left -= 1
+                if misses_left < 0:
+                    return False
+        return True
 
-    for node_map in _injections(sorted(s_nodes), 0, t_nodes, promising, {}, set()):
+    for node_map in _injections(s_nodes, 0, t_nodes, promising, {}, set()):
         best = dict(node_map)
         best_count = sum((node_map[s], tid, node_map[t]) in t_triple_set
                          for s, tid, t in s_triples)
@@ -540,6 +506,11 @@ def analogize(
 ) -> AnalogyResult:
     """Map the source's solution into the target by isomorphism, generalized
     types, or conjecture–verification (in that order).
+
+    The exact stage and each lifted stage after it ask the best-map search
+    for the first map keeping every (lifted) source triple; two triples
+    lifted onto one are kept together. Failing every level, the conjecture
+    stage takes the first best map in sorted node order.
 
     Maps are searched, and types lifted, over explicit links only (on the
     source, also over the named solution links), so the answer does not
@@ -569,18 +540,18 @@ def analogize(
     s_links = [link for lid, link in sorted(source.links.items())
                if link.is_explicit or lid in solution_set]
     s_triples = [l.triple() for l in s_links]
-    t_triples = [link.triple() for link in target.explicit_links()]
-    t_triple_set = set(t_triples)
-    t_out, t_in = _degree_tables(t_nodes, t_triples)
+    t_triple_set = {link.triple() for link in target.explicit_links()}
+    # The exact and lifted stages visit the most-linked source nodes first.
+    by_degree = sorted(s_nodes, key=lambda n: (
+        -sum((s == n) + (t == n) for s, _tid, t in s_triples), n))
 
     # Exact search first, then lift source link types one hierarchy level
-    # per round until a map is found or nothing lifts.
+    # per round until a map keeps every lifted triple or nothing lifts.
     type_map = {tid: tid for tid in sorted({t for _s, t, _t in s_triples})}
     while True:
         lifted_triples = [(s, type_map[tid], t) for s, tid, t in s_triples]
-        node_map = _search_injection(
-            s_nodes, lifted_triples, t_nodes, t_triple_set, t_out, t_in
-        )
+        node_map = _best_partial_map(by_degree, lifted_triples, t_nodes, t_triple_set,
+                                     floor=len(lifted_triples) - 1)
         if node_map is not None:
             generalization = {
                 tid: new for tid, new in sorted(type_map.items()) if tid != new

@@ -500,7 +500,7 @@ def test_read_radius_limits_cooccurrence(capsys, tmp_path):
     assert "cooccur=1" in out.splitlines()[0]
 
 
-@pytest.mark.parametrize("radius", ["0", "-2"])
+@pytest.mark.parametrize("radius", ["0", "-2", "x"])
 def test_read_radius_below_one_is_a_usage_error(capsys, tmp_path, radius):
     state_file = tmp_path / "state.ksif"
     write_state(state_file, reading_state())
@@ -509,6 +509,7 @@ def test_read_radius_below_one_is_a_usage_error(capsys, tmp_path, radius):
                                   "--state", str(state_file)])
     assert code == 1 and out == ""
     assert err.startswith("error: argument --radius: radius must be at least 1")
+    assert "_radius" not in err
     assert state_file.read_bytes() == before
 
 
@@ -653,6 +654,19 @@ def test_import_then_export_reproduces_the_format_pin(capsys, tmp_path):
     code, out, _err = run(capsys, ["export", "--state", state_file])
     with open(pin, encoding="utf-8", newline="") as handle:
         assert (code, out) == (0, handle.read())
+
+
+def test_co_occur_min_support_below_one_is_a_usage_error(capsys, tmp_path):
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, chain_state())
+    before = state_file.read_bytes()
+    events = tmp_path / "events.txt"
+    events.write_text("r1 x y\n", encoding="utf-8")
+    code, out, err = run(capsys, ["co-occur", str(events), "--min-support", "0",
+                                  "--state", str(state_file)])
+    assert (code, out) == (1, "")
+    assert err == "error: argument --min-support: min-support must be at least 1, got 0\n"
+    assert state_file.read_bytes() == before
 
 
 def test_co_occur_refuses_a_problem_id_no_state_could_load(capsys, tmp_path):

@@ -582,6 +582,27 @@ def test_analogize_generalizes_types_one_level():
     assert result.mapped_solution == [("q1", "changes", "q2")]
 
 
+def test_analogize_lifts_two_links_onto_one():
+    """Lifting a and b to their parent p maps both source links onto the
+    target's one p link: a map keeps every lifted triple, though s1 has
+    two outgoing links and t1 one."""
+    source = Network()
+    for tid in ("p", "a", "b"):
+        source.add_link_type(RepBundle(word=tid), type_id=tid)
+    source.set_type_parent("a", "p")
+    source.set_type_parent("b", "p")
+    for node in ("s1", "s2"):
+        source.add_node(RepBundle(word=node), node_id=node)
+    source.assert_link("s1", "a", "s2", link_id="k1")
+    source.assert_link("s1", "b", "s2", link_id="k2")
+    target = net_from_triples([("t1", "p", "t2")])
+    result = analogize(source, ["k1"], target)
+    assert result.outcome == "generalized"
+    assert result.node_map == {"s1": "t1", "s2": "t2"}
+    assert result.generalization == {"a": "p", "b": "p"}
+    assert result.mapped_solution == [("t1", "p", "t2")]
+
+
 def test_analogize_conjectures_and_measures_impact():
     source = net_from_triples([
         ("p1", "cites", "p2"),
@@ -654,7 +675,10 @@ def test_stage_one_matches_permutation_search():
 
 def test_best_partial_map_matches_the_exhaustive_walk():
     """The cut conjecture search returns the map the whole walk returns:
-    the first, in permutation order, preserving the most source triples."""
+    the first, in permutation order, preserving the most source triples.
+    Asked for a map keeping every triple (a repeated one twice, as when two
+    triples are lifted onto one), it returns the permutation search's first
+    such map, or None."""
     rng = random.Random(4141)
     for _ in range(300):
         s_nodes = [f"s{i}" for i in range(rng.randint(1, 4))]
@@ -665,6 +689,10 @@ def test_best_partial_map_matches_the_exhaustive_walk():
                      for _ in range(rng.randint(0, 8))}
         want = oracles.best_partial_map(s_nodes, s_triples, t_nodes, t_triples)
         assert discovery._best_partial_map(s_nodes, s_triples, t_nodes, t_triples) == want
+        repeated = s_triples + s_triples[:len(s_triples) // 2]
+        assert discovery._best_partial_map(
+            s_nodes, repeated, t_nodes, t_triples, floor=len(repeated) - 1
+        ) == oracles.iso_search(s_nodes, repeated, t_nodes, t_triples)
 
 
 def test_conjecture_search_cuts_a_cycle_into_a_chain():
@@ -815,16 +843,21 @@ def test_analogize_answers_do_not_depend_on_saturation():
     assert {"exact", "conjecture"} <= outcomes
 
 
-def _analogy_case(rng):
-    """A seeded analogize call: source types get random ancestors among
-    themselves so lifting can succeed, some solutions name an unknown link,
-    and some node limits are too small."""
-    source = random_network(rng, max_nodes=4, max_types=3, max_rules=0)
-    target = random_network(rng, max_nodes=6, max_types=3, max_rules=2)
-    types = sorted(source.link_types)
+def _random_type_parents(rng, net):
+    """Give most of the network's types a random ancestor among the types
+    before it, so lifting can succeed."""
+    types = sorted(net.link_types)
     for k, tid in enumerate(types[1:], start=1):
         if rng.random() < 0.8:
-            source.set_type_parent(tid, rng.choice(types[:k]))
+            net.set_type_parent(tid, rng.choice(types[:k]))
+
+
+def _analogy_case(rng):
+    """A seeded analogize call: source types get random ancestors, some
+    solutions name an unknown link, and some node limits are too small."""
+    source = random_network(rng, max_nodes=4, max_types=3, max_rules=0)
+    target = random_network(rng, max_nodes=6, max_types=3, max_rules=2)
+    _random_type_parents(rng, source)
     solution = [lid for lid in sorted(source.links) if rng.random() < 0.4]
     if rng.random() < 0.05:
         solution.append("k999999")
@@ -855,10 +888,45 @@ def test_analogize_output_is_pinned():
         outcome, text = _analogy_text(*_analogy_case(rng))
         outcomes[outcome] += 1
         digest.update(text.encode() + b"\n")
-    assert outcomes == {"conjecture": 160, "none": 60, "exact": 28, "generalized": 12,
+    assert outcomes == {"conjecture": 158, "none": 60, "exact": 28, "generalized": 14,
                         "TooLarge": 23, "UnknownLink": 17}
     assert digest.hexdigest() == (
-        "17e37945ff8de8c94f628c0f9a2853e10583baacfac9093ada46cc94156bf9f5")
+        "708ed58df9f699c31aefac544b233590191a1d85bf785ce6e9fd45fe0757738a")
+
+
+def test_analogize_stops_at_the_first_level_a_map_keeps_every_triple():
+    """Lift the source types one level at a time, as analogize does, and
+    ask the permutation search for a map keeping every lifted triple at
+    each level: analogize answers at the first level that has one (exact
+    at level 0, generalized with that level's lifts after), and with no
+    such level conjectures or finds no map."""
+    rng = random.Random(2424)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        source = random_network(rng, max_nodes=4, max_types=3, max_rules=0)
+        target = random_network(rng, max_nodes=5, max_types=3, max_rules=0)
+        _random_type_parents(rng, source)
+        s_triples = [link.triple() for link in source.links.values()]
+        t_triples = [link.triple() for link in target.links.values()]
+        type_map = {tid: tid for _s, tid, _t in s_triples}
+        while True:
+            lifted_triples = [(s, type_map[tid], t) for s, tid, t in s_triples]
+            want = oracles.iso_search(
+                sorted(source.nodes), lifted_triples, sorted(target.nodes), t_triples)
+            up = {tid: source.link_types[cur].parent or cur for tid, cur in type_map.items()}
+            if want is not None or up == type_map:
+                break
+            type_map = up
+        result = analogize(source, [], target)
+        outcomes[result.outcome] += 1
+        if want is None:
+            assert result.outcome in ("conjecture", "none")
+            continue
+        lifts = {tid: new for tid, new in type_map.items() if tid != new}
+        assert result.outcome == ("generalized" if lifts else "exact")
+        assert result.generalization == lifts
+        assert oracles.replay_map(result.node_map, lifted_triples, t_triples)
+    assert min(outcomes[o] for o in ("exact", "generalized", "conjecture", "none")) >= 10
 
 
 def test_analogize_reads_a_derived_target_relation_as_derivable():

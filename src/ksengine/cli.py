@@ -20,7 +20,7 @@ import fcntl
 import io
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .concepts import read_text
 from .errors import KsError, MalformedPattern
@@ -64,19 +64,25 @@ def _at_least_one(name: str) -> Callable[[str], int]:
 
 # ===== input helpers =====
 
-def _read_file(path: str) -> str:
-    """The file's text as written: a KSIF field may hold a carriage return,
-    which universal newlines would read as a line break."""
+def _parse_file(path: str, parse: Callable[[str], Any]) -> Any:
+    """parse applied to the file's text as written (a KSIF field may hold a
+    carriage return, which universal newlines would read as a line break);
+    a fault in the text names the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+            text = handle.read()
     except UnicodeDecodeError as exc:  # read() decodes the whole file at once
         raise KsError(f"{path}: byte {exc.start} is not UTF-8") from None
+    try:
+        return parse(text)
+    except KsError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _read_lines(path: str) -> List[str]:
     """A file's stripped lines, skipping blank lines and # comments."""
-    lines = (raw.strip() for raw in _read_file(path).split("\n"))
+    lines = (raw.strip() for raw in _parse_file(path, str).split("\n"))
     return [line for line in lines if line and not line.startswith("#")]
 
 
@@ -176,7 +182,7 @@ def _cmd_split(state, args) -> int:
 
 
 def _cmd_join(state, args) -> int:
-    other = import_state(_read_file(args.file)).space
+    other = _parse_file(args.file, import_state).space
     state.space, warnings = join_spaces(state.space, other)
     for warning in warnings:
         print(warning, file=sys.stderr)
@@ -190,7 +196,7 @@ def _cmd_merge_dims(state, args) -> int:
 
 def _cmd_read(state, args) -> int:
     if args.lexicon:
-        merge_lexicon_fragment(state, _read_file(args.lexicon))
+        _parse_file(args.lexicon, lambda text: merge_lexicon_fragment(state, text))
     tokens = args.text.split()
     trace = read_text(
         state.concepts, tokens, state.lexicon,
@@ -215,7 +221,7 @@ def _cmd_verify(state, args) -> int:
         if not sep or not first or not second:
             raise _UsageError(f"exclusive pair {item!r} must look like T1:T2")
         pairs.append((first, second))
-    candidates = parse_candidates(_read_file(args.file))
+    candidates = _parse_file(args.file, parse_candidates)
     # Saturate once: each candidate's scratch copy then carries the derive
     # mark, so its own derive costs nothing.
     derive_fixpoint(state.network)
@@ -247,7 +253,7 @@ def _cmd_co_occur(state, args) -> int:
 def _cmd_find_problem(state, args) -> int:
     from .discovery import find_problem
     if args.rules:
-        rules = parse_anomaly_rules(_read_file(args.rules))
+        rules = _parse_file(args.rules, parse_anomaly_rules)
     else:
         rules = state.anomaly_rules
     links = [state.network.links[lid] for lid in sorted(state.network.links)]
@@ -286,8 +292,8 @@ def _cmd_recommend(state, args) -> int:
 
 def _cmd_analogy(_state, args) -> int:
     from .discovery import analogize
-    source = import_state(_read_file(args.source)).network
-    target = import_state(_read_file(args.target)).network
+    source = _parse_file(args.source, import_state).network
+    target = _parse_file(args.target, import_state).network
     result = analogize(
         source, _split_csv(args.solution_links), target, max_nodes=args.max_nodes
     )
@@ -310,7 +316,7 @@ def _cmd_analogy(_state, args) -> int:
 def _cmd_ability(state, args) -> int:
     from .discovery import ability_report
     questions = [parse_pattern(line) for line in _read_lines(args.questions)]
-    increments = [fragment_to_increment(_read_file(f)) for f in args.increments]
+    increments = [_parse_file(f, fragment_to_increment) for f in args.increments]
     report = ability_report(
         state.network, questions, increments, state.anomaly_rules.values()
     )
@@ -398,7 +404,7 @@ _COMMANDS = {
         _arg("--target", required=True, help="KSIF file for the new domain"),
         _arg("--solution-links", default="",
              help="comma-separated link ids marking the source's solution"),
-        _arg("--max-nodes", type=int, default=10),
+        _arg("--max-nodes", type=_at_least_one("max-nodes"), default=10),
     ], _cmd_analogy, _EMPTY, False),
     "ability": ("measure question answering across data increments", [
         _arg("--questions", required=True, help="text file with one query pattern per line"),
@@ -407,7 +413,7 @@ _COMMANDS = {
     ], _cmd_ability, _STATE_FILE, False),
     "capacity": ("check whether n branches can hold an x-branch tree", [
         _arg("x", type=float),
-        _arg("n", type=int),
+        _arg("n", type=_at_least_one("n")),
     ], _cmd_capacity, _EMPTY, False),
 }
 
@@ -469,9 +475,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise _UsageError("no state file: pass --state or set KSENGINE_STATE")
         with _write_lock(path) if saved else contextlib.nullcontext():
             if source == _STATE_FILE and os.path.exists(path):
-                state = import_state(_read_file(path))
+                state = _parse_file(path, import_state)
             elif source == _FILE_ARG:
-                state = import_state(_read_file(args.file))
+                state = _parse_file(args.file, import_state)
             else:
                 state = new_state()
             if not saved:

@@ -436,11 +436,9 @@ def enrich_concept(
             if steps not in concept.services.processes:
                 concept.services.processes.append(steps)
         elif compartment == "relation":
-            label, target = payload  # type: ignore[misc]
-            key = (str(label), str(target))
-            store.get(key[1])
-            if key not in concept.structure.relations:
-                concept.structure.relations[key] = 1.0
+            label, target = map(str, payload)  # type: ignore[call-overload]
+            if (label, target) not in concept.structure.relations:
+                store.add_relation(concept_id, label, target)
         elif compartment in _LIST_COMPARTMENTS:
             bucket = _LIST_COMPARTMENTS[compartment](concept)
             entry = str(payload)

@@ -29,6 +29,7 @@ from .errors import (
     EmptyTypeSet,
     InvalidCandidate,
     InvalidRule,
+    KsError,
     NegativeWeight,
     TooLarge,
     UncategorizedProblem,
@@ -682,7 +683,8 @@ def ability_report(
     """Measure answerable questions (and raised problems) per data increment.
 
     Mutates the given network; pass a copy to keep the original. Counts are
-    non-decreasing when the increments only add data.
+    non-decreasing when the increments only add data. A fault while adding
+    increment k (counting from 1) has "increment k: " put in front.
     """
     rules = list(anomaly_rules)
     entries: List[AbilityEntry] = []
@@ -704,6 +706,10 @@ def ability_report(
 
     measure(0)
     for index, fragment in enumerate(increments, start=1):
-        ingest_fragment(network, fragment)
+        try:
+            ingest_fragment(network, fragment)
+        except KsError as exc:
+            exc.args = (f"increment {index}: {exc}",)
+            raise
         measure(index)
     return AbilityReport(entries)

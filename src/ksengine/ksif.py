@@ -3,10 +3,13 @@
 KSIF is a line-oriented, tab-separated format: one header line "KSIF 1"
 followed by records. Export is canonical — records grouped by kind in a fixed
 order, each group sorted, floats written with repr() — so equal states produce
-byte-identical text. Import accepts records in any order, resolves forward
-references in a second phase, and reports the line number of anything
-malformed; a mutator's fault while import builds the state (a repeated
-triple, a parent or class cycle) names its line too and keeps its class.
+byte-identical text. One reader, _read, turns text into records for import
+and every fragment parser, checking each line in full before the next, so
+the first faulty line in file order is the one named. Import accepts records
+in any order, resolves forward references in a second phase, and reports
+the line number of anything malformed; a mutator's fault while import
+builds the state (a repeated triple, a parent or class cycle) names its
+line too and keeps its class.
 Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids never need
 escaping. Blank lines and '#' comment lines are skipped on import
 and never emitted on export.
@@ -19,7 +22,7 @@ export writes every record and import reads it through that one row.
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
@@ -104,31 +107,6 @@ def unescape_field(text: str, line: int) -> str:
         raise MalformedRecord(line, f"unknown escape \\{escaped}")
 
     return _ESCAPE.sub(unescape, text)
-
-
-ParsedRecord = Tuple[int, str, List[str]]  # (line number, kind, fields)
-
-
-def records_from_text(text: str) -> List[ParsedRecord]:
-    """Header check plus line-level parsing; comments and blanks skipped.
-
-    Only a line holding a backslash has escapes to undo, so only such a line
-    pays for unescaping its fields.
-    """
-    lines = text.split("\n")
-    if lines[0] != HEADER:
-        raise BadHeader(f"first line must be exactly {HEADER!r}")
-    records: List[ParsedRecord] = []
-    for number, raw in enumerate(lines[1:], start=2):
-        if raw == "" or raw.startswith("#"):
-            continue
-        kind, *fields = raw.split("\t")
-        if kind not in _ROWS:
-            raise UnknownKind(number, kind)
-        if "\\" in raw:
-            fields = [unescape_field(f, number) for f in fields]
-        records.append((number, kind, fields))
-    return records
 
 
 # ===== value codecs =====
@@ -469,21 +447,6 @@ _ROWS: Dict[str, _Row] = {
 KIND_ORDER = tuple(_ROWS)
 
 
-def _decode(kind: str, line: int, fields: List[str]) -> object:
-    """One record from its fields; every fault names the line."""
-    rest = iter(fields)
-    try:
-        record = _ROWS[kind].read(rest, line)
-    except MalformedRecord:
-        raise
-    except (KsError, ValueError) as exc:
-        raise MalformedRecord(line, str(exc)) from None
-    extra = list(rest)
-    if extra:
-        raise MalformedRecord(line, f"unexpected trailing fields {extra!r}")
-    return record
-
-
 # ===== export =====
 
 Groups = Dict[str, list]  # kind -> records, each as its row reads it
@@ -543,18 +506,35 @@ Records = Dict[str, List[Tuple[int, object]]]  # kind -> (line, decoded record)
 
 
 def _read(text: str, kinds: Sequence[str], what: str) -> Records:
-    """Decode every record once, in file order, grouped by kind.
-
-    A record of a kind outside kinds is malformed in this document (what
-    names it in the message); a key repeated within a kind is a DuplicateId.
-    """
+    """The document's records, each read once through its row, grouped by
+    kind in file order. A kind outside kinds is malformed in this document
+    (what names it in the message); a key repeated within a kind is a
+    DuplicateId. Only a line holding a backslash has escapes to undo."""
+    lines = iter(text.split("\n"))
+    if next(lines) != HEADER:
+        raise BadHeader(f"first line must be exactly {HEADER!r}")
     records: Records = {kind: [] for kind in kinds}
     seen: Dict[str, Set[tuple]] = {kind: set() for kind in kinds}
-    for line, kind, fields in records_from_text(text):
+    for line, raw in enumerate(lines, start=2):
+        if raw == "" or raw.startswith("#"):
+            continue
+        kind, *fields = raw.split("\t")
         if kind not in records:
+            if kind not in _ROWS:
+                raise UnknownKind(line, kind)
             raise MalformedRecord(line, f"{kind} not allowed in {what}")
-        record = _decode(kind, line, fields)
-        row = _ROWS[kind]
+        if "\\" in raw:
+            fields = [unescape_field(field, line) for field in fields]
+        row, rest = _ROWS[kind], iter(fields)
+        try:
+            record = row.read(rest, line)
+        except MalformedRecord:
+            raise
+        except (KsError, ValueError) as exc:
+            raise MalformedRecord(line, str(exc)) from None
+        extra = list(rest)
+        if extra:
+            raise MalformedRecord(line, f"unexpected trailing fields {extra!r}")
         key = row.key(record)
         if key in seen[kind]:
             raise DuplicateId(f"line {line}: {row.noun} {key[0]!r} defined twice")
@@ -781,19 +761,16 @@ def fragment_to_increment(text: str) -> IncrementFragment:
 def parse_candidates(text: str) -> List[Candidate]:
     """LINK and RULE records read as verification candidates, in file order."""
     from .discovery import Candidate, LinkCandidate
+    records = _read(text, ("LINK", "RULE"), "a candidate file")
     candidates: List[Candidate] = []
-    for line, kind, fields in records_from_text(text):
-        if kind == "LINK":
-            link = _decode(kind, line, fields)
-            if not link.is_explicit:
-                raise MalformedRecord(line, "candidate links must be explicit")
-            payload = LinkCandidate(link.source, link.type, link.target, link.weight)
+    for line, record in sorted(records["LINK"] + records["RULE"], key=itemgetter(0)):
+        if isinstance(record, Rule):
+            candidates.append(Candidate("rule", record, source=f"line {line}"))
+        elif record.is_explicit:
+            payload = LinkCandidate(record.source, record.type, record.target, record.weight)
             candidates.append(Candidate("link", payload, source=f"line {line}"))
-        elif kind == "RULE":
-            rule = _decode(kind, line, fields)
-            candidates.append(Candidate("rule", rule, source=f"line {line}"))
         else:
-            raise MalformedRecord(line, f"{kind} is not a candidate record")
+            raise MalformedRecord(line, "candidate links must be explicit")
     return candidates
 
 

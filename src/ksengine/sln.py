@@ -36,7 +36,6 @@ from .errors import (
     CyclicHierarchy,
     DuplicateExplicitLink,
     DuplicateId,
-    InvalidId,
     InvalidRep,
     MalformedPattern,
     NegativeWeight,
@@ -45,17 +44,9 @@ from .errors import (
     UnknownNode,
 )
 from .record import FrozenRecord, Record, _set
-from .taxonomy import CategoryTree
-
-ID_PATTERN = re.compile(r"^[A-Za-z0-9_.\-]+$")
+from .taxonomy import ID_PATTERN, CategoryTree, check_id
 
 Scalar = Union[str, int, float]
-
-
-def check_id(token: str, what: str = "id") -> str:
-    if not isinstance(token, str) or not ID_PATTERN.match(token):
-        raise InvalidId(f"{what} {token!r} must match [A-Za-z0-9_.-]+")
-    return token
 
 
 def fresh_id(counters: Dict[str, int], prefix: str, taken: Collection[str],

@@ -1,16 +1,27 @@
-"""Rooted category trees, shared by the semantic network and the space module."""
+"""Rooted category trees, shared by the semantic network and the space module,
+and the engine's id check, which both use."""
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DanglingReference,
     DuplicateId,
+    InvalidId,
     KsError,
     MalformedTree,
     MultipleRoots,
 )
+
+ID_PATTERN = re.compile(r"^[A-Za-z0-9_.\-]+$")
+
+
+def check_id(token: str, what: str = "id") -> str:
+    if not isinstance(token, str) or not ID_PATTERN.match(token):
+        raise InvalidId(f"{what} {token!r} must match [A-Za-z0-9_.-]+")
+    return token
 
 
 def _at(cat_id: str, exc: KsError) -> KsError:
@@ -50,6 +61,7 @@ class CategoryTree:
         return sorted(self._nodes)
 
     def add(self, cat_id: str, name: str, parent: Optional[str]) -> CategoryNode:
+        check_id(cat_id, "category id")
         if cat_id in self._nodes:
             raise DuplicateId(f"category {cat_id!r} already exists")
         if parent is None:

@@ -866,6 +866,26 @@ def test_analogy_without_mapping_exits_three(capsys, tmp_path):
     assert out.splitlines()[0] == "outcome\tnone"
 
 
+def test_analogy_fault_names_the_file_at_fault(capsys, tmp_path):
+    source_file, target_file = analogy_files(tmp_path, target_nodes=2)
+    text = target_file.read_text(encoding="utf-8")
+    target_file.write_text(text.replace("NODE\tq1\t0.0", "NODE\tq1\tx"), encoding="utf-8")
+    code, out, err = run(
+        capsys, ["analogy", "--source", str(source_file), "--target", str(target_file)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {target_file}: line 3: rank 'x' is not a finite number\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analogy", "--source", "s.ksif", "--target", "t.ksif", "--max-nodes", "0"],
+     "argument --max-nodes: max-nodes must be at least 1, got 0"),
+    (["capacity", "2", "0"], "argument n: n must be at least 1, got 0"),
+], ids=["analogy-max-nodes", "capacity-n"])
+def test_count_below_one_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 def test_ability_counts_answers_per_increment(capsys, tmp_path):
     state = new_state()
     net = state.network
@@ -923,6 +943,24 @@ def test_ability_takes_an_increment_asserting_a_derived_triple(capsys, tmp_path)
     )
     assert (code, err) == (0, "")
     assert out.splitlines() == ["0\t1\t1\t0", "1\t1\t1\t0"]
+
+
+def test_ability_fault_names_its_increment(capsys, tmp_path):
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, chain_state())
+    questions = tmp_path / "questions.txt"
+    questions.write_text("(a, t, ?)\n", encoding="utf-8")
+    inc1 = tmp_path / "inc1.ksif"
+    inc1.write_text("KSIF 1\nLINK\tk8\ta\tt\tc\t1.0\tE\n", encoding="utf-8")
+    inc2 = tmp_path / "inc2.ksif"
+    inc2.write_text("KSIF 1\nLINK\tk9\tnope\tt\ta\t1.0\tE\n", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["ability", "--questions", str(questions), "--increments", str(inc1), str(inc2),
+         "--state", str(state_file)],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: increment 2: node 'nope' not found\n"
 
 
 # ===== capacity =====

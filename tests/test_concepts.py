@@ -376,3 +376,10 @@ def test_enrich_concept_compartments():
         enrich_concept(store, a.id, [("nonsense", "x")])
     with pytest.raises(UnknownConcept):
         enrich_concept(store, a.id, [("relation", ("uses", "ghost"))])
+    # Relations go through add_relation: an empty label is refused and
+    # changes nothing; a relation already held keeps its weight.
+    with pytest.raises(InvalidRep):
+        enrich_concept(store, a.id, [("relation", ("", b.id))])
+    store.add_relation(a.id, "uses", b.id, 1.5)
+    enrich_concept(store, a.id, [("relation", ("uses", b.id))])
+    assert a.structure.relations == {("uses", b.id): 2.5}

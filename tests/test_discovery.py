@@ -1017,9 +1017,10 @@ def test_ability_report_rejects_a_rule_id_an_increment_repeats():
     rule = Rule("up", RepBundle(word="up"), (PatternAtom("?x", "t", "?y"),),
                 (PatternAtom("?y", "t", "?x"),))
     net = net_from_triples([("a", "t", "b")])
-    with pytest.raises(InvalidRule, match="'up' already present"):
+    with pytest.raises(InvalidRule, match="'up' already present") as err:
         ability_report(net, [], [IncrementFragment(rules=[rule]),
                                  IncrementFragment(rules=[rule])])
+    assert str(err.value).startswith("increment 2: ")
 
 
 def test_ingest_fragment_rejects_duplicate_rule():

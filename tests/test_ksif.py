@@ -31,8 +31,8 @@ from ksengine.ksif import (
     merge_lexicon_fragment,
     parse_anomaly_rules,
     parse_candidates,
-    records_from_text,
     unescape_field,
+    _read,
 )
 from ksengine.rules import derive_fixpoint
 from ksengine.sln import RepBundle
@@ -108,12 +108,11 @@ def test_unescape_rejects_unknown_escape():
 
 def test_records_carry_line_numbers():
     doc = HEADER + "\n\n# skip me\nNODE\ta\t0.0\tS\t\ta\t\t0\t0\n"
-    records = records_from_text(doc)
-    assert len(records) == 1
-    line, kind, fields = records[0]
+    records = _read(doc, ("NODE", "LINK"), "a test document")
+    assert records["LINK"] == []
+    [(line, node)] = records["NODE"]
     assert line == 4
-    assert kind == "NODE"
-    assert fields[0] == "a"
+    assert node.id == "a"
 
 
 # ----- canonical export shape -----
@@ -477,6 +476,9 @@ def test_malformed_records():
     base = HEADER + "\n"
     with pytest.raises(MalformedRecord):
         import_state(base + "NODE\tonlyid\n")
+    # Each line is checked in full before the next: the earlier fault is named.
+    with pytest.raises(MalformedRecord, match="^line 2: missing field: rank$"):
+        import_state(base + "NODE\tonlyid\nBOGUS\tx\n")
     with pytest.raises(MalformedRecord):
         import_state(base + "NODE\ta\tnotafloat\tS\t\ta\t\t0\t0\n")
     with pytest.raises(MalformedRecord):
@@ -607,8 +609,10 @@ def test_parse_candidates_in_file_order():
     assert [c.kind for c in candidates] == ["link", "rule", "link"]
     assert candidates[0].payload.source == "a"
     assert candidates[2].payload.weight == 0.5
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord, match="^line 2: NODE not allowed in a candidate file$"):
         parse_candidates(HEADER + "\nNODE\ta\t0.0\tS\t\ta\t\t0\t0\n")
+    with pytest.raises(DuplicateId, match="^line 5: link 'k1' defined twice$"):
+        parse_candidates(doc + "LINK\tk1\tb\tt\ta\t1.0\tE\n")
 
 
 def test_parse_anomaly_rules_round_trip():

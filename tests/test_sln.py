@@ -162,10 +162,11 @@ def _next_ids(state):
     (lambda st: st.space.add_category("d000001", "x", "ghost"), UnknownCategory),
     (lambda st: st.space.add_category("d000001", "x", "g000001", "g000001"), DuplicateId),
     (lambda st: st.space.add_category("d000001", "x", "g000001", "no spaces"), InvalidId),
+    (lambda st: st.network.categories.add("no spaces", "x", None), InvalidId),
 ], ids=["node-attribute", "node-taken", "node-invalid", "type-parent", "type-taken",
         "type-invalid", "link-taken", "link-invalid", "derived-taken", "concept-taken",
         "concept-invalid", "dimension-taken", "dimension-invalid", "dimension-position",
-        "category-parent", "category-taken", "category-invalid"])
+        "category-parent", "category-taken", "category-invalid", "network-category-invalid"])
 def test_refused_claims_leave_no_trace(call, error):
     """A mutator that raises changes nothing: the state exports as an
     untouched twin does, and the next fresh ids are the twin's."""

@@ -80,10 +80,21 @@ def _parse_file(path: str, parse: Callable[[str], Any]) -> Any:
         raise
 
 
-def _read_lines(path: str) -> List[str]:
-    """A file's stripped lines, skipping blank lines and # comments."""
-    lines = (raw.strip() for raw in _parse_file(path, str).split("\n"))
-    return [line for line in lines if line and not line.startswith("#")]
+def _read_lines(path: str, parse: Callable[[str], Any]) -> List[Any]:
+    """parse applied to each stripped line of a file but blank lines and #
+    comments; a fault names the file and the line, counting every line."""
+    def parse_lines(text: str) -> List[Any]:
+        parsed = []
+        for number, raw in enumerate(text.split("\n"), 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    parsed.append(parse(line))
+                except KsError as exc:
+                    exc.args = (f"line {number}: {exc}",)
+                    raise
+        return parsed
+    return _parse_file(path, parse_lines)
 
 
 def _point(space: Space, tokens: Sequence[str]) -> Dict[str, str]:
@@ -239,10 +250,7 @@ def _cmd_verify(state, args) -> int:
 
 def _cmd_co_occur(state, args) -> int:
     from .discovery import detect_co_occurrence
-    events = []
-    for line in _read_lines(args.file):
-        tokens = line.split()
-        events.append((tokens[0], tokens[1:]))
+    events = [(tokens[0], tokens[1:]) for tokens in _read_lines(args.file, str.split)]
     problems = detect_co_occurrence(events, args.min_support)
     for problem in problems:
         state.problems[problem.id] = problem
@@ -315,7 +323,7 @@ def _cmd_analogy(_state, args) -> int:
 
 def _cmd_ability(state, args) -> int:
     from .discovery import ability_report
-    questions = [parse_pattern(line) for line in _read_lines(args.questions)]
+    questions = _read_lines(args.questions, parse_pattern)
     increments = [_parse_file(f, fragment_to_increment) for f in args.increments]
     report = ability_report(
         state.network, questions, increments, state.anomaly_rules.values()

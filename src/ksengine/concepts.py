@@ -103,6 +103,8 @@ class Lexicon:
             bucket.append(concept_id)
 
     def set_candidates(self, word: str, candidates: Sequence[str]) -> None:
+        if not word:
+            raise ValueError("lexicon words must be non-empty")
         if not candidates:
             raise ValueError(f"candidate list for {word!r} must be non-empty")
         for concept_id in candidates:

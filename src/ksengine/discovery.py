@@ -613,7 +613,7 @@ def analogize(
             work.assert_link(s, tid, t)
     # work held the target's fixpoint, so the links this derive adds are
     # exactly what the conjectures add.
-    new_links, _provenance = derive_fixpoint(work)
+    new_links, _derivations = derive_fixpoint(work)
     impact = sorted(link.triple() for link in new_links)
     mapped = [rs.triple for rs in solution_relations]
     return AnalogyResult(

@@ -53,8 +53,6 @@ from .rules import (
 )
 from .sln import (
     ClassRef,
-    Derived,
-    Explicit,
     FileRef,
     LinkType,
     Network,
@@ -274,12 +272,12 @@ _ATOM = _Group(
     (("source", _TEXT), ("type", _TEXT), ("target", _TEXT)),
     PatternAtom, attrgetter("source", "type", "target"),
 )
+# A link's provenance: E, read as None, or D and its (rule id, premises).
 _PROVENANCE = _Tagged((
-    ("E", Explicit, None),
-    ("D", Derived, _Group(
+    ("E", type(None), None),
+    ("D", tuple, _Group(
         (("rule id", _ID), ("premises", _Counted(_ID, "premise"))),
-        lambda rule_id, premises: Derived((rule_id, tuple(premises))),
-        attrgetter("rule_id", "premises"),
+        lambda rule_id, premises: (rule_id, tuple(premises)), _same,
     )),
 ))
 
@@ -378,8 +376,10 @@ _ROWS: Dict[str, _Row] = {
         "link", _by_id,
         (("link id", _ID), ("source", _ID), ("link type", _ID), ("target", _ID),
          ("weight", _WEIGHT), ("provenance", _PROVENANCE)),
-        SemanticLink,
-        attrgetter("id", "source", "type", "target", "weight", "provenance"),
+        lambda lid, source, tid, target, weight, step:
+            SemanticLink(lid, source, tid, target, weight, *(step or ())),
+        lambda link: (link.id, link.source, link.type, link.target, link.weight,
+                      None if link.is_explicit else (link.rule_id, link.premises)),
     ),
     "RULE": _Row(
         "rule", _by_id,
@@ -577,16 +577,15 @@ def _build_network(records: Records, net: Network) -> None:
                 net.assert_link(link.source, link.type, link.target, link.weight,
                                 link_id=link.id)
             else:
-                prov = link.provenance
                 try:
-                    get_rule(net, prov.rule_id)
+                    get_rule(net, link.rule_id)
                 except Exception:
                     raise DanglingReference(
-                        prov.rule_id, f"line {line}: rule of link {link.id!r}"
+                        link.rule_id, f"line {line}: rule of link {link.id!r}"
                     ) from None
                 net.add_derived(link.source, link.type, link.target, link.weight,
-                                prov, link_id=link.id)
-                lines[link.id], premises[link.id] = line, prov.premises
+                                link.rule_id, link.premises, link_id=link.id)
+                lines[link.id], premises[link.id] = line, link.premises
     except (DuplicateExplicitLink, DuplicateId) as exc:  # the triple is stored already
         exc.args = (f"line {line}: {exc}",)
         raise

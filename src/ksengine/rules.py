@@ -38,10 +38,11 @@ earlier in the walk and stored the fact. Ids and provenance do not change.
 Derive and the DRed restore store firings through _store_firings, which
 binds the one lookup (Network._find_stored) and the one insertion step
 (Network._store) once per join, so a firing costs one lookup and, if its
-triple is new, one insertion: weighted by its weakest premise, with a
-Derived made by the tuple constructor, under the next fresh "k" id, which
-_store claims through fresh_id like every other id. The insertion checks
-nothing else: the firing has proved what add_derived would check.
+triple is new, one insertion: weighted by its weakest premise, carrying
+the rule id and the premise tuple the join made, under the next fresh "k"
+id, which _store claims through fresh_id like every other id. The
+insertion checks nothing else: the firing has proved what add_derived
+would check.
 
 At the fixpoint the network keeps a mark: the rule/type signature and its
 link count. The next derive starts from the links inserted since the mark,
@@ -60,12 +61,13 @@ one base step plus one closure step, about n levels deep on an n-chain,
 which premise_walk takes without recursion. Any stored premise pair that
 satisfies the chain rule still replays, so KSIF is unchanged.
 
-A derived link keeps one provenance: the rule id and premise link ids (in
-body order) of the firing that first produced it, which is what KSIF saves,
-so a network and its reload hold the same information. A firing whose head
-triple is already stored is skipped; nothing is kept per firing. explain,
-verify_explanation and KSIF import read proofs through premise_walk, the
-one walk over premises, and step_substitutions, the one check of a step.
+A derived link keeps one provenance, in its own rule_id and premises
+fields: the rule id and premise link ids (in body order) of the firing that
+first produced it, which is what KSIF saves, so a network and its reload
+hold the same information. A firing whose head triple is already stored
+is skipped; nothing is kept per firing. explain, verify_explanation and
+KSIF import read proofs through premise_walk, the one walk over premises,
+and step_substitutions, the one check of a step.
 
 Retraction is DRed (delete and rederive). From a network at its fixpoint it
 over-deletes the provenance closure of the retracted link, then marks what
@@ -93,8 +95,6 @@ from typing import (
 from .errors import InvalidRule
 from .record import FrozenRecord, _set
 from .sln import (
-    Derived,
-    Explicit,
     ID_PATTERN,
     Network,
     RepBundle,
@@ -195,7 +195,9 @@ class Explanation:
 def validate_rule(rule: Rule, network: Optional[Network] = None) -> List[str]:
     """Collect contract violations; an empty list means the rule is valid."""
     problems: List[str] = []
-    if rule.id.startswith(TRANSITIVE_PREFIX):
+    if not isinstance(rule.id, str) or not ID_PATTERN.match(rule.id):
+        problems.append(f"rule id {rule.id!r} is not a valid id")
+    elif rule.id.startswith(TRANSITIVE_PREFIX):
         problems.append(f"rule id {rule.id!r} is reserved for transitive flags")
     if not 1 <= len(rule.body) <= 4:
         problems.append(f"body must have 1..4 atoms, found {len(rule.body)}")
@@ -511,13 +513,13 @@ def _store_firings(network: Network, rule_id: str, matches: List[Match],
             for premise in premises:
                 if links[premise].weight < weight:
                     weight = links[premise].weight
-            stored.append(store(source, type_id, target, weight, Derived((rule_id, premises)),
-                                base))
+            stored.append(store(source, type_id, target, weight, rule_id, premises, base))
 
 
-def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]]:
-    """Run every rule to the least fixpoint; returns (new links, new derivations),
-    the second list holding each new link's provenance.
+def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[SemanticLink]]:
+    """Run every rule to the least fixpoint; returns (new links, new
+    derivations). Each new link carries its own derivation (rule_id and
+    premises), so the second item is the same list as the first.
 
     The result set is independent of rule order and link insertion order; the
     ids and provenance assigned to new links follow the engine's own
@@ -530,7 +532,7 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
     rules = effective_rules(network)
     new_links: List[SemanticLink] = []
     if not rules:
-        return new_links, []
+        return new_links, new_links
     signature = _signature(network, rules)
     mark = network.derive_mark
     if mark is not None and mark[0] == signature:
@@ -540,7 +542,7 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
         delta = list(network.links.values())
     if not delta:  # nothing inserted since the fixpoint, or no links at all
         network.derive_mark = (signature, len(network.links))
-        return new_links, []
+        return new_links, new_links
     symmetric = signature[1]
     # The link types some body reads; an atom with a variable type reads all.
     read = {atom.type for rule in rules for atom in rule.body}
@@ -575,7 +577,7 @@ def derive_fixpoint(network: Network) -> Tuple[List[SemanticLink], List[Derived]
                 next_gained.update(link.type for link in new_links[stored:])
         delta, gained = new_links[done:], next_gained
     network.derive_mark = (signature, len(network.links))
-    return new_links, [link.provenance for link in new_links]
+    return new_links, new_links
 
 
 # ===== explanation =====
@@ -649,8 +651,8 @@ def step_substitutions(network: Network, rule: Rule, premises: Sequence[str],
 def reconstruct_substitution(network: Network, link: SemanticLink) -> Dict[str, str]:
     """Replay a derived link's step: its first step_substitutions; raises
     InvalidRule when it has none."""
-    rule = get_rule(network, link.provenance.rule_id)
-    premises = link.provenance.premises
+    rule = get_rule(network, link.rule_id)
+    premises = link.premises
     found = step_substitutions(network, rule, premises, link.triple())
     if not found:
         raise InvalidRule(
@@ -669,15 +671,14 @@ def explain(network: Network, link_id: str) -> Explanation:
     """
     built: Dict[str, Explanation] = {}
     try:
-        for lid in premise_walk((link_id,), lambda lid: network.link(lid).provenance.premises):
+        for lid in premise_walk((link_id,), lambda lid: network.link(lid).premises):
             link = network.links[lid]
-            prov = link.provenance
-            if isinstance(prov, Explicit):
+            if link.is_explicit:
                 built[lid] = Explanation(lid, link.triple(), "explicit")
             else:  # rule id, substitution, premises, children
-                built[lid] = Explanation(lid, link.triple(), "derived", prov.rule_id,
-                                         reconstruct_substitution(network, link), prov.premises,
-                                         list(map(built.__getitem__, prov.premises)))
+                built[lid] = Explanation(lid, link.triple(), "derived", link.rule_id,
+                                         reconstruct_substitution(network, link), link.premises,
+                                         list(map(built.__getitem__, link.premises)))
     except PremiseCycle as cycle:
         raise InvalidRule(f"link {cycle.args[0]!r} is among its own premises") from None
     return built[link_id]

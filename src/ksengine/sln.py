@@ -17,18 +17,18 @@ through the indexes. rows(..., base=True) reads only a type's base links
 the indexes, built on first use and kept in step with them.
 
 Records follow one convention across the package: a typing.NamedTuple for
-an immutable value (Derived, made once per derived link, is a bare tuple
-subclass instead), and otherwise a slotted class with a hand-written
+an immutable value, and otherwise a slotted class with a hand-written
 __init__ on the ksengine.record bases. No module uses dataclasses: each
 decorated class generates and execs code at import, and every CLI process
-would pay for it.
+would pay for it. A stored link is one record, provenance included, so the
+derived store, which grows far faster than the explicit one, holds one
+object per link for the cyclic collector to track.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from _collections import _tuplegetter  # collections.namedtuple's field reader
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import (
@@ -169,44 +169,32 @@ class LinkType(Record):
         self.parent = parent
 
 
-class Explicit(FrozenRecord):
-    """Provenance of an asserted link, which cites no premises."""
-
-    __slots__ = ()
-    premises = ()  # a class attribute, not a field
-
-
-class Derived(tuple):
-    """Provenance of a rule-derived link: the pair (rule id, premise link
-    ids), made as Derived((rule_id, premises)), one per derived link. The
-    tuple constructor runs no Python frame, where a NamedTuple's __new__
-    does; the fields use a NamedTuple's C readers, as retraction reads them
-    per link and property(itemgetter) reads take half as long again."""
-
-    __slots__ = ()
-    _fields = ("rule_id", "premises")
-    rule_id = _tuplegetter(0, "the id of the rule that derived the link")
-    premises = _tuplegetter(1, "the premise link ids, in body order")
-
-
-Provenance = Union[Explicit, Derived]
+def Explicit() -> None:
+    """The rule id of an asserted link, None. Kept as a name because callers
+    outside the package build links as SemanticLink(..., weight, Explicit())."""
+    return None
 
 
 class SemanticLink(Record):
-    __slots__ = ("id", "source", "type", "target", "weight", "provenance")
+    """A stored link and its provenance: rule_id and premises (the premise
+    link ids, in body order) of the firing that derived it, or None and ()
+    for an asserted link."""
+
+    __slots__ = ("id", "source", "type", "target", "weight", "rule_id", "premises")
 
     def __init__(self, id: str, source: str, type: str, target: str, weight: float,
-                 provenance: Provenance) -> None:
+                 rule_id: Optional[str] = None, premises: Tuple[str, ...] = ()) -> None:
         self.id = id
         self.source = source
         self.type = type
         self.target = target
         self.weight = weight
-        self.provenance = provenance
+        self.rule_id = rule_id
+        self.premises = premises
 
     @property
     def is_explicit(self) -> bool:
-        return isinstance(self.provenance, Explicit)
+        return self.rule_id is None
 
     def triple(self) -> Tuple[str, str, str]:
         return (self.source, self.type, self.target)
@@ -255,7 +243,7 @@ def is_base(link: SemanticLink) -> bool:
     """Whether a link is a base link of its type: one that the type's
     transitive closure rule did not derive (an explicit link or one of a
     user rule)."""
-    return link.is_explicit or link.provenance.rule_id != TRANSITIVE_PREFIX + link.type
+    return link.rule_id != TRANSITIVE_PREFIX + link.type
 
 
 _NO_ENDS: Dict = {}  # stands in for a missing index bucket; never written
@@ -408,21 +396,22 @@ class Network:
                 raise DuplicateId(
                     f"triple already stored as {existing.id!r}, cannot use {link_id!r}"
                 )
-            existing.provenance = Explicit()
+            existing.rule_id, existing.premises = None, ()
             self._base.pop(type_id, None)  # the link may just have become base
             existing.weight = weight
             return existing.id
-        return self._store(source, type_id, target, weight, Explicit(), True, link_id).id
+        return self._store(source, type_id, target, weight, None, (), True, link_id).id
 
     def add_derived(self, source: str, type_id: str, target: str, weight: float,
-                    provenance: Derived, link_id: Optional[str] = None) -> str:
+                    rule_id: str, premises: Tuple[str, ...],
+                    link_id: Optional[str] = None) -> str:
         """Check and record a rule-derived link (import uses it); the rule
         engine's firings have made these checks, so it calls _store."""
         weight, existing = self._check_link(source, type_id, target, weight)
         if existing is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
-        return self._store(source, type_id, target, weight, provenance,
-                           provenance.rule_id != TRANSITIVE_PREFIX + type_id, link_id).id
+        return self._store(source, type_id, target, weight, rule_id, premises,
+                           rule_id != TRANSITIVE_PREFIX + type_id, link_id).id
 
     def _check_link(self, source: str, type_id: str, target: str, weight: float
                     ) -> Tuple[float, Optional[SemanticLink]]:
@@ -437,7 +426,8 @@ class Network:
         return check_weight(weight), self._find_stored(source, type_id, target)
 
     def _store(self, source: str, type_id: str, target: str, weight: float,
-               provenance: Provenance, base: bool, link_id: Optional[str] = None) -> SemanticLink:
+               rule_id: Optional[str], premises: Tuple[str, ...], base: bool,
+               link_id: Optional[str] = None) -> SemanticLink:
         """Insert and index a link under link_id or, without one, the next
         fresh "k" id; every insertion comes here, and claims its id here,
         through fresh_id. It checks nothing else: the caller vouches that
@@ -449,7 +439,8 @@ class Network:
         base-ness)."""
         links = self.links
         link_id = fresh_id(self._counters, "k", links, link_id, "link")
-        link = links[link_id] = SemanticLink(link_id, source, type_id, target, weight, provenance)
+        link = links[link_id] = SemanticLink(link_id, source, type_id, target, weight,
+                                             rule_id, premises)
         forward, backward = self._by_source.get(type_id), self._by_target.get(type_id)
         if forward is None:  # both indexes hold a type or neither does
             forward = self._by_source[type_id] = {}
@@ -487,7 +478,7 @@ class Network:
         one of them, directly or through other derived links."""
         dependents: Dict[str, List[str]] = {}  # premise id -> ids citing it
         for lid, link in self.links.items():
-            for premise in link.provenance.premises:
+            for premise in link.premises:
                 dependents.setdefault(premise, []).append(lid)
         closure = set(ids)
         stack = list(closure)

@@ -14,7 +14,7 @@ from ksengine.concepts import ConceptStore, Lexicon
 from ksengine.discovery import AnomalyRule, Problem
 from ksengine.errors import DuplicateExplicitLink
 from ksengine.rules import PatternAtom, Rule, derive_fixpoint, validate_rule
-from ksengine.sln import ClassRef, Derived, FileRef, Network, RepBundle
+from ksengine.sln import ClassRef, FileRef, Network, RepBundle
 from ksengine.space import Space
 from ksengine.state import EngineState, new_state
 
@@ -176,7 +176,7 @@ def deep_proof_network(n: int) -> Tuple[Network, str]:
     rest = steps[-1]
     for i in range(n - 3, -1, -1):
         rest = net.add_derived(f"v{i:04d}", "pre", last, 1.0,
-                               Derived(("sys.transitive.pre", (steps[i], rest))))
+                               "sys.transitive.pre", (steps[i], rest))
     return net, rest
 
 

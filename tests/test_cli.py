@@ -14,7 +14,7 @@ from ksengine.discovery import AnomalyRule, Problem
 from ksengine.errors import KsError
 from ksengine.ksif import export_state, import_state
 from ksengine.rules import PatternAtom, derive_fixpoint, explain
-from ksengine.sln import Derived, RepBundle
+from ksengine.sln import RepBundle
 from ksengine.state import new_state
 
 from generators import deep_proof_network, random_state
@@ -302,7 +302,7 @@ def test_explain_of_short_premise_list_is_data_error(capsys, tmp_path):
     # Import refuses the step; a network built in process can still hold it,
     # and explain then reports it as an engine (data) error.
     net = chain_state().network
-    net.add_derived("a", "t", "c", 1.0, Derived(("sys.transitive.t", ("k1",))), link_id="k3")
+    net.add_derived("a", "t", "c", 1.0, "sys.transitive.t", ("k1",), link_id="k3")
     with pytest.raises(KsError) as caught:
         explain(net, "k3")
     assert "premises ('k1',) do not satisfy the body of rule 'sys.transitive.t'" in str(
@@ -961,6 +961,19 @@ def test_ability_fault_names_its_increment(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: increment 2: node 'nope' not found\n"
+
+
+def test_ability_bad_question_names_its_file_and_line(capsys, tmp_path, monkeypatch):
+    """Lines are numbered as in the file: blank and # lines count."""
+    monkeypatch.chdir(tmp_path)
+    write_state(tmp_path / "state.ksif", chain_state())
+    (tmp_path / "q.txt").write_text("(a, t, ?)\n(a, t)\n", encoding="utf-8")
+    (tmp_path / "r.txt").write_text("# questions\n\n(a, t, ?)\n(a, ?, ?)\n", encoding="utf-8")
+    code, out, err = run(capsys, ["ability", "--questions", "q.txt", "--state", "state.ksif"])
+    assert (code, out, err) == (1, "", "error: q.txt: line 2: cannot parse pattern '(a, t)'\n")
+    code, out, err = run(capsys, ["ability", "--questions", "r.txt", "--state", "state.ksif"])
+    assert (code, out) == (1, "")
+    assert err == "error: r.txt: line 4: pattern must have exactly one hole, found 2\n"
 
 
 # ===== capacity =====

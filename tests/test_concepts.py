@@ -111,6 +111,15 @@ def test_lexicon_candidates_must_be_ids():
     assert lex.candidates("bank") == ["c1"]
 
 
+def test_lexicon_words_must_be_non_empty():
+    # KSIF import refuses an empty word, so both mutators do, before storing.
+    lex = Lexicon()
+    for store in (lambda: lex.add("", "c1"), lambda: lex.set_candidates("", ["c1"])):
+        with pytest.raises(ValueError, match="lexicon words must be non-empty"):
+            store()
+    assert len(lex) == 0 and "" not in lex
+
+
 def test_link_count_counts_both_directions():
     store = ConceptStore()
     a = store.add_concept("a").id

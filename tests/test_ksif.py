@@ -200,7 +200,7 @@ def test_transitive_derivations_round_trip():
     rebuilt = import_state(doc)
     assert rebuilt.network.has_fact("x", "before", "z")
     derived = [l for l in rebuilt.network.derived_links()]
-    assert derived and derived[0].provenance.rule_id == "sys.transitive.before"
+    assert derived and derived[0].rule_id == "sys.transitive.before"
     assert export_state(rebuilt) == doc
 
 

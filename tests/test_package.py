@@ -1,5 +1,5 @@
-"""The package surface: lazy exports, which modules a CLI command loads, and
-imports the source never uses."""
+"""The package surface: lazy exports, which modules a CLI command loads,
+imports the source never uses, and private modules it must not import."""
 
 import ast
 import importlib
@@ -196,13 +196,38 @@ def _unused_imports(source):
     return sorted(set(imported) - read)
 
 
-def test_every_imported_name_is_used():
+def _private_imports(source):
+    """Modules an import statement names with a leading underscore in any
+    part of the dotted name, __future__ excepted."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            named.append(node.module)
+    return sorted(name for name in named if name != "__future__"
+                  and any(part.startswith("_") for part in name.split(".")))
+
+
+def _scan_modules(check):
+    """{file name: check(source)} of each package module check finds faults in."""
     home = os.path.dirname(os.path.abspath(ksengine.__file__))
-    unused = {}
+    found = {}
     for name in sorted(os.listdir(home)):
         if name.endswith(".py"):
             with open(os.path.join(home, name), encoding="utf-8") as handle:
-                names = _unused_imports(handle.read())
-            if names:
-                unused[name] = names
-    assert unused == {}
+                faults = check(handle.read())
+            if faults:
+                found[name] = faults
+    return found
+
+
+def test_no_module_imports_a_private_module():
+    """The engine is pure standard library through its public modules, so it
+    runs on interpreters whose private modules differ from CPython's."""
+    assert _private_imports("from _collections import _tuplegetter") == ["_collections"]
+    assert _scan_modules(_private_imports) == {}
+
+
+def test_every_imported_name_is_used():
+    assert _scan_modules(_unused_imports) == {}

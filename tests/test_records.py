@@ -1,10 +1,10 @@
 """The engine's record classes: equality, hashing and immutability.
 
-Records are NamedTuples (immutable values; Derived is a bare tuple subclass
-with named fields) or slotted classes built on ksengine.record. Records of
-one class with equal fields are equal, and records of different classes are
-not; a slotted record that can change is unhashable, a frozen one hashes by
-its fields and refuses assignment, and an Explanation compares by identity.
+Records are NamedTuples (immutable values) or slotted classes built on
+ksengine.record. Records of one class with equal fields are equal, and
+records of different classes are not; a slotted record that can change is
+unhashable, a frozen one hashes by its fields and refuses assignment, and an
+Explanation compares by identity.
 The tuples are immutable and hash as tuples do (a list field makes them
 unhashable); those that were mutable dataclasses are records nothing
 reassigns a field of.
@@ -27,7 +27,7 @@ from ksengine.discovery import (
 from ksengine.record import Record
 from ksengine.rules import BaseAtom, Explanation, PatternAtom, Rule
 from ksengine.sln import (
-    ClassRef, Derived, Explicit, FileRef, LinkType, Network, QueryPattern, RepBundle, SemanticLink,
+    ClassRef, FileRef, LinkType, Network, QueryPattern, RepBundle, SemanticLink,
     SemanticNode,
 )
 from ksengine.space import Dimension, NormalFormReport, Space
@@ -46,9 +46,8 @@ RECORDS = [
     (lambda: RepBundle("w", "m", "h", ("k1",)), lambda: RepBundle("w", "m", "h", ("k2",))),
     (lambda: SemanticNode("n1", REP), lambda: SemanticNode("n1", REP, {"x": 1})),
     (lambda: LinkType("t", REP), lambda: LinkType("t", REP, transitive=True)),
-    (lambda: Derived(("r", ("k1",))), lambda: Derived(("r", ("k2",)))),
-    (lambda: SemanticLink("k1", "a", "t", "b", 1.0, Explicit()),
-     lambda: SemanticLink("k1", "a", "t", "b", 2.0, Explicit())),
+    (lambda: SemanticLink("k1", "a", "t", "b", 1.0),
+     lambda: SemanticLink("k1", "a", "t", "b", 1.0, "r", ("k2",))),
     (lambda: QueryPattern("a", None, "b"), lambda: QueryPattern(None, "t", "b")),
     (lambda: PatternAtom("?x", "t", "?y"), lambda: PatternAtom("?x", "t", "?z")),
     (lambda: BaseAtom("?x", "t", "?y"), lambda: BaseAtom("?x", "t", "?z")),
@@ -85,7 +84,7 @@ RECORDS = [
     (lambda: AbilityReport([]), lambda: AbilityReport([AbilityEntry(0, 1, 2, 3)])),
 ]
 
-FROZEN = {FileRef, ClassRef, Explicit, QueryPattern, PatternAtom, BaseAtom}
+FROZEN = {FileRef, ClassRef, QueryPattern, PatternAtom, BaseAtom}
 RECORD_MODULES = ("sln", "rules", "state", "taxonomy", "space", "concepts", "discovery")
 
 
@@ -94,8 +93,8 @@ def _name(pair):
 
 
 def test_every_record_class_is_covered():
-    covered = {type(make()) for make, _other in RECORDS} | {Explicit, Explanation}
-    assert len(covered) == 39
+    covered = {type(make()) for make, _other in RECORDS} | {Explanation}
+    assert len(covered) == 37
     for module_name in RECORD_MODULES:
         module = importlib.import_module(f"ksengine.{module_name}")
         for value in vars(module).values():
@@ -128,26 +127,6 @@ def test_records_compare_by_class_and_fields(make, other):
         assert a != b
 
 
-def test_explicit_provenance_is_one_frozen_value():
-    assert Explicit() == Explicit() and hash(Explicit()) == hash(Explicit())
-    assert Explicit().premises == ()
-    with pytest.raises(AttributeError):
-        Explicit().premises = ("k1",)
-
-
-def test_derived_copies_keep_the_class_and_both_fields():
-    """Derived is built by the tuple constructor from its (rule id, premises)
-    pair. A copy keeps the class, which equality cannot show, as a plain
-    tuple of the pair compares equal; neither field can be reassigned."""
-    made = Derived(("r", ("k1", "k2")))
-    assert (made.rule_id, made.premises) == ("r", ("k1", "k2")) == made
-    for copied in copy.deepcopy(made), pickle.loads(pickle.dumps(made)):
-        assert type(copied) is Derived and copied.premises == ("k1", "k2")
-    for field in Derived._fields:
-        with pytest.raises(AttributeError):
-            setattr(made, field, "x")
-
-
 def test_records_of_different_classes_never_compare_equal():
     assert FileRef("x") != ClassRef("x") and ClassRef("x") != FileRef("x")
     atom, base = PatternAtom("?x", "t", "?y"), BaseAtom("?x", "t", "?y")
@@ -159,9 +138,11 @@ def test_records_of_different_classes_never_compare_equal():
 def test_record_repr_names_the_class_and_each_field():
     assert repr(FileRef("a.txt")) == "FileRef(path='a.txt')"
     assert repr(BaseAtom("?x", "t", "?y")) == "BaseAtom(source='?x', type='t', target='?y')"
-    assert repr(SemanticLink("k1", "a", "t", "b", 1.0, Explicit())) == (
+    assert repr(SemanticLink("k1", "a", "t", "b", 1.0)) == (
         "SemanticLink(id='k1', source='a', type='t', target='b', weight=1.0, "
-        "provenance=Explicit())")
+        "rule_id=None, premises=())")
+    assert repr(SemanticLink("k2", "a", "t", "c", 1.0, "r", ("k1",))).endswith(
+        "rule_id='r', premises=('k1',))")
 
 
 def test_explanations_compare_by_identity():

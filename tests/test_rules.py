@@ -23,7 +23,7 @@ from ksengine.rules import (
     validate_rule,
     verify_explanation,
 )
-from ksengine.sln import Derived, Network, RepBundle, fresh_id
+from ksengine.sln import Network, RepBundle, fresh_id
 from ksengine.state import EngineState
 
 import oracles
@@ -271,7 +271,7 @@ def test_symmetric_premise_reads_its_own_way_first():
     net.assert_link("a", "s", "b", link_id="k1")
     _add_rule(net, "both", (("?x", "s", "?y"), ("?y", "s", "?x")), (("c", "t", "c"),))
     (link,) = derive_fixpoint(net)[0]
-    assert link.provenance.premises == ("k1", "k1")
+    assert link.premises == ("k1", "k1")
     tree = explain(net, link.id)
     assert tree.substitution == {"?x": "a", "?y": "b"}
     assert verify_explanation(net, tree)
@@ -316,13 +316,13 @@ def test_retract_with_maintenance_restores_alternate_support():
     assert net.has_fact("a", g, "b")
     survivors = [l for l in net.derived_links() if l.triple() == ("a", "g", "b")]
     assert len(survivors) == 1
-    assert survivors[0].provenance.rule_id == "via_u"
-    assert survivors[0].provenance.premises == (base2,)
+    assert survivors[0].rule_id == "via_u"
+    assert survivors[0].premises == (base2,)
     # a h b cites the over-deleted a g b, so it comes back only by deriving
     # onward from the restored link.
     lifted = [l for l in net.derived_links() if l.triple() == ("a", "h", "b")]
     assert len(lifted) == 1
-    assert lifted[0].provenance == Derived(("lift", (survivors[0].id,)))
+    assert (lifted[0].rule_id, lifted[0].premises) == ("lift", (survivors[0].id,))
 
 
 def test_retract_before_any_derive_reaches_the_fixpoint():
@@ -554,7 +554,7 @@ def test_each_firing_is_enumerated_once(monkeypatch):
     # The twin runs first in each round and stores every new link, so every
     # pre link is a base link and the linear transitive rule, like the twin,
     # fires once per path i < j < k.
-    assert {link.provenance.rule_id for link in new_links} == {"twin"}
+    assert {link.rule_id for link in new_links} == {"twin"}
     assert sum(map(len, calls)) == 2 * math.comb(30, 3)
 
 
@@ -637,9 +637,9 @@ def test_provenance_cycle_is_an_error_not_a_loop():
     net.assert_link("a", "t", "b", link_id="k1")
     net.assert_link("b", "t", "a", link_id="k0")
     # Each step is sound on its own, but k2 cites k3, which cites k2.
-    net.add_derived("a", "t", "c", 1.0, Derived(("sys.transitive.t", ("k1", "k3"))),
+    net.add_derived("a", "t", "c", 1.0, "sys.transitive.t", ("k1", "k3"),
                     link_id="k2")
-    net.add_derived("b", "t", "c", 1.0, Derived(("sys.transitive.t", ("k0", "k2"))),
+    net.add_derived("b", "t", "c", 1.0, "sys.transitive.t", ("k0", "k2"),
                     link_id="k3")
     with pytest.raises(InvalidRule, match="among its own premises"):
         explain(net, "k2")
@@ -698,6 +698,17 @@ def test_user_rule_cannot_take_a_transitive_rule_id():
     assert problems == ["rule id 'sys.transitive.t' is reserved for transitive flags"]
 
 
+def test_derive_refuses_a_rule_id_that_is_not_an_id():
+    """KSIF import refuses such an id, so a derive that stored links under it
+    would leave a state that exports but does not load."""
+    net = chain_net()
+    net.rules["bad id"] = Rule("bad id", RepBundle(word="r"), *net.rules["compose"][2:])
+    before = dict(net.links)
+    with pytest.raises(InvalidRule, match="rule 'bad id': rule id 'bad id' is not a valid id"):
+        derive_fixpoint(net)
+    assert net.links == before and net.derive_mark is None
+
+
 def closure_network(rng):
     """50 to 80 nodes with a transitive type pre, a symmetric and transitive
     type eq, a plain type rel, and user rules whose heads are pre or eq, so
@@ -731,11 +742,12 @@ def _retract_and_check(net, link_id):
     matches a derive from scratch, and every link outside the retracted
     link's provenance closure keeps its id, weight and provenance."""
     closure = net.provenance_closure([link_id])
-    kept = {lid: (link.triple(), link.weight, link.provenance)
+    kept = {lid: (link.triple(), link.weight, link.rule_id, link.premises)
             for lid, link in net.links.items() if lid not in closure}
     gone = retract_with_maintenance(net, link_id)
     assert gone[0] == link_id and set(gone) <= closure
-    assert {lid: (net.links[lid].triple(), net.links[lid].weight, net.links[lid].provenance)
+    assert {lid: (net.links[lid].triple(), net.links[lid].weight,
+                  net.links[lid].rule_id, net.links[lid].premises)
             for lid in kept} == kept
     _check_closure(net)
 
@@ -776,11 +788,11 @@ def test_closure_step_over_two_closure_links_still_replays():
     k = {(link.source, link.target): link.id for link in net.links.values()}
     step = "sys.transitive.pre"
     k["v00", "v02"] = net.add_derived("v00", "pre", "v02", 1.0,
-                                      Derived((step, (k["v00", "v01"], k["v01", "v02"]))))
+                                      step, (k["v00", "v01"], k["v01", "v02"]))
     k["v02", "v04"] = net.add_derived("v02", "pre", "v04", 1.0,
-                                      Derived((step, (k["v02", "v03"], k["v03", "v04"]))))
+                                      step, (k["v02", "v03"], k["v03", "v04"]))
     top = net.add_derived("v00", "pre", "v04", 1.0,
-                          Derived((step, (k["v00", "v02"], k["v02", "v04"]))))
+                          step, (k["v00", "v02"], k["v02", "v04"]))
     text = export_state(EngineState(network=net))
     loaded = import_state(text).network
     assert verify_explanation(loaded, explain(loaded, top))
@@ -1217,7 +1229,7 @@ def _check_store_path(net):
     assert engine_fact_set(net) == oracles.naive_fixpoint(
         explicit, rule_tuples, symmetric, transitive)
     for link in net.derived_links():
-        assert link.weight == min(net.links[p].weight for p in link.provenance.premises)
+        assert link.weight == min(net.links[p].weight for p in link.premises)
     same = [link for link in net.links.values() if link.type == "same"]
     assert len({frozenset((link.source, link.target)) for link in same}) == len(same)
 
@@ -1266,12 +1278,12 @@ def test_store_path_matches_naive_through_batches_and_restores(monkeypatch, seed
     # the other shared reference still supports, then a seeded explicit link.
     twin = next(link for link in net.links.values()
                 if {link.source, link.target} == {"n00", "n01"} and link.type == "same")
-    for link_id in (twin.provenance.premises[0], rng.choice(net.explicit_links()).id):
+    for link_id in (twin.premises[0], rng.choice(net.explicit_links()).id):
         del calls[:]
         retract_with_maintenance(net, link_id)
         _check_store_path(net)
         exports.update(export_state(EngineState(network=net)).encode())
-        if link_id == twin.provenance.premises[0]:
+        if link_id == twin.premises[0]:
             restored = [t for rid, triples in calls if rid == "co" for t in triples
                         if {t[0], t[2]} == {"n00", "n01"}]
             assert len(restored) == 2 and restored[0] != restored[1]

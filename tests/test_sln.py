@@ -21,7 +21,6 @@ from ksengine.ksif import export_state
 from ksengine.rules import derive_fixpoint
 from ksengine.sln import (
     ClassRef,
-    Derived,
     FileRef,
     Network,
     QueryPattern,
@@ -152,7 +151,7 @@ def _next_ids(state):
     (lambda st: st.network.add_link_type(RepBundle(word="x"), type_id="no spaces"), InvalidId),
     (lambda st: st.network.assert_link("b", "t", "a", link_id="ab"), DuplicateId),
     (lambda st: st.network.assert_link("b", "t", "a", link_id="no spaces"), InvalidId),
-    (lambda st: st.network.add_derived("b", "t", "a", 1.0, Derived(("r", ("ab",))), "ab"),
+    (lambda st: st.network.add_derived("b", "t", "a", 1.0, "r", ("ab",), "ab"),
      DuplicateId),
     (lambda st: st.concepts.add_concept("x", "c000001"), DuplicateId),
     (lambda st: st.concepts.add_concept("x", "no spaces"), InvalidId),
@@ -214,7 +213,7 @@ def test_link_mutators_check_ends_type_and_id(mutator):
     def insert(source, type_id, target, link_id=None):
         if mutator == "assert_link":
             return net.assert_link(source, type_id, target, 1.0, link_id)
-        return net.add_derived(source, type_id, target, 1.0, Derived(("r", (taken,))), link_id)
+        return net.add_derived(source, type_id, target, 1.0, "r", (taken,), link_id)
 
     for source, target in (("ghost", b), (a, "ghost")):
         with pytest.raises(UnknownNode, match="'ghost' not found"):
@@ -240,7 +239,7 @@ def test_link_mutators_reject_bad_weights(weight):
     with pytest.raises(NegativeWeight):
         net.assert_link(a, t, b, weight=weight)
     with pytest.raises(NegativeWeight):
-        net.add_derived(a, t, b, weight, Derived(("r", ())))
+        net.add_derived(a, t, b, weight, "r", ())
     assert net.links == {}
     assert net.links[net.assert_link(a, t, b, weight=0)].weight == 0.0
 
@@ -260,7 +259,7 @@ def test_explicit_upgrade_keeps_id():
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
-    lid = net.add_derived(a, t, b, 0.7, Derived(("r", ("x",))))
+    lid = net.add_derived(a, t, b, 0.7, "r", ("x",))
     same = net.assert_link(a, t, b, weight=1.5)
     assert same == lid
     assert net.link(lid).is_explicit
@@ -272,7 +271,7 @@ def test_retract_refuses_derived():
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
-    lid = net.add_derived(a, t, b, 1.0, Derived(("r", ())))
+    lid = net.add_derived(a, t, b, 1.0, "r", ())
     with pytest.raises(CannotRetractDerived):
         net.retract_link(lid)
 
@@ -284,8 +283,8 @@ def test_retract_removes_dependents_transitively():
     c = net.add_node(RepBundle(word="c"))
     t = net.add_link_type(RepBundle(word="t"))
     base = net.assert_link(a, t, b)
-    d1 = net.add_derived(b, t, c, 1.0, Derived(("r", (base,))))
-    d2 = net.add_derived(a, t, c, 1.0, Derived(("r", (d1,))))
+    d1 = net.add_derived(b, t, c, 1.0, "r", (base,))
+    d2 = net.add_derived(a, t, c, 1.0, "r", (d1,))
     keeper = net.assert_link(c, t, a)
     net.derive_mark = ("signature", len(net.links))
     removed = net.retract_link(base)

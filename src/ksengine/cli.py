@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import gc
 import io
 import os
 import sys
@@ -504,5 +505,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry (`python -m ksengine`, the `ksengine` script): one
+    main() call with the cyclic collector off, and main's exit code.
+
+    The process ends after the call, and the engine's hot paths make no
+    reference cycles (see rules._walk), so reference counting frees what a
+    call drops. Freezing what is left spares interpreter exit its full
+    collection. main() itself leaves the collector alone: tests and
+    benchmarks call it in process."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -88,6 +88,13 @@ class Concept(Record):
         self.sense = ConceptSense() if sense is None else sense
 
 
+def _check_word(word: str) -> None:
+    """KSIF import reads a word as non-empty text, so the mutators refuse
+    anything else before storing it."""
+    if not isinstance(word, str) or not word:
+        raise ValueError("lexicon words must be non-empty text")
+
+
 class Lexicon:
     """word -> ordered candidate concept ids; order is the tie-break priority."""
 
@@ -95,16 +102,14 @@ class Lexicon:
         self._entries: Dict[str, List[str]] = {}
 
     def add(self, word: str, concept_id: str) -> None:
-        if not word:
-            raise ValueError("lexicon words must be non-empty")
+        _check_word(word)
         check_id(concept_id, "concept id")
         bucket = self._entries.setdefault(word, [])
         if concept_id not in bucket:
             bucket.append(concept_id)
 
     def set_candidates(self, word: str, candidates: Sequence[str]) -> None:
-        if not word:
-            raise ValueError("lexicon words must be non-empty")
+        _check_word(word)
         if not candidates:
             raise ValueError(f"candidate list for {word!r} must be non-empty")
         for concept_id in candidates:

@@ -22,6 +22,8 @@ export writes every record and import reads it through that one row.
 from __future__ import annotations
 
 import re
+import sys
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -74,7 +76,7 @@ from .state import (
     new_state,
     validate_anomaly_rule,
 )
-from .taxonomy import CategoryTree
+from .taxonomy import ID_PATTERN, CategoryTree
 
 if TYPE_CHECKING:
     from .discovery import Candidate, IncrementFragment
@@ -138,14 +140,38 @@ class _Group:
 
     def __init__(self, fields: Sequence[Tuple[str, object]], build: Callable,
                  parts: Callable[[object], Sequence[object]]):
-        self.readers = tuple((name, codec.read) for name, codec in fields)
+        # (name, parse, expected, read) per field. A scalar is read here, as
+        # _Scalar.read would, so decoding costs no call per field; an id's
+        # parse is None, as text from split needs only the pattern match.
+        self.readers = tuple(
+            (name, None if codec is _ID else codec.parse, codec.expected, None)
+            if isinstance(codec, _Scalar) else (name, None, None, codec.read)
+            for name, codec in fields
+        )
         # (position, write) of each field that is not written as it is
         self.writers = tuple((i, codec.write) for i, (_name, codec) in enumerate(fields)
                              if codec.write is not None)
         self.build, self.parts = build, parts
 
     def read(self, fields: Iterator[str], line: int, name: str = "") -> object:
-        return self.build(*[read(fields, line, what) for what, read in self.readers])
+        values = []
+        for what, parse, expected, read in self.readers:
+            if read is not None:
+                values.append(read(fields, line, what))
+                continue
+            text = next(fields, None)
+            if text is None:
+                raise MalformedRecord(line, f"missing field: {what}")
+            if parse is None:
+                if _is_id(text) is None:
+                    raise MalformedRecord(line, f"{what} {text!r} is not {expected}")
+                values.append(text)
+                continue
+            try:
+                values.append(parse(text))
+            except (KsError, KeyError, ValueError):
+                raise MalformedRecord(line, f"{what} {text!r} is not {expected}") from None
+        return self.build(*values)
 
     def write(self, value: object) -> str:
         fields = list(self.parts(value))
@@ -163,7 +189,18 @@ class _Counted:
     def read(self, fields: Iterator[str], line: int, name: str = "") -> list:
         count = _COUNT.read(fields, line, self.count_name)
         read, what = self.item.read, self.item_name
-        return [read(fields, line, what) for _ in range(count)]
+        if self.item is not _ID:
+            return [read(fields, line, what) for _ in range(count)]
+        # Ids in one pass, faulting as reading them one by one would: the
+        # first bad id, else a missing one. A line holds fewer than maxsize
+        # fields, so the clamp (islice refuses more) changes nothing.
+        ids = list(islice(fields, min(count, sys.maxsize)))
+        for text in ids:
+            if _is_id(text) is None:
+                raise MalformedRecord(line, f"{what} {text!r} is not {_ID.expected}")
+        if len(ids) < count:
+            raise MalformedRecord(line, f"missing field: {what}")
+        return ids
 
     def write(self, items: Sequence[object]) -> str:
         write = self.item.write
@@ -229,6 +266,7 @@ def _record(*values: object) -> tuple:
 
 
 _ID = _Scalar(None, check_id, "a valid id")
+_is_id = ID_PATTERN.match  # check_id on text known to be str
 _OPT_ID = _Scalar(lambda value: value or "", lambda text: check_id(text) if text else None,
                   "a valid id or empty")
 _TEXT = _Scalar(escape_field, str, "text")
@@ -518,23 +556,24 @@ def _read(text: str, kinds: Sequence[str], what: str) -> Records:
     for line, raw in enumerate(lines, start=2):
         if raw == "" or raw.startswith("#"):
             continue
-        kind, *fields = raw.split("\t")
+        rest = iter(raw.split("\t"))
+        kind = next(rest)
         if kind not in records:
             if kind not in _ROWS:
                 raise UnknownKind(line, kind)
             raise MalformedRecord(line, f"{kind} not allowed in {what}")
         if "\\" in raw:
-            fields = [unescape_field(field, line) for field in fields]
-        row, rest = _ROWS[kind], iter(fields)
+            rest = iter([unescape_field(field, line) for field in rest])
+        row = _ROWS[kind]
         try:
             record = row.read(rest, line)
         except MalformedRecord:
             raise
         except (KsError, ValueError) as exc:
             raise MalformedRecord(line, str(exc)) from None
-        extra = list(rest)
-        if extra:
-            raise MalformedRecord(line, f"unexpected trailing fields {extra!r}")
+        extra = next(rest, None)
+        if extra is not None:
+            raise MalformedRecord(line, f"unexpected trailing fields {[extra, *rest]!r}")
         key = row.key(record)
         if key in seen[kind]:
             raise DuplicateId(f"line {line}: {row.noun} {key[0]!r} defined twice")

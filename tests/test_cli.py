@@ -1,7 +1,9 @@
 """Command line behaviour: exit codes, output formats, state round trips."""
 
 import argparse
+import gc
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -1052,6 +1054,61 @@ def test_concurrent_writers_lose_no_update(tmp_path):
     assert sorted(saved.space.placements) == [f"r{i}" for i in range(8)]
     assert len(saved.network.links) == 3160
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ksif", "state.ksif.lock"]
+
+
+
+# ===== process entry =====
+
+def _ksengine_process(argv, cwd):
+    """`python -m ksengine argv` run from src/, as (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("KSENGINE_STATE", None)
+    done = subprocess.run([sys.executable, "-m", "ksengine", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    # bytes, decoded here: text mode would turn a carriage return into \n
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path):
+    # Only the process entry, cli.run, turns the collector off and freezes:
+    # tests and benchmarks call main in process.
+    state_file = tmp_path / "state.ksif"
+    write_state(state_file, space_state())
+    before = (gc.isenabled(), gc.get_freeze_count())
+    for argv in (["export"], ["place", "res1", "topic=ai", "year=y1936"],
+                 ["import", str(tmp_path / "missing.ksif")], ["derive", "--bogus"]):
+        main(argv + ["--state", str(state_file)])
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    capsys.readouterr()
+
+
+def test_both_process_entries_are_cli_run():
+    package = pathlib.Path(cli.__file__).parent
+    assert (package / "__main__.py").read_text(encoding="utf-8").endswith(
+        "from .cli import run\n\nsys.exit(run())\n")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    assert scripts.split("\n[")[0].strip() == 'ksengine = "ksengine.cli:run"'
+
+
+def test_process_entry_prints_and_saves_as_main_does(capsys, monkeypatch, tmp_path):
+    rich = export_state(random_state(random.Random(11), torture=True))
+    (tmp_path / "rich.ksif").write_text(rich, encoding="utf-8")
+    argv = ["export", "--state", "rich.ksif"]
+    monkeypatch.chdir(tmp_path)
+    assert _ksengine_process(argv, tmp_path) == run(capsys, argv) == (0, rich, "")
+    state = chain_state()
+    state.space = space_state().space
+    derive_fixpoint(state.network)
+    for name in ("child.ksif", "inproc.ksif"):
+        write_state(tmp_path / name, state)
+    place = ["place", "res1", "topic=ai", "year=y1936", "--state"]
+    assert _ksengine_process(place + ["child.ksif"], tmp_path) == (0, "", "")
+    assert run(capsys, place + ["inproc.ksif"]) == (0, "", "")
+    saved = (tmp_path / "inproc.ksif").read_bytes()
+    assert (tmp_path / "child.ksif").read_bytes() == saved
+    assert saved != export_state(state).encode()
 
 
 def test_every_command_without_state_ends_in_documented_code(capsys, tmp_path):

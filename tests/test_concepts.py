@@ -120,6 +120,17 @@ def test_lexicon_words_must_be_non_empty():
     assert len(lex) == 0 and "" not in lex
 
 
+def test_lexicon_words_must_be_text():
+    # Export escapes each word as text, so a word of another type would be
+    # stored and then fail export outside the engine's errors.
+    lex = Lexicon()
+    for word in (5, ("w",), None):
+        for store in (lambda: lex.add(word, "c1"), lambda: lex.set_candidates(word, ["c1"])):
+            with pytest.raises(ValueError, match="lexicon words must be non-empty text"):
+                store()
+    assert len(lex) == 0
+
+
 def test_link_count_counts_both_directions():
     store = ConceptStore()
     a = store.add_concept("a").id

@@ -567,6 +567,110 @@ def test_anchor_may_point_at_concept():
     assert rebuilt.network.nodes["a"].rep.rep_k == ("idea",)
 
 
+# A valid line of each record kind, field by field, as (text, name, a bad
+# value, what the field must be). A text field takes any value, so it has no
+# bad one; a tag's bad value is named as a bad tag.
+_TAG = "tag"
+
+
+def _id_field(text, name):
+    return (text, name, "not an id", "a valid id")
+
+
+def _text_field(text, name):
+    return (text, name, None, None)
+
+
+def _count_field(name, count=1):
+    return (str(count), f"{name} count", "-1", "a count (an integer >= 0)")
+
+
+def _tag_field(text, name):
+    return (text, f"{name} tag", "X", _TAG)
+
+
+def _texts_field(name):
+    return [_count_field(name), _text_field("x", name)]
+
+
+_REP_FIELDS = [_tag_field("S", "machine value"), _text_field("x", "machine value"),
+               _text_field("w", "word"), _text_field("", "sentence"),
+               _count_field("anchor"), _id_field("g1", "anchor")]
+_ATTRIBUTE_FIELDS = [_count_field("attribute"), _text_field("size", "attribute label"),
+                     _tag_field("I", "attribute"), ("3", "attribute", "x", "an integer")]
+_ATOM_FIELDS = [_text_field("?a", "source"), _text_field("t", "type"),
+                _text_field("?b", "target")]
+_LINK_FIELDS = [_id_field("k1", "link id"), _id_field("a", "source"),
+                _id_field("t", "link type"), _id_field("b", "target"),
+                ("1.0", "weight", "-1", "a finite number >= 0")]
+CODEC_LINES = {
+    "LINKTYPE": [_id_field("t", "link-type id"), ("0", "transitive flag", "2", "1 or 0"),
+                 ("0", "symmetric flag", "2", "1 or 0"),
+                 ("", "parent", "not an id", "a valid id or empty"), *_REP_FIELDS],
+    "NODE": [_id_field("a", "node id"), ("0.5", "rank", "x", "a finite number"),
+             *_REP_FIELDS, *_ATTRIBUTE_FIELDS],
+    "LINK": [*_LINK_FIELDS, _tag_field("E", "provenance")],
+    "LINK derived": [*_LINK_FIELDS, _tag_field("D", "provenance"), _id_field("r", "rule id"),
+                     _count_field("premise"), _id_field("k0", "premise")],
+    "RULE": [_id_field("r", "rule id"), *_REP_FIELDS, _count_field("body atom"),
+             *_ATOM_FIELDS, _count_field("head atom"), *_ATOM_FIELDS],
+    "DIM": [_id_field("d", "dimension id"), ("axis", "dimension name", "", "non-empty text")],
+    "CAT": [_id_field("g1", "category id"),
+            ("", "owner dimension", "not an id", "a valid id or empty"),
+            ("", "parent", "not an id", "a valid id or empty"), _text_field("top", "name")],
+    "PLACE": [_id_field("res", "resource id"), _count_field("coordinate"),
+              _id_field("d", "dimension"), _id_field("g1", "category")],
+    "CONCEPT": [_id_field("c", "concept id"), _text_field("idea", "concept name"),
+                ("0", "priori flag", "2", "1 or 0"), _text_field("", "relation label"),
+                *_ATTRIBUTE_FIELDS, _count_field("class"), _id_field("c2", "class"),
+                *_texts_field("instance"), _count_field("relation"),
+                ("near", "relation label", "", "non-empty text"),
+                _id_field("c2", "relation target"),
+                ("0.5", "relation weight", "x", "a finite number"),
+                *_texts_field("interface"), _count_field("process"),
+                *_texts_field("process step"), *_texts_field("use case"),
+                *_texts_field("object"), *_texts_field("event"), *_texts_field("rule entry"),
+                *_texts_field("media entry"), *_texts_field("language entry")],
+    "LEXEME": [("bank", "word", "", "non-empty text"), _count_field("candidate"),
+               _id_field("c", "candidate")],
+    "PROBLEM": [_id_field("p", "problem id"), _text_field("anomaly", "problem kind"),
+                _text_field("odd", "statement"),
+                ("", "category", "not an id", "a valid id or empty"),
+                *_texts_field("evidence"), *_texts_field("concept")],
+    "ANOMALYRULE": [_id_field("w", "anomaly rule id"), _text_field("freq", "metric"),
+                    _text_field("lt", "comparison op"),
+                    ("0.5", "threshold", "x", "a finite number"),
+                    _text_field("{count}", "template"), _count_field("condition atom"),
+                    *_ATOM_FIELDS],
+}
+
+
+@pytest.mark.parametrize("line_name, position", [
+    (line_name, position) for line_name, fields in CODEC_LINES.items()
+    for position in range(len(fields))
+])
+def test_each_codec_fault_names_its_field(line_name, position):
+    fields = CODEC_LINES[line_name]
+    kind = line_name.split()[0]
+    texts = [text for text, _name, _bad, _expected in fields]
+    _read(f"{HEADER}\n{kind}\t" + "\t".join(texts), KIND_ORDER, "a state")
+    _text, name, bad, expected = fields[position]
+    with pytest.raises(MalformedRecord) as err:
+        _read(f"{HEADER}\n" + "\t".join([kind, *texts[:position]]), KIND_ORDER, "a state")
+    assert str(err.value) == f"line 2: missing field: {name}"
+    if bad is None:
+        return
+    texts[position] = bad
+    with pytest.raises(MalformedRecord) as err:
+        _read(f"{HEADER}\n" + "\t".join([kind, *texts]), KIND_ORDER, "a state")
+    reason = f"bad {name} {bad!r}" if expected is _TAG else f"{name} {bad!r} is not {expected}"
+    assert str(err.value) == f"line 2: {reason}"
+
+
+def test_codec_lines_cover_every_record_kind():
+    assert {name.split()[0] for name in CODEC_LINES} == set(KIND_ORDER)
+
+
 # ----- fragment parsers -----
 
 def test_fragment_to_increment_parses_network_records():

@@ -1025,6 +1025,14 @@ def test_failed_save_prints_nothing_and_keeps_state(capsys, monkeypatch, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ksif", "state.ksif.lock"]
 
 
+def _child_env():
+    """The environment for a `python -m ksengine` child: this package's src/
+    first on the path, and no ambient state file."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("KSENGINE_STATE", None)
+    return env
+
 def test_concurrent_writers_lose_no_update(tmp_path):
     state = space_state()
     net = state.network
@@ -1036,14 +1044,12 @@ def test_concurrent_writers_lose_no_update(tmp_path):
     assert len(net.links) == 3160
     state_file = tmp_path / "state.ksif"
     write_state(state_file, state)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("KSENGINE_STATE", None)
     writers = [
         subprocess.Popen(
             [sys.executable, "-m", "ksengine", "place", f"r{i}", "topic=ai", "year=y1936",
              "--state", str(state_file)],
-            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
         )
         for i in range(8)
     ]
@@ -1061,10 +1067,7 @@ def test_concurrent_writers_lose_no_update(tmp_path):
 
 def _ksengine_process(argv, cwd):
     """`python -m ksengine argv` run from src/, as (exit code, stdout, stderr)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("KSENGINE_STATE", None)
-    done = subprocess.run([sys.executable, "-m", "ksengine", *argv], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, "-m", "ksengine", *argv], cwd=cwd, env=_child_env(),
                           capture_output=True, timeout=120)
     # bytes, decoded here: text mode would turn a carriage return into \n
     return done.returncode, done.stdout.decode(), done.stderr.decode()

@@ -194,7 +194,7 @@ class ConceptStore:
         try:
             return self.concepts[concept_id]
         except KeyError:
-            raise UnknownConcept(f"concept {concept_id!r} not found") from None
+            raise UnknownConcept(f"concept {concept_id!r} not found", concept_id) from None
 
     def ids(self) -> List[str]:
         return sorted(self.concepts)

@@ -23,17 +23,26 @@ class DuplicateId(KsError):
     """An id is already taken in the relevant store."""
 
 
+class NotFound(KsError):
+    """A lookup found no record under an id; ref is that id where the raiser
+    names one, so KSIF import can report it as a dangling reference."""
+
+    def __init__(self, message: str, ref: "str | None" = None):
+        super().__init__(message)
+        self.ref = ref
+
+
 # ===== semantic link network =====
 
-class UnknownNode(KsError):
+class UnknownNode(NotFound):
     pass
 
 
-class UnknownLinkType(KsError):
+class UnknownLinkType(NotFound):
     pass
 
 
-class UnknownLink(KsError):
+class UnknownLink(NotFound):
     pass
 
 
@@ -63,13 +72,17 @@ class InvalidRule(KsError):
     """A rule violates arity, safety, or no-creation constraints."""
 
 
+class UnknownRule(InvalidRule, NotFound):
+    """A rule id naming neither a stored rule nor a transitive type's closure."""
+
+
 # ===== classification space =====
 
-class UnknownDimension(KsError):
+class UnknownDimension(NotFound):
     pass
 
 
-class UnknownCategory(KsError):
+class UnknownCategory(NotFound):
     pass
 
 
@@ -81,7 +94,7 @@ class AlreadyPlaced(KsError):
     pass
 
 
-class UnknownResource(KsError):
+class UnknownResource(NotFound):
     pass
 
 
@@ -103,11 +116,11 @@ class NonPositiveInput(KsError):
 
 # ===== concepts and reading =====
 
-class UnknownConcept(KsError):
+class UnknownConcept(NotFound):
     pass
 
 
-class UnknownCompartment(KsError):
+class UnknownCompartment(NotFound):
     pass
 
 

@@ -4,12 +4,12 @@ KSIF is a line-oriented, tab-separated format: one header line "KSIF 1"
 followed by records. Export is canonical — records grouped by kind in a fixed
 order, each group sorted, floats written with repr() — so equal states produce
 byte-identical text. One reader, _read, turns text into records for import
-and every fragment parser, checking each line in full before the next, so
-the first faulty line in file order is the one named. Import accepts records
-in any order, resolves forward references in a second phase, and reports
-the line number of anything malformed; a mutator's fault while import
-builds the state (a repeated triple, a parent or class cycle) names its
-line too and keeps its class.
+and every fragment parser, checking each line in full before the next.
+Import accepts records in any order: it reads the whole document, then
+stores each record through its mutator and checks itself only what no
+mutator does (premises and their steps, anchors, lexeme candidates). So read
+faults come first, the first in file order, and build faults after them,
+each named by its own line and kept in import's classes (see _line_fault).
 Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids never need
 escaping. Blank lines and '#' comment lines are skipped on import
 and never emitted on export.
@@ -47,11 +47,12 @@ from .errors import (
     InvalidRule,
     KsError,
     MalformedRecord,
+    MissingCoordinate,
+    NotFound,
     UnknownKind,
 )
 from .rules import (
-    PatternAtom, PremiseCycle, Rule, get_rule, premise_walk, reconstruct_substitution,
-    validate_rule,
+    PatternAtom, PremiseCycle, Rule, premise_walk, reconstruct_substitution, validate_rule,
 )
 from .sln import (
     ClassRef,
@@ -356,12 +357,6 @@ def _concept_parts(c: Concept) -> tuple:
             c.sense.language)
 
 
-def _lexeme(word: str, candidates: List[str]) -> Tuple[str, List[str]]:
-    if not candidates:
-        raise ValueError("lexeme needs at least one candidate")
-    return (word, candidates)
-
-
 def _problem(pid, kind, statement, category, evidence, concepts) -> Problem:
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -464,7 +459,7 @@ _ROWS: Dict[str, _Row] = {
     # (word, [candidate concept id, ...])
     "LEXEME": _Row("word", _by_first,
                    (("word", _NONEMPTY), ("candidates", _Counted(_ID, "candidate"))),
-                   _lexeme, _same),
+                   _record, _same),
     "PROBLEM": _Row(
         "problem", _by_id,
         (("problem id", _ID), ("problem kind", _TEXT), ("statement", _TEXT),
@@ -582,20 +577,31 @@ def _read(text: str, kinds: Sequence[str], what: str) -> Records:
     return records
 
 
+def _line_fault(line: int, exc: Exception) -> Exception:
+    """A mutator's fault while import stores the record on line, named by
+    that line and raised as import's class for it: a lookup that finds
+    nothing is a DanglingReference, a point that lacks a dimension or an
+    empty candidate list is a MalformedRecord, and any other fault keeps its
+    class."""
+    if isinstance(exc, NotFound):
+        return DanglingReference(exc.ref, f"line {line}: {exc}")
+    if isinstance(exc, (MissingCoordinate, ValueError)):
+        return MalformedRecord(line, str(exc))
+    exc.args = (f"line {line}: {exc}",)
+    return exc
+
+
 def _build_network(records: Records, net: Network) -> None:
     pending_parents: List[Tuple[int, str, str]] = []
     for line, lt in records["LINKTYPE"]:
         net.add_link_type(lt.rep, lt.transitive, lt.symmetric, parent=None, type_id=lt.id)
         if lt.parent is not None:
             pending_parents.append((line, lt.id, lt.parent))
-    for line, tid, parent in pending_parents:
-        if parent not in net.link_types:
-            raise DanglingReference(parent, f"line {line}: parent of link type {tid!r}")
-        try:
+    try:
+        for line, tid, parent in pending_parents:
             net.set_type_parent(tid, parent)
-        except CyclicHierarchy as exc:
-            exc.args = (f"line {line}: {exc}",)
-            raise
+    except (NotFound, CyclicHierarchy) as exc:
+        raise _line_fault(line, exc) from None
     for _line, node in records["NODE"]:
         net.add_node(node.rep, node.attributes, node_id=node.id)
         net.nodes[node.id].rank = node.rank
@@ -605,29 +611,15 @@ def _build_network(records: Records, net: Network) -> None:
     premises: Dict[str, Tuple[str, ...]] = {}  # derived link id -> premise ids
     try:
         for line, link in records["LINK"]:
-            for endpoint, name in ((link.source, "source"), (link.target, "target")):
-                if endpoint not in net.nodes:
-                    raise DanglingReference(
-                        endpoint, f"line {line}: {name} of link {link.id!r}"
-                    )
-            if link.type not in net.link_types:
-                raise DanglingReference(link.type, f"line {line}: type of link {link.id!r}")
             if link.is_explicit:
                 net.assert_link(link.source, link.type, link.target, link.weight,
                                 link_id=link.id)
             else:
-                try:
-                    get_rule(net, link.rule_id)
-                except Exception:
-                    raise DanglingReference(
-                        link.rule_id, f"line {line}: rule of link {link.id!r}"
-                    ) from None
                 net.add_derived(link.source, link.type, link.target, link.weight,
                                 link.rule_id, link.premises, link_id=link.id)
                 lines[link.id], premises[link.id] = line, link.premises
-    except (DuplicateExplicitLink, DuplicateId) as exc:  # the triple is stored already
-        exc.args = (f"line {line}: {exc}",)
-        raise
+    except (NotFound, DuplicateExplicitLink, DuplicateId) as exc:
+        raise _line_fault(line, exc) from None
     for lid, pids in premises.items():
         for pid in pids:
             if pid not in net.links:
@@ -661,9 +653,7 @@ def _tree(rows: List[CatRow]) -> CategoryTree:
     try:
         return CategoryTree.from_rows(row[1:] for row in rows)
     except KsError as exc:
-        line = next(row[0] for row in rows if row[1] == exc.category)
-        exc.args = (f"line {line}: {exc}",)
-        raise
+        raise _line_fault(next(row[0] for row in rows if row[1] == exc.category), exc) from None
 
 
 def _build_space(
@@ -671,48 +661,33 @@ def _build_space(
     space: Space,
     space_cat_rows: Dict[str, List[CatRow]],
 ) -> None:
-    dims: Dict[str, Tuple[int, str]] = {}
-    named: Dict[str, str] = {}
-    for line, (did, name) in records["DIM"]:
-        if name in named:
-            raise DimensionNameClash(
-                f"line {line}: dimensions {named[name]!r} and {did!r} both named {name!r}"
-            )
-        named[name] = did
-        dims[did] = (line, name)
+    dims = {did: (line, name) for line, (did, name) in records["DIM"]}
     for owner in sorted(space_cat_rows):
         if owner not in dims:
             first_line = space_cat_rows[owner][0][0]
             raise DanglingReference(
                 owner, f"line {first_line}: category owner dimension"
             )
-    for did in sorted(dims):
-        line, name = dims[did]
-        rows = space_cat_rows.get(did, [])
-        if not rows:
-            raise MalformedRecord(line, f"dimension {did!r} has no categories")
-        space.add_tree(name, _tree(rows), did)
-    trees = {dim.id: dim.tree for dim in space.dimensions()}
-    for line, (resource, coords) in records["PLACE"]:
-        point: Dict[str, str] = {}
-        for dim_id, cat_id in coords:
-            if dim_id not in trees:
-                raise DanglingReference(
-                    dim_id, f"line {line}: placement dimension for {resource!r}"
-                )
-            if cat_id not in trees[dim_id]:
-                raise DanglingReference(
-                    cat_id, f"line {line}: placement category for {resource!r}"
-                )
-            if dim_id in point:
-                raise MalformedRecord(line, f"dimension {dim_id!r} repeated")
-            point[dim_id] = cat_id
-        uncovered = [d for d in trees if d not in point]
-        if uncovered:
-            raise MalformedRecord(
-                line, f"placement of {resource!r} lacks dimensions {uncovered}"
-            )
-        space.place(resource, point)
+    try:
+        for did in sorted(dims):
+            line, name = dims[did]
+            rows = space_cat_rows.get(did, [])
+            if not rows:
+                raise MalformedRecord(line, f"dimension {did!r} has no categories")
+            space.add_tree(name, _tree(rows), did)
+    except DimensionNameClash as exc:
+        raise _line_fault(line, exc) from None
+    try:
+        for line, (resource, coords) in records["PLACE"]:
+            # Two coordinates for one dimension would collapse into one entry.
+            point: Dict[str, str] = {}
+            for dim_id, cat_id in coords:
+                if dim_id in point:
+                    raise MalformedRecord(line, f"dimension {dim_id!r} repeated")
+                point[dim_id] = cat_id
+            space.place(resource, point)
+    except (NotFound, MissingCoordinate) as exc:
+        raise _line_fault(line, exc) from None
 
 
 def _build_lexicon(state: EngineState, records: Records) -> None:
@@ -725,29 +700,27 @@ def _build_lexicon(state: EngineState, records: Records) -> None:
         classes.append(concept.structure.classes)
         concept.structure.classes = []
         store.concepts[concept.id] = concept
-    for (line, concept), parents in zip(records["CONCEPT"], classes):
-        for parent in parents:
-            if parent not in store:
-                raise DanglingReference(
-                    parent, f"line {line}: class of concept {concept.id!r}"
-                )
-            try:
+    try:
+        for (line, concept), parents in zip(records["CONCEPT"], classes):
+            for parent in parents:
                 store.add_class_link(concept.id, parent)
-            except CyclicHierarchy as exc:
-                exc.args = (f"line {line}: {exc}",)
-                raise
-        for (_label, target) in concept.structure.relations:
-            if target not in store:
-                raise DanglingReference(
-                    target, f"line {line}: relation target of {concept.id!r}"
-                )
-    for line, (word, candidates) in records["LEXEME"]:
-        for cid in candidates:
-            if cid not in store:
-                raise DanglingReference(
-                    cid, f"line {line}: candidate for word {word!r}"
-                )
-        state.lexicon.set_candidates(word, candidates)
+            for (_label, target) in concept.structure.relations:
+                if target not in store:
+                    raise DanglingReference(
+                        target, f"line {line}: relation target of {concept.id!r}"
+                    )
+    except (NotFound, CyclicHierarchy) as exc:
+        raise _line_fault(line, exc) from None
+    try:
+        for line, (word, candidates) in records["LEXEME"]:
+            for cid in candidates:
+                if cid not in store:
+                    raise DanglingReference(
+                        cid, f"line {line}: candidate for word {word!r}"
+                    )
+            state.lexicon.set_candidates(word, candidates)
+    except ValueError as exc:  # an empty candidate list
+        raise _line_fault(line, exc) from None
 
 
 def import_state(text: str) -> EngineState:

@@ -448,15 +448,8 @@ def _transitive_rule(type_id: str) -> Rule:
 
 def get_rule(network: Network, rule_id: str) -> Rule:
     """Resolve a user rule or a synthesized transitive-flag rule."""
-    rule = network.rules.get(rule_id)
-    if rule is not None:
-        return rule
-    if rule_id.startswith(TRANSITIVE_PREFIX):
-        tid = rule_id[len(TRANSITIVE_PREFIX):]
-        lt = network.link_types.get(tid)
-        if lt is not None and lt.transitive:
-            return _transitive_rule(tid)
-    raise InvalidRule(f"rule {rule_id!r} not found")
+    tid = network.closure_type(rule_id)
+    return network.rules[rule_id] if tid is None else _transitive_rule(tid)
 
 
 def effective_rules(network: Network) -> List[Rule]:

@@ -42,6 +42,7 @@ from .errors import (
     UnknownLink,
     UnknownLinkType,
     UnknownNode,
+    UnknownRule,
 )
 from .record import FrozenRecord, Record, _set
 from .taxonomy import ID_PATTERN, CategoryTree, check_id
@@ -306,7 +307,7 @@ class Network:
         type_id: Optional[str] = None,
     ) -> str:
         if parent is not None and parent not in self.link_types:
-            raise UnknownLinkType(f"parent link type {parent!r} not found")
+            raise UnknownLinkType(f"parent link type {parent!r} not found", parent)
         type_id = fresh_id(self._counters, "t", self.link_types, type_id, "link type")
         self.link_types[type_id] = LinkType(type_id, rep, transitive, symmetric, parent)
         return type_id
@@ -316,7 +317,7 @@ class Network:
         lt = self.link_type(type_id)
         if parent is not None:
             if parent not in self.link_types:
-                raise UnknownLinkType(f"parent link type {parent!r} not found")
+                raise UnknownLinkType(f"parent link type {parent!r} not found", parent)
             cur: Optional[str] = parent
             while cur is not None:
                 if cur == type_id:
@@ -330,19 +331,19 @@ class Network:
         try:
             return self.nodes[node_id]
         except KeyError:
-            raise UnknownNode(f"node {node_id!r} not found") from None
+            raise UnknownNode(f"node {node_id!r} not found", node_id) from None
 
     def link_type(self, type_id: str) -> LinkType:
         try:
             return self.link_types[type_id]
         except KeyError:
-            raise UnknownLinkType(f"link type {type_id!r} not found") from None
+            raise UnknownLinkType(f"link type {type_id!r} not found", type_id) from None
 
     def link(self, link_id: str) -> SemanticLink:
         try:
             return self.links[link_id]
         except KeyError:
-            raise UnknownLink(f"link {link_id!r} not found") from None
+            raise UnknownLink(f"link {link_id!r} not found", link_id) from None
 
     def explicit_link(self, link_id: str) -> SemanticLink:
         """The stored link, refused unless it is explicit: only an explicit
@@ -405,13 +406,26 @@ class Network:
     def add_derived(self, source: str, type_id: str, target: str, weight: float,
                     rule_id: str, premises: Tuple[str, ...],
                     link_id: Optional[str] = None) -> str:
-        """Check and record a rule-derived link (import uses it); the rule
-        engine's firings have made these checks, so it calls _store."""
+        """Check and record a rule-derived link (import uses it), all but its
+        premises, which may come later in a file; firings call _store."""
         weight, existing = self._check_link(source, type_id, target, weight)
+        self.closure_type(rule_id)  # an unknown rule raises
         if existing is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
         return self._store(source, type_id, target, weight, rule_id, premises,
                            rule_id != TRANSITIVE_PREFIX + type_id, link_id).id
+
+    def closure_type(self, rule_id: str) -> Optional[str]:
+        """How a rule id resolves: None for a stored rule, and the type id
+        for TRANSITIVE_PREFIX + the id of a transitive type, whose closure
+        rule it names. Any other id is an UnknownRule."""
+        if rule_id in self.rules:
+            return None
+        if isinstance(rule_id, str) and rule_id.startswith(TRANSITIVE_PREFIX):
+            tid = rule_id[len(TRANSITIVE_PREFIX):]
+            if tid in self.link_types and self.link_types[tid].transitive:
+                return tid
+        raise UnknownRule(f"rule {rule_id!r} not found", rule_id)
 
     def _check_link(self, source: str, type_id: str, target: str, weight: float
                     ) -> Tuple[float, Optional[SemanticLink]]:
@@ -420,9 +434,9 @@ class Network:
         answering the triple, if any."""
         for end in (source, target):
             if end not in self.nodes:
-                raise UnknownNode(f"node {end!r} not found")
+                raise UnknownNode(f"node {end!r} not found", end)
         if type_id not in self.link_types:
-            raise UnknownLinkType(f"link type {type_id!r} not found")
+            raise UnknownLinkType(f"link type {type_id!r} not found", type_id)
         return check_weight(weight), self._find_stored(source, type_id, target)
 
     def _store(self, source: str, type_id: str, target: str, weight: float,

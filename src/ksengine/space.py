@@ -74,7 +74,7 @@ class Space:
         try:
             return self._dims[dim_id]
         except KeyError:
-            raise UnknownDimension(f"dimension {dim_id!r} not found") from None
+            raise UnknownDimension(f"dimension {dim_id!r} not found", dim_id) from None
 
     def dimension_by_name(self, name: str) -> Dimension:
         for dim in self._dims.values():
@@ -124,7 +124,7 @@ class Space:
         dim = self.dimension(dim_id)
         if parent is not None and parent not in dim.tree:
             raise UnknownCategory(
-                f"parent {parent!r} not found in dimension {dim_id!r}"
+                f"parent {parent!r} not found in dimension {dim_id!r}", parent
             )
         cat_id = fresh_id(self._counters, "g", self._cat_owner, cat_id, "category")
         dim.tree.add(cat_id, name, parent)
@@ -158,17 +158,15 @@ class Space:
     # ===== placement =====
 
     def _check_point(self, point: Dict[str, str]) -> Dict[str, str]:
+        """The point in dimension order; coordinates are checked before coverage."""
+        for dim_id, cat_id in point.items():
+            if cat_id not in self.dimension(dim_id).tree:
+                raise UnknownCategory(
+                    f"category {cat_id!r} not in dimension {dim_id!r}", cat_id
+                )
         missing = [d for d in self._order if d not in point]
         if missing:
             raise MissingCoordinate(f"point lacks dimensions {missing}")
-        extras = [d for d in point if d not in self._dims]
-        if extras:
-            raise UnknownDimension(f"point names unknown dimensions {extras}")
-        for dim_id, cat_id in point.items():
-            if cat_id not in self._dims[dim_id].tree:
-                raise UnknownCategory(
-                    f"category {cat_id!r} not in dimension {dim_id!r}"
-                )
         return {d: point[d] for d in self._order}
 
     def place(
@@ -185,7 +183,7 @@ class Space:
         try:
             return self.placements[resource][dim_id]
         except KeyError:
-            raise UnknownResource(f"resource {resource!r} not placed") from None
+            raise UnknownResource(f"resource {resource!r} not placed", resource) from None
 
     def locate(self, spec: Dict[str, str], mode: str = "exact") -> List[str]:
         """Resources matching every given coordinate; ascending resource ids.
@@ -199,7 +197,7 @@ class Space:
             dim = self.dimension(dim_id)
             if cat_id not in dim.tree:
                 raise UnknownCategory(
-                    f"category {cat_id!r} not in dimension {dim_id!r}"
+                    f"category {cat_id!r} not in dimension {dim_id!r}", cat_id
                 )
         hits = []
         for resource in sorted(self.placements):

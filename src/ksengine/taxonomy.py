@@ -15,7 +15,7 @@ from .errors import (
     MultipleRoots,
 )
 
-ID_PATTERN = re.compile(r"^[A-Za-z0-9_.\-]+$")
+ID_PATTERN = re.compile(r"[A-Za-z0-9_.\-]+\Z")  # \Z: $ allows a final newline
 
 
 def check_id(token: str, what: str = "id") -> str:

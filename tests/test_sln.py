@@ -16,15 +16,17 @@ from ksengine.errors import (
     UnknownCategory,
     UnknownLinkType,
     UnknownNode,
+    UnknownRule,
 )
 from ksengine.ksif import export_state
-from ksengine.rules import derive_fixpoint
+from ksengine.rules import PatternAtom, Rule, derive_fixpoint
 from ksengine.sln import (
     ClassRef,
     FileRef,
     Network,
     QueryPattern,
     RepBundle,
+    check_id,
     is_base,
     parse_pattern,
 )
@@ -70,6 +72,12 @@ def test_rep_bundle_rejects_bad_anchor():
         RepBundle(word="x", rep_k=("has space",))
 
 
+def test_check_id_refuses_a_trailing_newline():
+    """`$` would also match before a final newline."""
+    with pytest.raises(InvalidId):
+        check_id("b\n")
+
+
 def test_rep_bundle_accepts_refs():
     rep = RepBundle(word="x", rep_c=FileRef("a.txt"))
     assert rep.rep_c == FileRef("a.txt")
@@ -93,12 +101,13 @@ def test_add_node_rejects_bad_attribute():
 
 
 def _stores():
-    """A state whose network names its nodes, type and link by hand and whose
-    concept store and space each hold one freshly numbered entry."""
+    """A state whose network names its nodes, transitive type and link by
+    hand and whose concept store and space each hold one freshly numbered
+    entry."""
     net = Network()
     for name in ("a", "b"):
         net.add_node(RepBundle(word=name), node_id=name)
-    net.add_link_type(RepBundle(word="t"), type_id="t")
+    net.add_link_type(RepBundle(word="t"), transitive=True, type_id="t")
     net.assert_link("a", "t", "b", link_id="ab")
     concepts = ConceptStore()
     concepts.add_concept("one")
@@ -146,13 +155,15 @@ def _next_ids(state):
     (lambda st: st.network.add_node(RepBundle(word="x"), {"flag": True}), InvalidRep),
     (lambda st: st.network.add_node(RepBundle(word="x"), node_id="a"), DuplicateId),
     (lambda st: st.network.add_node(RepBundle(word="x"), node_id="no spaces"), InvalidId),
+    (lambda st: st.network.add_node(RepBundle(word="x"), node_id="b\n"), InvalidId),
     (lambda st: st.network.add_link_type(RepBundle(word="x"), parent="ghost"), UnknownLinkType),
     (lambda st: st.network.add_link_type(RepBundle(word="x"), type_id="t"), DuplicateId),
     (lambda st: st.network.add_link_type(RepBundle(word="x"), type_id="no spaces"), InvalidId),
     (lambda st: st.network.assert_link("b", "t", "a", link_id="ab"), DuplicateId),
     (lambda st: st.network.assert_link("b", "t", "a", link_id="no spaces"), InvalidId),
-    (lambda st: st.network.add_derived("b", "t", "a", 1.0, "r", ("ab",), "ab"),
+    (lambda st: st.network.add_derived("b", "t", "a", 1.0, "sys.transitive.t", ("ab",), "ab"),
      DuplicateId),
+    (lambda st: st.network.add_derived("b", "t", "a", 1.0, "nope", ("ab",)), UnknownRule),
     (lambda st: st.concepts.add_concept("x", "c000001"), DuplicateId),
     (lambda st: st.concepts.add_concept("x", "no spaces"), InvalidId),
     (lambda st: st.space.add_dimension("x", "d000001"), DuplicateId),
@@ -162,8 +173,9 @@ def _next_ids(state):
     (lambda st: st.space.add_category("d000001", "x", "g000001", "g000001"), DuplicateId),
     (lambda st: st.space.add_category("d000001", "x", "g000001", "no spaces"), InvalidId),
     (lambda st: st.network.categories.add("no spaces", "x", None), InvalidId),
-], ids=["node-attribute", "node-taken", "node-invalid", "type-parent", "type-taken",
-        "type-invalid", "link-taken", "link-invalid", "derived-taken", "concept-taken",
+], ids=["node-attribute", "node-taken", "node-invalid", "node-newline", "type-parent", "type-taken",
+        "type-invalid", "link-taken", "link-invalid", "derived-taken", "derived-rule",
+        "concept-taken",
         "concept-invalid", "dimension-taken", "dimension-invalid", "dimension-position",
         "category-parent", "category-taken", "category-invalid", "network-category-invalid"])
 def test_refused_claims_leave_no_trace(call, error):
@@ -200,11 +212,19 @@ def test_assert_link_validates_everything():
         net.assert_link(a, t, b)
 
 
+def _network_with_rule_r():
+    """An empty network holding a rule r, for add_derived to cite."""
+    net = Network()
+    net.rules["r"] = Rule("r", RepBundle(word="r"), (PatternAtom("?x", "t", "?y"),),
+                          (PatternAtom("?y", "t", "?x"),))
+    return net
+
+
 @pytest.mark.parametrize("mutator", ["assert_link", "add_derived"])
 def test_link_mutators_check_ends_type_and_id(mutator):
     """Both insertion mutators make the same checks, and a refused link
     leaves the network as it was."""
-    net = Network()
+    net = _network_with_rule_r()
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
@@ -228,11 +248,35 @@ def test_link_mutators_check_ends_type_and_id(mutator):
     assert insert(a, t, b, link_id="k9") == "k9"
 
 
+def test_add_derived_checks_its_rule_as_get_rule_resolves_it():
+    """A derived link must name a stored rule or the closure rule of a
+    transitive type; the rule is checked after the ends and the type and
+    before the triple, and a refused link leaves nothing behind."""
+    net = _network_with_rule_r()
+    a, b, c = (net.add_node(RepBundle(word=w), node_id=w) for w in "abc")
+    net.add_link_type(RepBundle(word="t"), type_id="t")
+    net.add_link_type(RepBundle(word="pre"), transitive=True, type_id="pre")
+    ab = net.assert_link(a, "t", b)
+    for rule_id in ("nope", "sys.transitive.t", "sys.transitive.ghost", None):
+        with pytest.raises(UnknownRule) as err:
+            net.add_derived(a, "t", c, 1.0, rule_id, (ab,))
+        assert err.value.ref == rule_id
+    with pytest.raises(UnknownNode):
+        net.add_derived("ghost", "t", c, 1.0, "nope", ())
+    with pytest.raises(UnknownRule):  # (a t b) is stored, but the rule is looked at first
+        net.add_derived(a, "t", b, 1.0, "nope", ())
+    assert list(net.links) == [ab]
+    assert net.add_derived(a, "t", c, 1.0, "r", (ab,)) == "k000002"
+    bc = net.assert_link(b, "pre", c)
+    closure = net.add_derived(a, "pre", c, 1.0, "sys.transitive.pre", (bc,))
+    assert net.link(closure).rule_id == "sys.transitive.pre"
+
+
 @pytest.mark.parametrize("weight", [
     -1.0, float("inf"), float("-inf"), float("nan"), 10 ** 400, True, "1.0",
 ], ids=["negative", "inf", "-inf", "nan", "huge-int", "bool", "text"])
 def test_link_mutators_reject_bad_weights(weight):
-    net = Network()
+    net = _network_with_rule_r()
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
@@ -255,7 +299,7 @@ def test_assert_link_duplicate_through_symmetry():
 
 
 def test_explicit_upgrade_keeps_id():
-    net = Network()
+    net = _network_with_rule_r()
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
@@ -267,7 +311,7 @@ def test_explicit_upgrade_keeps_id():
 
 
 def test_retract_refuses_derived():
-    net = Network()
+    net = _network_with_rule_r()
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     t = net.add_link_type(RepBundle(word="t"))
@@ -277,7 +321,7 @@ def test_retract_refuses_derived():
 
 
 def test_retract_removes_dependents_transitively():
-    net = Network()
+    net = _network_with_rule_r()
     a = net.add_node(RepBundle(word="a"))
     b = net.add_node(RepBundle(word="b"))
     c = net.add_node(RepBundle(word="c"))

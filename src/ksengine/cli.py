@@ -254,7 +254,7 @@ def _cmd_co_occur(state, args) -> int:
     events = [(tokens[0], tokens[1:]) for tokens in _read_lines(args.file, str.split)]
     problems = detect_co_occurrence(events, args.min_support)
     for problem in problems:
-        state.problems[problem.id] = problem
+        state.add_problem(problem)
         print(f"{problem.id}\t{problem.statement}")
     return 0
 
@@ -268,7 +268,7 @@ def _cmd_find_problem(state, args) -> int:
     links = [state.network.links[lid] for lid in sorted(state.network.links)]
     problems = find_problem(links, rules.values())
     for problem in problems:
-        state.problems[problem.id] = problem
+        state.add_problem(problem)
         print(f"{problem.id}\t{problem.kind}\t{problem.statement}")
     return 0
 

@@ -22,7 +22,7 @@ from .errors import (
     UnknownConcept,
 )
 from .record import Record
-from .sln import Scalar, check_attribute, check_id, check_text, fresh_id
+from .sln import Scalar, check_attribute, check_flag, check_id, check_str, check_text, fresh_id
 from .taxonomy import CategoryTree
 
 COOCCUR_LABEL = "co-occur"
@@ -206,9 +206,18 @@ class ConceptStore:
         priori: bool = False,
         link_type: Optional[str] = None,
     ) -> Concept:
-        concept_id = fresh_id(self._counters, "c", self.concepts, concept_id, "concept")
-        concept = Concept(concept_id, name, priori=priori, link_type=link_type)
-        self.concepts[concept_id] = concept
+        return self.add(Concept(concept_id, name, priori=priori, link_type=link_type))
+
+    def add(self, concept: Concept) -> Concept:
+        """Store a concept under its id, or a fresh "c" id it sets when that
+        is None. Refused, nothing stored, unless its name is text, link_type
+        None or a relation label and priori a bool; compartments go as they are."""
+        check_str(concept.name, "concept name")
+        if concept.link_type is not None:
+            check_text(concept.link_type, "relation label")
+        check_flag(concept.priori, "priori flag")
+        concept.id = fresh_id(self._counters, "c", self.concepts, concept.id, "concept")
+        self.concepts[concept.id] = concept
         return concept
 
     def add_class_link(self, child_id: str, parent_id: str) -> None:

@@ -155,6 +155,9 @@ def verify_knowledge(
     if candidate.kind == "link":
         work.assert_link(*triple, payload.weight)
     else:
+        # Not add_rule, which refuses a stored id: a candidate may reuse one.
+        # It then replaces that rule in the scratch copy, and the links the
+        # stored rule derived stay, so a clash between the two shows.
         work.rules[payload.id] = payload
     derive_fixpoint(work)
     conflict = _contradiction(work, exclusive_pairs)
@@ -652,9 +655,7 @@ def ingest_fragment(network: Network, fragment: IncrementFragment) -> None:
     for node in sorted(fragment.nodes, key=lambda x: x.id):
         network.add_node(node.rep, dict(node.attributes), node_id=node.id)
     for rule in sorted(fragment.rules, key=lambda x: x.id):
-        if rule.id in network.rules:
-            raise InvalidRule(f"rule {rule.id!r} already present")
-        network.rules[rule.id] = rule
+        network.add_rule(rule)
     for link in sorted(fragment.links, key=lambda x: x.id):
         # A triple the network derived is upgraded in place under its stored
         # id, so provenance citing it stays valid; the fragment's id goes unused.

@@ -16,7 +16,8 @@ class InvalidId(KsError):
 
 
 class InvalidRep(KsError):
-    """A representation bundle is malformed (empty word, bad scalar)."""
+    """A value KSIF cannot write: an empty word, name or label, text that
+    is not text, a bad scalar, or a flag that is not a bool."""
 
 
 class DuplicateId(KsError):
@@ -144,6 +145,10 @@ class CyclicHierarchy(KsError):
 
 class InvalidCandidate(KsError):
     """A verification candidate payload does not match its declared kind."""
+
+
+class InvalidProblem(KsError):
+    """A problem has an unknown kind, or lacks the evidence its kind needs."""
 
 
 class UncategorizedProblem(KsError):

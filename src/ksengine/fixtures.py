@@ -148,19 +148,19 @@ def build_reference_network() -> Network:
         rep_k=("Cite", "Occur", "Topic"),
     )
     # The printed rule reads two ways; both are shipped rather than picking one.
-    net.rules["R_1_chain"] = Rule(
+    net.add_rule(Rule(
         id="R_1_chain",
         rep=rule_one_rep,
         body=(PatternAtom("?A", "L_1", "?B"), PatternAtom("?B", "L_2", "?C")),
         head=(PatternAtom("?A", "L_3", "?C"),),
-    )
-    net.rules["R_1_cocite"] = Rule(
+    ))
+    net.add_rule(Rule(
         id="R_1_cocite",
         rep=rule_one_rep,
         body=(PatternAtom("?A", "L_4", "?C"), PatternAtom("?B", "L_4", "?C")),
         head=(PatternAtom("?A", "SameTopic", "?B"),),
-    )
-    net.rules["R_2"] = Rule(
+    ))
+    net.add_rule(Rule(
         id="R_2",
         rep=RepBundle(
             word="Equal",
@@ -173,7 +173,7 @@ def build_reference_network() -> Network:
         ),
         body=(PatternAtom("?A", "L_2", "?B"), PatternAtom("?B", "L_2", "?C")),
         head=(PatternAtom("?A", "L_2", "?C"),),
-    )
+    ))
     return net
 
 

@@ -6,10 +6,11 @@ order, each group sorted, floats written with repr() — so equal states produce
 byte-identical text. One reader, _read, turns text into records for import
 and every fragment parser, checking each line in full before the next.
 Import accepts records in any order: it reads the whole document, then
-stores each record through its mutator and checks itself only what no
-mutator does (premises and their steps, anchors, lexeme candidates). So read
-faults come first, the first in file order, and build faults after them,
-each named by its own line and kept in import's classes (see _line_fault).
+stores each record through its kind's store method and checks itself only
+what none does (premises and their steps, relation targets, anchors, lexeme
+candidates). So read faults come first, the first in file order, and build
+faults after them, each named by its own line and kept in import's classes
+(see _line_fault).
 Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids never need
 escaping. Blank lines and '#' comment lines are skipped on import
 and never emitted on export.
@@ -43,6 +44,7 @@ from .errors import (
     DimensionNameClash,
     DuplicateExplicitLink,
     DuplicateId,
+    InvalidProblem,
     InvalidRep,
     InvalidRule,
     KsError,
@@ -69,14 +71,7 @@ from .sln import (
     check_weight,
 )
 from .space import Space
-from .state import (
-    PROBLEM_KINDS,
-    AnomalyRule,
-    EngineState,
-    Problem,
-    new_state,
-    validate_anomaly_rule,
-)
+from .state import AnomalyRule, EngineState, Problem, new_state
 from .taxonomy import ID_PATTERN, CategoryTree
 
 if TYPE_CHECKING:
@@ -357,22 +352,6 @@ def _concept_parts(c: Concept) -> tuple:
             c.sense.language)
 
 
-def _problem(pid, kind, statement, category, evidence, concepts) -> Problem:
-    if kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    if kind in ("anomaly", "limitation") and not evidence:
-        raise ValueError(f"{kind} problem must carry evidence")
-    return Problem(pid, kind, statement, tuple(evidence), category, tuple(concepts))
-
-
-def _anomaly_rule(rid, metric, op, threshold, template, atoms) -> AnomalyRule:
-    rule = AnomalyRule(rid, tuple(atoms), metric, op, threshold, template)
-    problems = validate_anomaly_rule(rule)
-    if problems:
-        raise InvalidRule("; ".join(problems))
-    return rule
-
-
 class _Row(_Group):
     """A record kind's layout, with the noun that names a record in messages
     and its key: a key seen twice within a kind is a duplicate."""
@@ -465,14 +444,17 @@ _ROWS: Dict[str, _Row] = {
         (("problem id", _ID), ("problem kind", _TEXT), ("statement", _TEXT),
          ("category", _OPT_ID), ("evidence", _texts("evidence")),
          ("concepts", _texts("concept"))),
-        _problem, attrgetter("id", "kind", "statement", "category", "evidence", "concepts"),
+        lambda pid, kind, statement, category, evidence, concepts:
+            Problem(pid, kind, statement, tuple(evidence), category, tuple(concepts)),
+        attrgetter("id", "kind", "statement", "category", "evidence", "concepts"),
     ),
     "ANOMALYRULE": _Row(
         "anomaly rule", _by_id,
         (("anomaly rule id", _ID), ("metric", _TEXT), ("comparison op", _TEXT),
          ("threshold", _REAL), ("template", _TEXT),
          ("condition", _Counted(_ATOM, "condition atom"))),
-        _anomaly_rule,
+        lambda rid, metric, op, threshold, template, atoms:
+            AnomalyRule(rid, tuple(atoms), metric, op, threshold, template),
         attrgetter("id", "metric", "op", "threshold", "template", "atoms"),
     ),
 }
@@ -580,15 +562,25 @@ def _read(text: str, kinds: Sequence[str], what: str) -> Records:
 def _line_fault(line: int, exc: Exception) -> Exception:
     """A mutator's fault while import stores the record on line, named by
     that line and raised as import's class for it: a lookup that finds
-    nothing is a DanglingReference, a point that lacks a dimension or an
-    empty candidate list is a MalformedRecord, and any other fault keeps its
-    class."""
+    nothing (an UnknownRule too) is a DanglingReference; a point that lacks a
+    dimension, an empty candidate list, a bad problem or anomaly rule is a
+    MalformedRecord; and any other fault keeps its class."""
     if isinstance(exc, NotFound):
         return DanglingReference(exc.ref, f"line {line}: {exc}")
-    if isinstance(exc, (MissingCoordinate, ValueError)):
+    if isinstance(exc, (MissingCoordinate, InvalidProblem, InvalidRule, ValueError)):
         return MalformedRecord(line, str(exc))
     exc.args = (f"line {line}: {exc}",)
     return exc
+
+
+def _store_each(records: List[Tuple[int, object]], store: Callable[[object], object]) -> None:
+    """Store each record through its kind's store method, in file order; a
+    fault names the record's line (_line_fault)."""
+    try:
+        for line, record in records:
+            store(record)
+    except KsError as exc:
+        raise _line_fault(line, exc) from None
 
 
 def _build_network(records: Records, net: Network) -> None:
@@ -605,8 +597,7 @@ def _build_network(records: Records, net: Network) -> None:
     for _line, node in records["NODE"]:
         net.add_node(node.rep, node.attributes, node_id=node.id)
         net.nodes[node.id].rank = node.rank
-    for _line, rule in records["RULE"]:
-        net.rules[rule.id] = rule
+    _store_each(records["RULE"], net.add_rule)
     lines: Dict[str, int] = {}  # derived link id -> its line, in file order
     premises: Dict[str, Tuple[str, ...]] = {}  # derived link id -> premise ids
     try:
@@ -694,12 +685,10 @@ def _build_lexicon(state: EngineState, records: Records) -> None:
     """Add decoded concepts as they are, then class links and lexemes."""
     store = state.concepts
     classes: List[List[str]] = []
-    for line, concept in records["CONCEPT"]:
-        if concept.id in store:
-            raise DuplicateId(f"line {line}: concept {concept.id!r} defined twice")
+    for _line, concept in records["CONCEPT"]:
         classes.append(concept.structure.classes)
         concept.structure.classes = []
-        store.concepts[concept.id] = concept
+    _store_each(records["CONCEPT"], store.add)
     try:
         for (line, concept), parents in zip(records["CONCEPT"], classes):
             for parent in parents:
@@ -733,10 +722,8 @@ def import_state(text: str) -> EngineState:
     state.network.categories = _tree(cat_rows.pop(None, []))
     _build_space(records, state.space, cat_rows)
     _build_lexicon(state, records)
-    for _line, problem in records["PROBLEM"]:
-        state.problems[problem.id] = problem
-    for _line, rule in records["ANOMALYRULE"]:
-        state.anomaly_rules[rule.id] = rule
+    _store_each(records["PROBLEM"], state.add_problem)
+    _store_each(records["ANOMALYRULE"], state.add_anomaly_rule)
     _check_anchors(records)
     return state
 
@@ -787,7 +774,9 @@ def parse_candidates(text: str) -> List[Candidate]:
 
 def parse_anomaly_rules(text: str) -> Dict[str, AnomalyRule]:
     records = _read(text, ("ANOMALYRULE",), "an anomaly rule file")
-    return {rule.id: rule for _line, rule in records["ANOMALYRULE"]}
+    rules = EngineState()
+    _store_each(records["ANOMALYRULE"], rules.add_anomaly_rule)
+    return rules.anomaly_rules
 
 
 def merge_lexicon_fragment(state: EngineState, text: str) -> Tuple[int, int]:

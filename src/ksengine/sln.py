@@ -37,6 +37,7 @@ from .errors import (
     DuplicateExplicitLink,
     DuplicateId,
     InvalidRep,
+    InvalidRule,
     MalformedPattern,
     NegativeWeight,
     UnknownLink,
@@ -45,7 +46,7 @@ from .errors import (
     UnknownRule,
 )
 from .record import FrozenRecord, Record, _set
-from .taxonomy import ID_PATTERN, CategoryTree, check_id
+from .taxonomy import ID_PATTERN, CategoryTree, check_id, check_str
 
 Scalar = Union[str, int, float]
 
@@ -93,9 +94,10 @@ RepValue = Union[str, int, float, FileRef, ClassRef]
 class RepBundle(Record):
     """Three-level representation: machine scalar, words, and anchor ids.
 
-    word must be non-empty; rep_k anchors are kept in first-seen order with
-    duplicates dropped. Anchor resolution (to categories or concepts) is a
-    validation-time concern, not a construction-time one.
+    word must be non-empty and rep_h text; rep_k anchors are kept in
+    first-seen order with duplicates dropped. Anchor resolution (to
+    categories or concepts) is a validation-time concern, not a
+    construction-time one.
     """
 
     __slots__ = ("word", "rep_c", "rep_h", "rep_k")
@@ -106,6 +108,7 @@ class RepBundle(Record):
             raise InvalidRep("word must be a non-empty string")
         if not isinstance(rep_c, (FileRef, ClassRef)):
             check_scalar(rep_c, "machine value")
+        check_str(rep_h, "sentence")
         seen = []
         for anchor in rep_k:
             check_id(anchor, "anchor")
@@ -140,6 +143,13 @@ def check_text(text: str, what: str = "text") -> str:
     if not isinstance(text, str) or text == "":
         raise InvalidRep(f"{what} {text!r} must be non-empty text")
     return text
+
+
+def check_flag(flag: bool, what: str) -> bool:
+    """A flag: True or False, and no other value."""
+    if not isinstance(flag, bool):
+        raise InvalidRep(f"{what} {flag!r} must be True or False")
+    return flag
 
 
 def check_attribute(label: str, value: Scalar) -> Tuple[str, Scalar]:
@@ -306,6 +316,8 @@ class Network:
         parent: Optional[str] = None,
         type_id: Optional[str] = None,
     ) -> str:
+        check_flag(transitive, "transitive flag")
+        check_flag(symmetric, "symmetric flag")
         if parent is not None and parent not in self.link_types:
             raise UnknownLinkType(f"parent link type {parent!r} not found", parent)
         type_id = fresh_id(self._counters, "t", self.link_types, type_id, "link type")
@@ -326,6 +338,14 @@ class Network:
                     )
                 cur = self.link_types[cur].parent
         lt.parent = parent
+
+    def add_rule(self, rule) -> None:
+        """Store a rules.Rule under an id no stored rule holds, else
+        InvalidRule. The rule's structure is rules.validate_rule's to check:
+        the KSIF RULE row and derive_fixpoint run it."""
+        if rule.id in self.rules:
+            raise InvalidRule(f"rule {rule.id!r} already present")
+        self.rules[rule.id] = rule
 
     def node(self, node_id: str) -> SemanticNode:
         try:

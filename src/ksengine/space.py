@@ -24,7 +24,7 @@ from .errors import (
     UnknownResource,
 )
 from .record import Record
-from .sln import check_id, check_text, fresh_id
+from .sln import check_id, check_str, check_text, fresh_id
 from .taxonomy import CategoryTree
 
 
@@ -97,6 +97,7 @@ class Space:
         position: Optional[int] = None,
     ) -> Dimension:
         check_text(name, "dimension name")
+        root_name = name if root_name is None else check_str(root_name, "category name")
         for dim in self._dims.values():
             if dim.name == name:
                 raise DimensionNameClash(f"dimension name {name!r} already in use")
@@ -110,8 +111,9 @@ class Space:
             self._order.append(dim_id)
         else:
             self._order.insert(position, dim_id)
-        self.add_category(dim_id, root_name if root_name is not None else name,
-                          parent=None, cat_id=root_id)
+        self.add_category(dim_id, root_name, parent=None, cat_id=root_id)
+        for point in self.placements.values():  # every point covers every dimension
+            point[dim_id] = dim.root
         return dim
 
     def add_category(
@@ -126,6 +128,7 @@ class Space:
             raise UnknownCategory(
                 f"parent {parent!r} not found in dimension {dim_id!r}", parent
             )
+        check_str(name, "category name")  # before a fresh id is used up
         cat_id = fresh_id(self._counters, "g", self._cat_owner, cat_id, "category")
         dim.tree.add(cat_id, name, parent)
         self._cat_owner[cat_id] = dim_id
@@ -157,13 +160,17 @@ class Space:
 
     # ===== placement =====
 
-    def _check_point(self, point: Dict[str, str]) -> Dict[str, str]:
-        """The point in dimension order; coordinates are checked before coverage."""
-        for dim_id, cat_id in point.items():
+    def _check_coordinates(self, spec: Dict[str, str]) -> None:
+        """Each (dimension, category) of spec names a category of that dimension."""
+        for dim_id, cat_id in spec.items():
             if cat_id not in self.dimension(dim_id).tree:
                 raise UnknownCategory(
                     f"category {cat_id!r} not in dimension {dim_id!r}", cat_id
                 )
+
+    def _check_point(self, point: Dict[str, str]) -> Dict[str, str]:
+        """The point in dimension order; coordinates are checked before coverage."""
+        self._check_coordinates(point)
         missing = [d for d in self._order if d not in point]
         if missing:
             raise MissingCoordinate(f"point lacks dimensions {missing}")
@@ -193,12 +200,7 @@ class Space:
         """
         if mode not in ("exact", "subtree"):
             raise ValueError(f"mode must be 'exact' or 'subtree', got {mode!r}")
-        for dim_id, cat_id in spec.items():
-            dim = self.dimension(dim_id)
-            if cat_id not in dim.tree:
-                raise UnknownCategory(
-                    f"category {cat_id!r} not in dimension {dim_id!r}", cat_id
-                )
+        self._check_coordinates(spec)
         hits = []
         for resource in sorted(self.placements):
             point = self.placements[resource]

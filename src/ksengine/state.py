@@ -15,9 +15,10 @@ import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .concepts import ConceptStore, Lexicon
+from .errors import InvalidProblem, InvalidRule
 from .record import Record
 from .rules import PatternAtom, term_problems
-from .sln import Network
+from .sln import ID_PATTERN, Network, check_id, check_str
 from .space import Space
 
 PROBLEM_KINDS = ("anomaly", "relationship", "generalized", "specialized", "limitation")
@@ -62,6 +63,8 @@ _OPS = {
 
 def validate_anomaly_rule(rule: AnomalyRule) -> List[str]:
     problems = []
+    if not isinstance(rule.id, str) or not ID_PATTERN.match(rule.id):
+        problems.append(f"anomaly rule id {rule.id!r} is not a valid id")
     if not 1 <= len(rule.atoms) <= 4:
         problems.append(f"condition must have 1..4 atoms, found {len(rule.atoms)}")
     problems += term_problems("condition", rule.atoms)
@@ -72,6 +75,8 @@ def validate_anomaly_rule(rule: AnomalyRule) -> List[str]:
     if (not isinstance(rule.threshold, (int, float)) or isinstance(rule.threshold, bool)
             or not abs(rule.threshold) <= sys.float_info.max):
         problems.append(f"threshold must be a finite number, got {rule.threshold!r}")
+    if not isinstance(rule.template, str):
+        problems.append(f"template must be text, got {rule.template!r}")
     return problems
 
 
@@ -88,6 +93,31 @@ class EngineState(Record):
         self.lexicon = Lexicon() if lexicon is None else lexicon
         self.problems = {} if problems is None else problems
         self.anomaly_rules = {} if anomaly_rules is None else anomaly_rules
+
+    def add_problem(self, problem: Problem) -> None:
+        """Store a problem, replacing one stored under its id. Refused, with
+        nothing stored, for a kind outside PROBLEM_KINDS or an anomaly or
+        limitation without evidence (InvalidProblem), or a field KSIF cannot
+        write."""
+        if problem.kind not in PROBLEM_KINDS:
+            raise InvalidProblem(f"unknown problem kind {problem.kind!r}")
+        if problem.kind in ("anomaly", "limitation") and not problem.evidence:
+            raise InvalidProblem(f"{problem.kind} problem must carry evidence")
+        check_id(problem.id, "problem id")
+        check_str(problem.statement, "problem statement")
+        if problem.category is not None:
+            check_id(problem.category, "problem category")
+        for entry in (*problem.evidence, *problem.concepts):
+            check_str(entry, "problem entry")
+        self.problems[problem.id] = problem
+
+    def add_anomaly_rule(self, rule: AnomalyRule) -> None:
+        """Store an anomaly rule, replacing one stored under its id; refused
+        with InvalidRule, nothing stored, when validate_anomaly_rule objects."""
+        problems = validate_anomaly_rule(rule)
+        if problems:
+            raise InvalidRule("; ".join(problems))
+        self.anomaly_rules[rule.id] = rule
 
     def copy(self) -> "EngineState":
         return copy.deepcopy(self)

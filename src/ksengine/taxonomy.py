@@ -1,5 +1,5 @@
 """Rooted category trees, shared by the semantic network and the space module,
-and the engine's id check, which both use."""
+and the engine's id check and its text check (check_str), which both use."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from .errors import (
     DanglingReference,
     DuplicateId,
     InvalidId,
+    InvalidRep,
     KsError,
     MalformedTree,
     MultipleRoots,
@@ -22,6 +23,13 @@ def check_id(token: str, what: str = "id") -> str:
     if not isinstance(token, str) or not ID_PATTERN.match(token):
         raise InvalidId(f"{what} {token!r} must match [A-Za-z0-9_.-]+")
     return token
+
+
+def check_str(text: str, what: str = "text") -> str:
+    """Text that may be empty: a sentence, a statement, an entry or a name."""
+    if not isinstance(text, str):
+        raise InvalidRep(f"{what} {text!r} must be text")
+    return text
 
 
 def _at(cat_id: str, exc: KsError) -> KsError:
@@ -62,6 +70,7 @@ class CategoryTree:
 
     def add(self, cat_id: str, name: str, parent: Optional[str]) -> CategoryNode:
         check_id(cat_id, "category id")
+        check_str(name, "category name")
         if cat_id in self._nodes:
             raise DuplicateId(f"category {cat_id!r} already exists")
         if parent is None:

@@ -80,7 +80,7 @@ def random_network(
         head = (PatternAtom(rng.choice(bound), rng.choice(types), rng.choice(bound)),)
         rule = Rule(f"r{i:02d}", RepBundle(word=f"hunch {i}"), body, head)
         assert not validate_rule(rule, net)
-        net.rules[rule.id] = rule
+        net.add_rule(rule)
     return net
 
 
@@ -157,7 +157,7 @@ def rule_network(rng: random.Random, max_rules: int = 5) -> Network:
     for i in range(rng.randint(2, max_rules)):
         rule = _random_rule(rng, f"r{i}", nodes, types)
         assert not validate_rule(rule, net)
-        net.rules[rule.id] = rule
+        net.add_rule(rule)
     return net
 
 
@@ -323,7 +323,7 @@ def random_problems(rng: random.Random, state: EngineState, torture: bool = Fals
             category=category,
             concepts=concepts,
         )
-        state.problems[problem.id] = problem
+        state.add_problem(problem)
 
 
 def random_anomaly_rules(rng: random.Random, state: EngineState, torture: bool = False) -> None:
@@ -343,7 +343,7 @@ def random_anomaly_rules(rng: random.Random, state: EngineState, torture: bool =
             threshold=rng.choice((0.0, 1.0, 2.0, 0.5)),
             template=text_field(rng, "saw {count} of {total} hits", torture),
         )
-        state.anomaly_rules[rule.id] = rule
+        state.add_anomaly_rule(rule)
 
 
 def random_state(rng: random.Random, torture: bool = False) -> EngineState:

@@ -873,6 +873,59 @@ def test_mutated_documents_import_or_raise_an_engine_error():
     assert census == FUZZ_CENSUS
 
 
+# Each fragment reader, with the kinds it allows, and its outcomes on the
+# same 1,000 mutants, each cut to those kinds (the header and every line of
+# an allowed kind kept). A lexicon fragment merges into a new state.
+FRAGMENT_READERS = {
+    "fragment_to_increment": (fragment_to_increment, ("LINKTYPE", "NODE", "RULE", "LINK")),
+    "parse_candidates": (parse_candidates, ("LINK", "RULE")),
+    "parse_anomaly_rules": (parse_anomaly_rules, ("ANOMALYRULE",)),
+    "merge_lexicon_fragment": (lambda text: merge_lexicon_fragment(new_state(), text),
+                               ("CONCEPT", "LEXEME")),
+}
+FRAGMENT_CENSUS = {
+    "fragment_to_increment": {"ok": 380, "MalformedRecord": 570, "DuplicateId": 50},
+    "parse_candidates": {"ok": 413, "MalformedRecord": 559, "DuplicateId": 28},
+    "parse_anomaly_rules": {"ok": 989, "MalformedRecord": 9, "DuplicateId": 2},
+    "merge_lexicon_fragment": {"ok": 870, "MalformedRecord": 80, "DuplicateId": 26,
+                               "DanglingReference": 24},
+}
+
+
+def test_mutated_fragments_read_or_raise_an_engine_error_at_a_line():
+    rng = random.Random(4242)
+    census = {name: collections.Counter() for name in FRAGMENT_READERS}
+    for index in range(50):
+        doc = export_state(random_state(rng, torture=index % 2 == 1))
+        for _ in range(20):
+            header, *lines = mutate(rng, doc).split("\n")
+            for name, (read, kinds) in FRAGMENT_READERS.items():
+                kept = [line for line in lines if line.split("\t")[0] in kinds]
+                try:
+                    read("\n".join([header, *kept]))
+                except KsError as exc:
+                    assert re.search(r"\bline \d+", str(exc)), (name, exc)
+                    census[name][type(exc).__name__] += 1
+                    continue
+                census[name]["ok"] += 1
+    assert census == FRAGMENT_CENSUS
+
+
+def test_store_method_faults_keep_their_line_and_class():
+    """A fault a store method finds while import stores a record names the
+    record's line, as a read fault would, and keeps import's class for it."""
+    rule = "ANOMALYRULE\tw1\tmean\tge\t1.0\thits\t1\t?x\tt\t?y"
+    for read in (import_state, parse_anomaly_rules):
+        with pytest.raises(MalformedRecord, match="^line 3: metric must be count or freq"):
+            read(f"{HEADER}\n# a comment\n{rule}\n")
+    with pytest.raises(MalformedRecord, match="^line 2: unknown problem kind 'mystery'$"):
+        import_state(HEADER + "\nPROBLEM\tp1\tmystery\ts\t\t0\t0\n")
+    state = new_state()
+    state.concepts.add_concept("old", concept_id="old")
+    with pytest.raises(DuplicateId, match="^line 2: concept 'old' already exists$"):
+        merge_lexicon_fragment(state, HEADER + "\n" + concept_record("old", "again") + "\n")
+
+
 def test_cli_import_of_mutated_documents_exits_cleanly(capsys, tmp_path):
     rng = random.Random(17)
     codes = set()

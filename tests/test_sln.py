@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from ksengine.concepts import ConceptStore, enrich_concept
+from ksengine.concepts import Concept, ConceptStore, enrich_concept
 from ksengine.errors import (
     CannotRetractDerived,
     DuplicateExplicitLink,
     DuplicateId,
     InvalidId,
+    InvalidProblem,
     InvalidRep,
+    InvalidRule,
     MalformedPattern,
     NegativeWeight,
     UnknownCategory,
@@ -31,7 +33,7 @@ from ksengine.sln import (
     parse_pattern,
 )
 from ksengine.space import Space
-from ksengine.state import EngineState
+from ksengine.state import AnomalyRule, EngineState, Problem
 
 import oracles
 from generators import engine_fact_set, random_network
@@ -186,6 +188,73 @@ def test_refused_claims_leave_no_trace(call, error):
         call(state)
     assert export_state(state) == export_state(twin)
     assert _next_ids(state) == _next_ids(twin)
+
+
+_RULE = Rule("r", RepBundle(word="r"), (PatternAtom("?x", "t", "?y"),),
+             (PatternAtom("?y", "t", "?x"),))
+_HITS = (PatternAtom("?x", "t", "?y"),)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda st: st.network.add_link_type(RepBundle(word="x"), transitive="yes"), InvalidRep),
+    (lambda st: st.network.add_link_type(RepBundle(word="x"), symmetric=2), InvalidRep),
+    (lambda st: st.network.categories.add("g1", 5, None), InvalidRep),
+    (lambda st: st.space.add_dimension("x", root_name=5), InvalidRep),
+    (lambda st: st.space.add_category("d000001", 5, "g000001"), InvalidRep),
+    (lambda st: st.concepts.add_concept(5), InvalidRep),
+    (lambda st: st.concepts.add_concept("x", link_type=5), InvalidRep),
+    (lambda st: st.concepts.add_concept("x", link_type=""), InvalidRep),
+    (lambda st: st.concepts.add_concept("x", priori=2), InvalidRep),
+    (lambda st: st.network.add_rule(st.network.rules["r"]), InvalidRule),
+    (lambda st: st.add_problem(Problem("p1", "relationship", 5)), InvalidRep),
+    (lambda st: st.add_problem(Problem("p1", "mystery", "s")), InvalidProblem),
+    (lambda st: st.add_problem(Problem("p1", "anomaly", "s")), InvalidProblem),
+    (lambda st: st.add_problem(Problem("no spaces", "relationship", "s")), InvalidId),
+    (lambda st: st.add_problem(Problem("p1", "relationship", "s", category="")), InvalidId),
+    (lambda st: st.add_problem(Problem("p1", "relationship", "s", (5,))), InvalidRep),
+    (lambda st: st.add_problem(Problem("p1", "relationship", "s", concepts=(5,))), InvalidRep),
+    (lambda st: st.add_anomaly_rule(AnomalyRule("w1", _HITS, "count", "ge", 1.0, 5)),
+     InvalidRule),
+    (lambda st: st.add_anomaly_rule(AnomalyRule(5, _HITS, "count", "ge", 1.0, "s")),
+     InvalidRule),
+    (lambda st: st.add_anomaly_rule(AnomalyRule("w1", _HITS, "mean", "ge", 1.0, "s")),
+     InvalidRule),
+], ids=["type-transitive", "type-symmetric", "network-category-name", "dimension-root-name",
+        "category-name", "concept-name", "concept-link-type", "concept-empty-link-type",
+        "concept-priori", "rule-taken", "problem-statement", "problem-kind",
+        "problem-evidence", "problem-id", "problem-category", "problem-evidence-entry",
+        "problem-concept", "anomaly-template", "anomaly-id", "anomaly-metric"])
+def test_refused_values_leave_no_trace(call, error):
+    """A value export could not write, or a taken rule id, is refused before
+    anything is stored, by the mutator or the store method that takes it."""
+    state, twin = _stores(), _stores()
+    for each in (state, twin):
+        each.network.add_rule(_RULE)
+    with pytest.raises(error):
+        call(state)
+    assert export_state(state) == export_state(twin)
+    assert _next_ids(state) == _next_ids(twin)
+
+
+def test_rep_bundle_sentence_must_be_text():
+    with pytest.raises(InvalidRep, match="^sentence 3 must be text$"):
+        RepBundle("w", rep_h=3)
+    assert RepBundle("w", rep_h="").rep_h == ""
+
+
+def test_store_methods_store_what_they_accept():
+    state = EngineState()
+    state.network.add_rule(_RULE)
+    assert state.network.rules == {"r": _RULE}
+    concept = state.concepts.add(Concept(None, "idea"))  # None: a fresh id
+    assert concept.id == "c000001" and state.concepts.get("c000001") is concept
+    problem = Problem("p1", "anomaly", "odd", ("e1",))
+    state.add_problem(problem)
+    state.add_problem(problem._replace(statement="odder"))  # replaces p1
+    assert state.problems == {"p1": problem._replace(statement="odder")}
+    rule = AnomalyRule("w1", _HITS, "count", "ge", 1.0, "{count} hits")
+    state.add_anomaly_rule(rule)
+    assert state.anomaly_rules == {"w1": rule}
 
 
 def test_link_type_unknown_parent():

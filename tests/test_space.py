@@ -136,6 +136,24 @@ def test_place_requires_full_point():
     assert space.project("paper1", topic.id) == cats["arts"]
 
 
+def test_new_dimension_places_every_placed_resource_at_its_root():
+    """Every point covers every dimension, so a space with placements still
+    exports a state that imports after a dimension is added."""
+    space, topic, year, cats = small_space()
+    added = space.add_dimension("venue", position=0)
+    assert [space.project(r, added.id) for r in sorted(space.placements)] == [added.root] * 3
+    assert space.locate({added.id: added.root, topic.id: cats["ai"]}) == ["paper1"]
+    state = EngineState(space=space)
+    text = export_state(state)
+    assert export_state(import_state(text)) == text
+
+
+def test_locate_refuses_an_unknown_dimension():
+    space, _topic, _year, cats = small_space()
+    with pytest.raises(UnknownDimension, match="^dimension 'ghost' not found$"):
+        space.locate({"ghost": cats["ai"]})
+
+
 def test_project_unknown_resource():
     space, topic, _, _ = small_space()
     with pytest.raises(UnknownResource):

@@ -12,10 +12,12 @@ strengthen windowed co-occurrence links.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import (
     CyclicHierarchy,
+    InvalidRep,
     NonFiniteWeight,
     TooFewConcepts,
     UnknownCompartment,
@@ -92,7 +94,7 @@ def _check_word(word: str) -> None:
     """KSIF import reads a word as non-empty text, so the mutators refuse
     anything else before storing it."""
     if not isinstance(word, str) or not word:
-        raise ValueError("lexicon words must be non-empty text")
+        raise InvalidRep("lexicon words must be non-empty text")
 
 
 class Lexicon:
@@ -111,7 +113,7 @@ class Lexicon:
     def set_candidates(self, word: str, candidates: Sequence[str]) -> None:
         _check_word(word)
         if not candidates:
-            raise ValueError(f"candidate list for {word!r} must be non-empty")
+            raise InvalidRep(f"candidate list for {word!r} must be non-empty")
         for concept_id in candidates:
             check_id(concept_id, "candidate")
         self._entries[word] = list(dict.fromkeys(candidates))
@@ -211,11 +213,25 @@ class ConceptStore:
     def add(self, concept: Concept) -> Concept:
         """Store a concept under its id, or a fresh "c" id it sets when that
         is None. Refused, nothing stored, unless its name is text, link_type
-        None or a relation label and priori a bool; compartments go as they are."""
+        None or a relation label, priori a bool, and each attribute, entry,
+        process step and relation label and weight one KSIF writes. Class ids
+        and relation targets go unchecked, as import links them later."""
         check_str(concept.name, "concept name")
         if concept.link_type is not None:
             check_text(concept.link_type, "relation label")
         check_flag(concept.priori, "priori flag")
+        structure, services, experiences = concept.structure, concept.services, concept.experiences
+        for label, value in structure.attributes.items():
+            check_attribute(label, value)
+        for entries in (structure.instances, services.interfaces, *services.processes,
+                        experiences.use_cases, experiences.objects, experiences.events,
+                        concept.rules, concept.sense.media, concept.sense.language):
+            for entry in entries:
+                check_str(entry, "compartment entry")
+        for (label, _target), weight in structure.relations.items():
+            check_text(label, "relation label")
+            if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
+                raise NonFiniteWeight(f"relation weight {weight!r} must be a finite number")
         concept.id = fresh_id(self._counters, "c", self.concepts, concept.id, "concept")
         self.concepts[concept.id] = concept
         return concept

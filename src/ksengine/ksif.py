@@ -5,12 +5,13 @@ followed by records. Export is canonical — records grouped by kind in a fixed
 order, each group sorted, floats written with repr() — so equal states produce
 byte-identical text. One reader, _read, turns text into records for import
 and every fragment parser, checking each line in full before the next.
-Import accepts records in any order: it reads the whole document, then
-stores each record through its kind's store method and checks itself only
-what none does (premises and their steps, relation targets, anchors, lexeme
-candidates). So read faults come first, the first in file order, and build
-faults after them, each named by its own line and kept in import's classes
-(see _line_fault).
+Import accepts records in any order: it reads the whole document, then runs
+each build step through _store_each, which stores every record by its
+kind's store method, or looks a reference up in the store that holds it,
+and gives any fault its line and import's class (_line_fault). Besides the
+pool anchors must resolve in, import checks itself only a premise cycle, a
+dimension without categories and a repeated coordinate. Read faults come
+first, the first in file order; build faults follow, step by step.
 Fields escape tab, newline, and backslash as \\t, \\n, \\\\; ids never need
 escaping. Blank lines and '#' comment lines are skipped on import
 and never emitted on export.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import (
@@ -39,10 +41,7 @@ from .concepts import (
 )
 from .errors import (
     BadHeader,
-    CyclicHierarchy,
     DanglingReference,
-    DimensionNameClash,
-    DuplicateExplicitLink,
     DuplicateId,
     InvalidProblem,
     InvalidRep,
@@ -559,23 +558,22 @@ def _read(text: str, kinds: Sequence[str], what: str) -> Records:
     return records
 
 
-def _line_fault(line: int, exc: Exception) -> Exception:
-    """A mutator's fault while import stores the record on line, named by
-    that line and raised as import's class for it: a lookup that finds
-    nothing (an UnknownRule too) is a DanglingReference; a point that lacks a
-    dimension, an empty candidate list, a bad problem or anomaly rule is a
-    MalformedRecord; and any other fault keeps its class."""
+def _line_fault(line: int, exc: KsError) -> KsError:
+    """A build fault on the record at line, named by it and raised as
+    import's class: a failed lookup (an UnknownRule too) is a DanglingReference
+    of the id it missed; a refused value, a point short of a dimension, a bad
+    problem or rule a MalformedRecord; any other fault keeps its class."""
     if isinstance(exc, NotFound):
         return DanglingReference(exc.ref, f"line {line}: {exc}")
-    if isinstance(exc, (MissingCoordinate, InvalidProblem, InvalidRule, ValueError)):
+    if isinstance(exc, (InvalidRep, MissingCoordinate, InvalidProblem, InvalidRule)):
         return MalformedRecord(line, str(exc))
     exc.args = (f"line {line}: {exc}",)
     return exc
 
 
 def _store_each(records: List[Tuple[int, object]], store: Callable[[object], object]) -> None:
-    """Store each record through its kind's store method, in file order; a
-    fault names the record's line (_line_fault)."""
+    """Store each record through store (a store method, or a lookup that
+    raises NotFound), in file order; a fault names the record's line."""
     try:
         for line, record in records:
             store(record)
@@ -584,161 +582,116 @@ def _store_each(records: List[Tuple[int, object]], store: Callable[[object], obj
 
 
 def _build_network(records: Records, net: Network) -> None:
-    pending_parents: List[Tuple[int, str, str]] = []
-    for line, lt in records["LINKTYPE"]:
-        net.add_link_type(lt.rep, lt.transitive, lt.symmetric, parent=None, type_id=lt.id)
-        if lt.parent is not None:
-            pending_parents.append((line, lt.id, lt.parent))
-    try:
-        for line, tid, parent in pending_parents:
-            net.set_type_parent(tid, parent)
-    except (NotFound, CyclicHierarchy) as exc:
-        raise _line_fault(line, exc) from None
+    _store_each(records["LINKTYPE"], lambda lt: net.add_link_type(
+        lt.rep, lt.transitive, lt.symmetric, type_id=lt.id))
+    _store_each(records["LINKTYPE"], lambda lt: net.set_type_parent(lt.id, lt.parent))
+
+    def add_link(link: SemanticLink) -> None:
+        if link.is_explicit:
+            net.assert_link(link.source, link.type, link.target, link.weight, link.id)
+        else:
+            net.add_derived(link.source, link.type, link.target, link.weight,
+                            link.rule_id, link.premises, link.id)
+
+    _store_each(records["NODE"], lambda node: net.add_node(node.rep, node.attributes, node.id))
     for _line, node in records["NODE"]:
-        net.add_node(node.rep, node.attributes, node_id=node.id)
         net.nodes[node.id].rank = node.rank
     _store_each(records["RULE"], net.add_rule)
-    lines: Dict[str, int] = {}  # derived link id -> its line, in file order
-    premises: Dict[str, Tuple[str, ...]] = {}  # derived link id -> premise ids
-    try:
-        for line, link in records["LINK"]:
-            if link.is_explicit:
-                net.assert_link(link.source, link.type, link.target, link.weight,
-                                link_id=link.id)
-            else:
-                net.add_derived(link.source, link.type, link.target, link.weight,
-                                link.rule_id, link.premises, link_id=link.id)
-                lines[link.id], premises[link.id] = line, link.premises
-    except (NotFound, DuplicateExplicitLink, DuplicateId) as exc:
-        raise _line_fault(line, exc) from None
-    for lid, pids in premises.items():
-        for pid in pids:
-            if pid not in net.links:
-                raise DanglingReference(pid, f"line {lines[lid]}: premise of link {lid!r}")
+    _store_each(records["LINK"], add_link)
+    derived = [entry for entry in records["LINK"] if not entry[1].is_explicit]
+    # Network.link refuses each premise the network lacks, at its link's line.
+    missing = [(line, pid) for line, link in derived for pid in link.premises
+               if pid not in net.links]
+    _store_each(missing, net.link)
     # Provenance must be well-founded. One premise walk from every derived
     # link, in file order, meets a cycle first from the first link on or
     # above one, and names that link.
+    premises = {link.id: link.premises for _line, link in derived}
     try:
         for _lid in premise_walk(premises, premises.get):
             pass
     except PremiseCycle as cycle:
-        root = cycle.args[1]
-        raise MalformedRecord(
-            lines[root], f"provenance of link {root!r} rests on a premise cycle"
-        ) from None
+        line, root = next((line, link.id) for line, link in derived if link.id == cycle.args[1])
+        raise MalformedRecord(line, f"provenance of link {root!r} rests on a premise cycle") from None
     # Each step must hold as `explain` replays it: the rule's body reads the
     # premises and a head atom gives the link's triple.
-    for lid, line in lines.items():
-        try:
-            reconstruct_substitution(net, net.links[lid])
-        except InvalidRule as exc:
-            raise MalformedRecord(line, f"link {lid!r}: {exc}") from None
+    _store_each(derived, partial(reconstruct_substitution, net))
 
 
-CatRow = Tuple[int, str, Optional[str], str]  # (line, category id, parent, name)
-
-
-def _tree(rows: List[CatRow]) -> CategoryTree:
-    """The tree of one dimension's (or the network's) CAT rows; a fault
+def _tree(cats: List[Tuple[int, tuple]]) -> CategoryTree:
+    """The tree of one dimension's (or the network's) CAT records; a fault
     names the line of the category at fault."""
     try:
-        return CategoryTree.from_rows(row[1:] for row in rows)
+        return CategoryTree.from_rows((cat[0], *cat[2:]) for _line, cat in cats)
     except KsError as exc:
-        raise _line_fault(next(row[0] for row in rows if row[1] == exc.category), exc) from None
+        raise _line_fault(next(line for line, cat in cats if cat[0] == exc.category), exc) from None
 
 
-def _build_space(
-    records: Records,
-    space: Space,
-    space_cat_rows: Dict[str, List[CatRow]],
-) -> None:
-    dims = {did: (line, name) for line, (did, name) in records["DIM"]}
-    for owner in sorted(space_cat_rows):
-        if owner not in dims:
-            first_line = space_cat_rows[owner][0][0]
-            raise DanglingReference(
-                owner, f"line {first_line}: category owner dimension"
-            )
-    try:
-        for did in sorted(dims):
-            line, name = dims[did]
-            rows = space_cat_rows.get(did, [])
-            if not rows:
-                raise MalformedRecord(line, f"dimension {did!r} has no categories")
-            space.add_tree(name, _tree(rows), did)
-    except DimensionNameClash as exc:
-        raise _line_fault(line, exc) from None
-    try:
-        for line, (resource, coords) in records["PLACE"]:
-            # Two coordinates for one dimension would collapse into one entry.
-            point: Dict[str, str] = {}
-            for dim_id, cat_id in coords:
-                if dim_id in point:
-                    raise MalformedRecord(line, f"dimension {dim_id!r} repeated")
-                point[dim_id] = cat_id
-            space.place(resource, point)
-    except (NotFound, MissingCoordinate) as exc:
-        raise _line_fault(line, exc) from None
+def _build_space(records: Records, space: Space, cats: Records) -> None:
+    # Owners are checked before any dimension is built, so the space holds
+    # none yet and its lookup refuses each owner no DIM record names.
+    dims = {did for _line, (did, _name) in records["DIM"]}
+    owners = [(owned[0][0], owner) for owner, owned in sorted(cats.items())]
+    _store_each(owners, lambda owner: owner in dims or space.dimension(owner))
+    for line, (did, name) in sorted(records["DIM"], key=itemgetter(1)):
+        if did not in cats:
+            raise MalformedRecord(line, f"dimension {did!r} has no categories")
+        _store_each([(line, _tree(cats[did]))], lambda tree: space.add_tree(name, tree, did))
+    for line, (resource, coords) in records["PLACE"]:
+        # Two coordinates for one dimension would collapse into one entry.
+        point: Dict[str, str] = {}
+        for dim_id, cat_id in coords:
+            if dim_id in point:
+                raise MalformedRecord(line, f"dimension {dim_id!r} repeated")
+            point[dim_id] = cat_id
+        _store_each([(line, point)], lambda point: space.place(resource, point))
 
 
 def _build_lexicon(state: EngineState, records: Records) -> None:
-    """Add decoded concepts as they are, then class links and lexemes."""
-    store = state.concepts
-    classes: List[List[str]] = []
-    for _line, concept in records["CONCEPT"]:
-        classes.append(concept.structure.classes)
-        concept.structure.classes = []
-    _store_each(records["CONCEPT"], store.add)
-    try:
-        for (line, concept), parents in zip(records["CONCEPT"], classes):
-            for parent in parents:
-                store.add_class_link(concept.id, parent)
-            for (_label, target) in concept.structure.relations:
-                if target not in store:
-                    raise DanglingReference(
-                        target, f"line {line}: relation target of {concept.id!r}"
-                    )
-    except (NotFound, CyclicHierarchy) as exc:
-        raise _line_fault(line, exc) from None
-    try:
-        for line, (word, candidates) in records["LEXEME"]:
-            for cid in candidates:
-                if cid not in store:
-                    raise DanglingReference(
-                        cid, f"line {line}: candidate for word {word!r}"
-                    )
-            state.lexicon.set_candidates(word, candidates)
-    except ValueError as exc:  # an empty candidate list
-        raise _line_fault(line, exc) from None
+    """Store concepts with their classes cleared, then link them, then set lexemes."""
+    store, concepts = state.concepts, records["CONCEPT"]
+    classes: Dict[str, List[str]] = {}  # concept id -> its class ids
+
+    def add(concept: Concept) -> None:
+        classes[concept.id], concept.structure.classes = concept.structure.classes, []
+        store.add(concept)
+
+    def link(concept: Concept) -> None:
+        for parent in classes[concept.id]:
+            store.add_class_link(concept.id, parent)
+        for _label, target in concept.structure.relations:
+            store.get(target)
+
+    _store_each(concepts, add)
+    _store_each(concepts, link)
+    _store_each(records["LEXEME"], lambda lexeme: state.lexicon.set_candidates(
+        lexeme[0], [store.get(cid).id for cid in lexeme[1]]))
 
 
 def import_state(text: str) -> EngineState:
     records = _read(text, KIND_ORDER, "a state")
     state = new_state()
     _build_network(records, state.network)
-    cat_rows: Dict[Optional[str], List[CatRow]] = {}  # owner dimension -> rows
-    for line, (cid, owner, parent, name) in records["CAT"]:
-        cat_rows.setdefault(owner, []).append((line, cid, parent, name))
-    state.network.categories = _tree(cat_rows.pop(None, []))
-    _build_space(records, state.space, cat_rows)
+    cats: Records = {}  # CAT records by owner dimension, None for the network's
+    for cat in records["CAT"]:
+        cats.setdefault(cat[1][1], []).append(cat)
+    state.network.categories = _tree(cats.pop(None, []))
+    _build_space(records, state.space, cats)
     _build_lexicon(state, records)
     _store_each(records["PROBLEM"], state.add_problem)
     _store_each(records["ANOMALYRULE"], state.add_anomaly_rule)
-    _check_anchors(records)
-    return state
-
-
-def _check_anchors(records: Records) -> None:
-    """Every representation anchor names a category or a concept."""
+    # Every representation anchor names a category or a concept.
     pool = {cat[0] for _line, cat in records["CAT"]}
     pool.update(concept.id for _line, concept in records["CONCEPT"])
+
+    def resolve(record) -> None:
+        for anchor in record.rep.rep_k:
+            if anchor not in pool:
+                raise NotFound(f"category or concept {anchor!r} not found", anchor)
+
     for kind in ("NODE", "LINKTYPE", "RULE"):
-        for line, record in records[kind]:
-            for anchor in record.rep.rep_k:
-                if anchor not in pool:
-                    raise DanglingReference(
-                        anchor, f"line {line}: representation anchor"
-                    )
+        _store_each(records[kind], resolve)
+    return state
 
 
 # ===== fragment helpers for the CLI =====

@@ -649,7 +649,7 @@ def reconstruct_substitution(network: Network, link: SemanticLink) -> Dict[str, 
     found = step_substitutions(network, rule, premises, link.triple())
     if not found:
         raise InvalidRule(
-            f"premises {premises} do not satisfy the body of rule {rule.id!r}"
+            f"link {link.id!r}: premises {premises} do not satisfy the body of rule {rule.id!r}"
         )
     return found[0]
 

@@ -115,7 +115,7 @@ def test_lexicon_words_must_be_non_empty():
     # KSIF import refuses an empty word, so both mutators do, before storing.
     lex = Lexicon()
     for store in (lambda: lex.add("", "c1"), lambda: lex.set_candidates("", ["c1"])):
-        with pytest.raises(ValueError, match="lexicon words must be non-empty"):
+        with pytest.raises(InvalidRep, match="lexicon words must be non-empty"):
             store()
     assert len(lex) == 0 and "" not in lex
 
@@ -126,7 +126,7 @@ def test_lexicon_words_must_be_text():
     lex = Lexicon()
     for word in (5, ("w",), None):
         for store in (lambda: lex.add(word, "c1"), lambda: lex.set_candidates(word, ["c1"])):
-            with pytest.raises(ValueError, match="lexicon words must be non-empty text"):
+            with pytest.raises(InvalidRep, match="lexicon words must be non-empty text"):
                 store()
     assert len(lex) == 0
 
@@ -153,7 +153,7 @@ def test_lexicon_keeps_priority_order():
     assert lex.candidates("bank") == ["c1", "c2"]
     assert "bank" in lex
     assert lex.candidates("missing") == []
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRep):
         lex.add("", "c1")
 
 

@@ -14,8 +14,7 @@ Any other exception fails the run.
 
 Lexicon candidates are drawn from stored concepts only, and representations
 carry no anchors: import refuses a candidate or an anchor that names
-nothing, and no mutator checks either yet. Lexicon words are never empty, as
-the lexicon refuses one with a ValueError. Rules handed to add_rule have the
+nothing, and no mutator checks either yet. Rules handed to add_rule have the
 structure rules.validate_rule accepts; it is that function's to check.
 
 More seeds, with counts of calls, refusals and round trips, as a table:
@@ -160,10 +159,10 @@ def _calls(rng: random.Random, state: EngineState) -> List[Call]:
             rng.choice(((pick(TEXT), pick(SCALARS)), (pick(TEXT), stored(concepts)))))])),
         ("generalize_concepts", lambda: generalize_concepts(
             store, [stored(concepts) for _ in range(rng.randint(1, 3))])),
-        ("lexicon.add", lambda: lexicon.add(rng.choice(WORDS[0]), rng.choice(sorted(concepts)))
+        ("lexicon.add", lambda: lexicon.add(pick(WORDS), rng.choice(sorted(concepts)))
          if concepts else None),
         ("set_candidates", lambda: lexicon.set_candidates(
-            rng.choice(WORDS[0]), rng.sample(sorted(concepts), min(2, len(concepts))))
+            pick(WORDS), rng.sample(sorted(concepts), min(2, len(concepts))))
          if concepts else None),
         ("add_problem", lambda: state.add_problem(Problem(
             pick(RECORD_IDS), pick(KINDS), pick(TEXT),

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from ksengine.concepts import Concept, ConceptStore, enrich_concept
+from ksengine.concepts import (
+    Concept, ConceptServices, ConceptStore, ConceptStructure, enrich_concept,
+)
 from ksengine.errors import (
     CannotRetractDerived,
     DuplicateExplicitLink,
@@ -15,6 +17,7 @@ from ksengine.errors import (
     InvalidRule,
     MalformedPattern,
     NegativeWeight,
+    NonFiniteWeight,
     UnknownCategory,
     UnknownLinkType,
     UnknownNode,
@@ -205,6 +208,21 @@ _HITS = (PatternAtom("?x", "t", "?y"),)
     (lambda st: st.concepts.add_concept("x", link_type=5), InvalidRep),
     (lambda st: st.concepts.add_concept("x", link_type=""), InvalidRep),
     (lambda st: st.concepts.add_concept("x", priori=2), InvalidRep),
+    # A compartment value import would refuse, though ConceptStore.add
+    # used to store it.
+    (lambda st: st.concepts.add(Concept(None, "x", structure=ConceptStructure(
+        attributes={"mass": float("nan")}))), InvalidRep),
+    (lambda st: st.concepts.add(Concept(None, "x", rules=["ok", 5])), InvalidRep),
+    (lambda st: st.concepts.add(Concept(None, "x", services=ConceptServices(
+        processes=[("step", None)]))), InvalidRep),
+    (lambda st: st.concepts.add(Concept(None, "x", structure=ConceptStructure(
+        relations={("", "x"): 1.0}))), InvalidRep),
+    (lambda st: st.concepts.add(Concept(None, "x", structure=ConceptStructure(
+        relations={("near", "x"): float("inf")}))), NonFiniteWeight),
+    (lambda st: st.concepts.add(Concept(None, "x", structure=ConceptStructure(
+        relations={("near", "x"): "1"}))), NonFiniteWeight),
+    (lambda st: st.lexicon.add("", "c1"), InvalidRep),
+    (lambda st: st.lexicon.set_candidates("w", []), InvalidRep),
     (lambda st: st.network.add_rule(st.network.rules["r"]), InvalidRule),
     (lambda st: st.add_problem(Problem("p1", "relationship", 5)), InvalidRep),
     (lambda st: st.add_problem(Problem("p1", "mystery", "s")), InvalidProblem),
@@ -221,8 +239,10 @@ _HITS = (PatternAtom("?x", "t", "?y"),)
      InvalidRule),
 ], ids=["type-transitive", "type-symmetric", "network-category-name", "dimension-root-name",
         "category-name", "concept-name", "concept-link-type", "concept-empty-link-type",
-        "concept-priori", "rule-taken", "problem-statement", "problem-kind",
-        "problem-evidence", "problem-id", "problem-category", "problem-evidence-entry",
+        "concept-priori", "concept-attribute-nan", "concept-entry", "concept-process-step",
+        "concept-relation-label", "concept-relation-weight", "concept-relation-weight-text",
+        "lexicon-empty-word", "lexicon-no-candidates", "rule-taken", "problem-statement",
+        "problem-kind", "problem-evidence", "problem-id", "problem-category", "problem-evidence-entry",
         "problem-concept", "anomaly-template", "anomaly-id", "anomaly-metric"])
 def test_refused_values_leave_no_trace(call, error):
     """A value export could not write, or a taken rule id, is refused before

@@ -453,29 +453,41 @@ def enrich_concept(
     """Append entries to a concept's compartments, collapsing duplicates.
 
     Records are (compartment, payload) pairs: "attribute" takes (label, value),
-    checked as Network.add_node checks it (else InvalidRep), "process" takes
-    a step sequence, "relation" takes (label, target), and the list
-    compartments (instance, interface, use_case, object, event, rule, media,
-    language) take one text entry each.
+    checked as Network.add_node checks it, "process" takes a sequence of text
+    steps, "relation" takes (label, target), a non-empty text label and the
+    text id of a stored concept, and the list compartments (instance, interface,
+    use_case, object, event, rule, media, language) take one text entry
+    each. Every record is checked before any is stored, as ConceptStore.add
+    checks what it stores: a payload that is not text is an InvalidRep, and
+    a refused call stores nothing.
     """
     concept = store.get(concept_id)
+    entries = []
     for compartment, payload in records:
         if compartment == "attribute":
-            label, value = check_attribute(*payload)  # type: ignore[misc]
-            concept.structure.attributes[label] = value
+            entry = check_attribute(*payload)  # type: ignore[misc]
         elif compartment == "process":
-            steps = tuple(str(s) for s in payload)  # type: ignore[arg-type]
-            if steps not in concept.services.processes:
-                concept.services.processes.append(steps)
+            entry = tuple(check_str(step, "compartment entry") for step in payload)  # type: ignore
         elif compartment == "relation":
-            label, target = map(str, payload)  # type: ignore[call-overload]
-            if (label, target) not in concept.structure.relations:
-                store.add_relation(concept_id, label, target)
+            label, target = payload  # type: ignore[misc]
+            entry = (check_text(label, "relation label"),
+                     store.get(check_str(target, "relation target")).id)
         elif compartment in _LIST_COMPARTMENTS:
-            bucket = _LIST_COMPARTMENTS[compartment](concept)
-            entry = str(payload)
-            if entry not in bucket:
-                bucket.append(entry)
+            entry = check_str(payload, "compartment entry")  # type: ignore[arg-type]
         else:
             raise UnknownCompartment(f"no compartment named {compartment!r}")
+        entries.append((compartment, entry))
+    for compartment, entry in entries:
+        if compartment == "attribute":
+            concept.structure.attributes[entry[0]] = entry[1]
+        elif compartment == "process":
+            if entry not in concept.services.processes:
+                concept.services.processes.append(entry)
+        elif compartment == "relation":
+            if entry not in concept.structure.relations:
+                store.add_relation(concept_id, *entry)
+        else:
+            bucket = _LIST_COMPARTMENTS[compartment](concept)
+            if entry not in bucket:
+                bucket.append(entry)
     return concept

@@ -19,6 +19,15 @@ and never emitted on export.
 Each record kind's field layout is written once, as a row of _ROWS built
 from a few value codecs (after Kennedy's pickler combinators, JFP 2004):
 export writes every record and import reads it through that one row.
+
+Import is a bulk load. A kind with many lines is read by its row's fast
+path: one regex, built from the row's codecs, for the text export writes,
+and the codecs' own parse and build functions on the groups it captures.
+A line it misses goes to the row's table reader, the one place a read
+fault is named. A link whose ends, type and rule resolve is stored by
+Network._store under the ids the network holds; any other goes through its
+mutator, which names the fault. rules.step_replay checks each derived
+step by comparing terms, and replays in full a step the comparison refuses.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from .concepts import (
@@ -53,7 +62,7 @@ from .errors import (
     UnknownKind,
 )
 from .rules import (
-    PatternAtom, PremiseCycle, Rule, premise_walk, reconstruct_substitution, validate_rule,
+    PatternAtom, PremiseCycle, Rule, premise_walk, step_replay, validate_rule,
 )
 from .sln import (
     ClassRef,
@@ -110,14 +119,42 @@ def unescape_field(text: str, line: int) -> str:
 # them from the iterator fields, naming the line and the field in any fault.
 # A scalar whose write is None is an id, written as it is. Values are checked
 # by the checks their mutators use, so import accepts what the engine holds.
+#
+# The fast path (see _read) reads a line by one regex per row. A codec's
+# pattern matches the text export writes for it, with a group per field
+# (None: no fast path, for the codec or a row holding it). expr(at, names)
+# gives the Python expression of its value over the groups g of a match,
+# its first group at g[at], and the index after its last, putting what it
+# calls in names. _taker compiles a row's expression, so the fast path runs
+# the parse and build functions the table reader runs, and no code per codec.
+
+_ID_SHAPE = ID_PATTERN.pattern.removesuffix(r"\Z")
+_REAL_SHAPE = r"[-+.0-9e]+"  # wide enough for repr of a finite float; parse checks it
+
+
+def _named(names: Dict[str, object], value: object) -> str:
+    name = f"_{len(names)}"
+    names[name] = value
+    return name
+
+
+def _taker(codec) -> Callable[[tuple], object]:
+    """The codec's value from the groups of a match of its pattern. The
+    expression is built from the codec table alone, never from text."""
+    names: Dict[str, object] = {}
+    return eval(f"lambda g: {codec.expr(0, names)[0]}", names)
+
 
 class _Scalar:
     """One field. parse raises KsError, KeyError or ValueError on text that
-    is not what `expected` says."""
+    is not what `expected` says. shape is a regex for the field's text; with
+    exact, text that shape matches is the value, the shape its whole check."""
 
     def __init__(self, write: Optional[Callable[[object], str]],
-                 parse: Callable[[str], object], expected: str):
+                 parse: Callable[[str], object], expected: str,
+                 shape: Optional[str] = None, exact: bool = False):
         self.write, self.parse, self.expected = write, parse, expected
+        self.shape, self.pattern, self.exact = shape, shape and f"({shape})", exact
 
     def read(self, fields: Iterator[str], line: int, name: str) -> object:
         text = next(fields, None)
@@ -127,6 +164,9 @@ class _Scalar:
             return self.parse(text)
         except (KsError, KeyError, ValueError):
             raise MalformedRecord(line, f"{name} {text!r} is not {self.expected}") from None
+
+    def expr(self, at: int, names: Dict[str, object]) -> Tuple[str, int]:
+        return (f"g[{at}]" if self.exact else f"{_named(names, self.parse)}(g[{at}])"), at + 1
 
 
 class _Group:
@@ -147,6 +187,9 @@ class _Group:
         self.writers = tuple((i, codec.write) for i, (_name, codec) in enumerate(fields)
                              if codec.write is not None)
         self.build, self.parts = build, parts
+        self.codecs = [codec for _name, codec in fields]
+        patterns = [codec.pattern for codec in self.codecs]
+        self.pattern = None if None in patterns else "\t".join(patterns)
 
     def read(self, fields: Iterator[str], line: int, name: str = "") -> object:
         values = []
@@ -168,6 +211,13 @@ class _Group:
                 raise MalformedRecord(line, f"{what} {text!r} is not {expected}") from None
         return self.build(*values)
 
+    def expr(self, at: int, names: Dict[str, object]) -> Tuple[str, int]:
+        values = []
+        for codec in self.codecs:
+            value, at = codec.expr(at, names)
+            values.append(value)
+        return f"{_named(names, self.build)}({', '.join(values)})", at
+
     def write(self, value: object) -> str:
         fields = list(self.parts(value))
         for i, write in self.writers:
@@ -176,10 +226,14 @@ class _Group:
 
 
 class _Counted:
-    """A count, then that many items of one codec; read gives a list."""
+    """A count, then that many items of one codec; read gives a list. Only
+    a list of exact scalars has a fast path: its items are the fields its
+    group splits into, which must be as many as the count says."""
 
     def __init__(self, item, item_name: str):
         self.item, self.item_name, self.count_name = item, item_name, f"{item_name} count"
+        exact = isinstance(item, _Scalar) and item.exact
+        self.pattern = rf"([0-9]+)((?:\t{item.shape})*)" if exact else None
 
     def read(self, fields: Iterator[str], line: int, name: str = "") -> list:
         count = _COUNT.read(fields, line, self.count_name)
@@ -196,6 +250,15 @@ class _Counted:
         if len(ids) < count:
             raise MalformedRecord(line, f"missing field: {what}")
         return ids
+
+    def expr(self, at: int, names: Dict[str, object]) -> Tuple[str, int]:
+        return f"{_named(names, self.take)}(g[{at}], g[{at + 1}])", at + 2
+
+    def take(self, count: str, items: str) -> list:
+        found = items.split("\t")[1:]  # the text before the first tab is ""
+        if len(found) != _count(count):
+            raise ValueError(f"{count} {self.item_name} items expected")
+        return found
 
     def write(self, items: Sequence[object]) -> str:
         write = self.item.write
@@ -221,12 +284,19 @@ class _Pairs(_Counted):
 class _Tagged:
     """A tag field, then the fields of the alternative it names. Each
     alternative is (tag, type of its values, codec); with codec None the
-    tag alone stands for type()."""
+    tag alone stands for type(). The pattern has a group for each
+    alternative's tag, then the groups of its fields."""
 
     def __init__(self, alternatives: Sequence[Tuple[str, type, object]]):
+        self.alternatives = tuple(alternatives)
         self.by_tag = {tag: (kind, codec) for tag, kind, codec in alternatives}
         self.by_type = {kind: (tag, None) if codec is None else (tag + "\t", codec.write)
                         for tag, kind, codec in alternatives}
+        self.pattern = None
+        if all(codec is None or codec.pattern for _tag, _kind, codec in alternatives):
+            self.pattern = "(?:" + "|".join(
+                f"({tag})" if codec is None else rf"({tag})\t{codec.pattern}"
+                for tag, _kind, codec in alternatives) + ")"
 
     def read(self, fields: Iterator[str], line: int, name: str) -> object:
         tag = next(fields, None)
@@ -236,6 +306,19 @@ class _Tagged:
             raise MalformedRecord(line, f"bad {name} tag {tag!r}")
         kind, codec = self.by_tag[tag]
         return kind() if codec is None else codec.read(fields, line, name)
+
+    def expr(self, at: int, names: Dict[str, object]) -> Tuple[str, int]:
+        # The value of the alternative whose tag group is set; the last needs no test.
+        values, tests = [], []
+        for _tag, kind, codec in self.alternatives:
+            tests.append(f"g[{at}] is not None")
+            if codec is None:
+                value, at = f"{_named(names, kind)}()", at + 1
+            else:
+                value, at = codec.expr(at + 1, names)
+            values.append(value)
+        return "(" + "".join(f"{value} if {test} else "
+                             for value, test in zip(values[:-1], tests)) + values[-1] + ")", at
 
     def write(self, value: object) -> str:
         try:
@@ -260,17 +343,18 @@ def _record(*values: object) -> tuple:
     return values
 
 
-_ID = _Scalar(None, check_id, "a valid id")
+_ID = _Scalar(None, check_id, "a valid id", _ID_SHAPE, exact=True)
 _is_id = ID_PATTERN.match  # check_id on text known to be str
 _OPT_ID = _Scalar(lambda value: value or "", lambda text: check_id(text) if text else None,
-                  "a valid id or empty")
-_TEXT = _Scalar(escape_field, str, "text")
-_NONEMPTY = _Scalar(escape_field, check_text, "non-empty text")
-_FLAG = _Scalar(("0", "1").__getitem__, {"0": False, "1": True}.__getitem__, "1 or 0")
-_COUNT = _Scalar(str, _count, "a count (an integer >= 0)")
+                  "a valid id or empty", f"(?:{_ID_SHAPE})?")
+_TEXT = _Scalar(escape_field, str, "text", r"[^\t]*", exact=True)
+_NONEMPTY = _Scalar(escape_field, check_text, "non-empty text", r"[^\t]+")
+_FLAG = _Scalar(("0", "1").__getitem__, {"0": False, "1": True}.__getitem__, "1 or 0", "[01]")
+_COUNT = _Scalar(str, _count, "a count (an integer >= 0)", "[0-9]+")
 _REAL = _Scalar(lambda value: repr(float(value)), lambda text: check_scalar(float(text)),
-                "a finite number")
-_WEIGHT = _Scalar(repr, lambda text: check_weight(float(text)), "a finite number >= 0")
+                "a finite number", _REAL_SHAPE)
+_WEIGHT = _Scalar(repr, lambda text: check_weight(float(text)), "a finite number >= 0",
+                  _REAL_SHAPE)
 
 
 def _texts(item_name: str) -> _Counted:
@@ -281,7 +365,7 @@ def _texts(item_name: str) -> _Counted:
 # point at a file or name a class.
 _SCALAR_TAGS = (
     ("S", str, _TEXT),
-    ("I", int, _Scalar(str, int, "an integer")),
+    ("I", int, _Scalar(str, int, "an integer", "-?[0-9]+")),
     ("R", float, _REAL),
 )
 _SCALAR = _Tagged(_SCALAR_TAGS)
@@ -353,19 +437,18 @@ def _concept_parts(c: Concept) -> tuple:
 
 class _Row(_Group):
     """A record kind's layout, with the noun that names a record in messages
-    and its key: a key seen twice within a kind is a duplicate."""
+    (by its first field) and its key: a key seen twice within a kind is a
+    duplicate. fast is the row's fast path once compiled: (fullmatch, which
+    matches a line's fields in full from a position, take, which gives the
+    record from the groups matched)."""
 
-    def __init__(self, noun: str, key: Callable[[object], tuple], fields, build, parts):
+    def __init__(self, noun: str, key: Callable[[object], Hashable], fields, build, parts):
         super().__init__(fields, build, parts)
         self.noun, self.key = noun, key
+        self.fast: Optional[tuple] = None
 
 
-def _by_id(record) -> tuple:
-    return (record.id,)
-
-
-def _by_first(record: tuple) -> tuple:
-    return (record[0],)
+_by_id, _by_first = attrgetter("id"), itemgetter(0)
 
 
 _ROWS: Dict[str, _Row] = {
@@ -519,43 +602,70 @@ def export_space_fragment(space: Space) -> str:
 Records = Dict[str, List[Tuple[int, object]]]  # kind -> (line, decoded record)
 
 
+# A kind whose first line in a document has another line of its kind this
+# many lines on, as in export's grouped order, has its row's fast path
+# compiled, once per process: compiling costs about what the fast path
+# saves on a few hundred lines, and every CLI call loads the module afresh.
+_BULK = 256
+
+
 def _read(text: str, kinds: Sequence[str], what: str) -> Records:
     """The document's records, each read once through its row, grouped by
     kind in file order. A kind outside kinds is malformed in this document
     (what names it in the message); a key repeated within a kind is a
-    DuplicateId. Only a line holding a backslash has escapes to undo."""
-    lines = iter(text.split("\n"))
-    if next(lines) != HEADER:
+    DuplicateId. Only a line holding a backslash has escapes to undo.
+
+    A line without one goes first by its row's fast path, if compiled. A
+    line its pattern misses, or whose take raises, is read by the row's
+    table reader, which names every fault; the fast path accepts only lines
+    the table reader accepts, and gives equal records."""
+    lines = text.split("\n")
+    if lines[0] != HEADER:
         raise BadHeader(f"first line must be exactly {HEADER!r}")
-    records: Records = {kind: [] for kind in kinds}
-    seen: Dict[str, Set[tuple]] = {kind: set() for kind in kinds}
-    for line, raw in enumerate(lines, start=2):
-        if raw == "" or raw.startswith("#"):
+    table = {kind: (_ROWS[kind], [], set()) for kind in kinds}  # row, records, keys seen
+    for line, raw in enumerate(islice(lines, 1, None), start=2):
+        if not raw or raw[0] == "#":
             continue
-        rest = iter(raw.split("\t"))
-        kind = next(rest)
-        if kind not in records:
+        kind = raw.partition("\t")[0]
+        entry = table.get(kind)
+        if entry is None:
             if kind not in _ROWS:
                 raise UnknownKind(line, kind)
             raise MalformedRecord(line, f"{kind} not allowed in {what}")
-        if "\\" in raw:
-            rest = iter([unescape_field(field, line) for field in rest])
-        row = _ROWS[kind]
-        try:
-            record = row.read(rest, line)
-        except MalformedRecord:
-            raise
-        except (KsError, ValueError) as exc:
-            raise MalformedRecord(line, str(exc)) from None
-        extra = next(rest, None)
-        if extra is not None:
-            raise MalformedRecord(line, f"unexpected trailing fields {[extra, *rest]!r}")
+        row, found, seen = entry
+        if not found and row.fast is None and row.pattern is not None:
+            ahead = lines[line - 1 + _BULK:line + _BULK]  # lines[line - 1] is this line
+            if ahead and ahead[0].partition("\t")[0] == kind:
+                row.fast = (re.compile(row.pattern).fullmatch, _taker(row))
+        record = None  # no row builds None
+        if row.fast is not None and "\\" not in raw:
+            fullmatch, take = row.fast
+            match = fullmatch(raw, len(kind) + 1)
+            if match is not None:
+                try:
+                    record = take(match.groups())
+                except (KsError, ValueError):
+                    pass
+        if record is None:  # the table reader
+            rest = iter(raw.split("\t")[1:])
+            if "\\" in raw:
+                rest = iter([unescape_field(field, line) for field in rest])
+            try:
+                record = row.read(rest, line)
+            except MalformedRecord:
+                raise
+            except (KsError, ValueError) as exc:
+                raise MalformedRecord(line, str(exc)) from None
+            extra = next(rest, None)
+            if extra is not None:
+                raise MalformedRecord(line, f"unexpected trailing fields {[extra, *rest]!r}")
         key = row.key(record)
-        if key in seen[kind]:
-            raise DuplicateId(f"line {line}: {row.noun} {key[0]!r} defined twice")
-        seen[kind].add(key)
-        records[kind].append((line, record))
-    return records
+        if key in seen:
+            raise DuplicateId(
+                f"line {line}: {row.noun} {row.parts(record)[0]!r} defined twice")
+        seen.add(key)
+        found.append((line, record))
+    return {kind: found for kind, (_row, found, _seen) in table.items()}
 
 
 def _line_fault(line: int, exc: KsError) -> KsError:
@@ -581,41 +691,75 @@ def _store_each(records: List[Tuple[int, object]], store: Callable[[object], obj
         raise _line_fault(line, exc) from None
 
 
+def _store_links(net: Network, links: List[Tuple[int, SemanticLink]]) -> None:
+    """Store the decoded links in file order. A link whose ends and type are
+    stored, whose triple is not, and whose rule id resolves goes straight to
+    Network._store: its codec checked its weight, and each rule id is
+    resolved once. Any other link goes through assert_link or add_derived,
+    which name its fault. A stored link's ends and type are the objects the
+    network already holds, and the links of one rule share one rule id."""
+    nodes = {nid: nid for nid in net.nodes}
+    types = {tid: tid for tid in net.link_types}
+    rules: Dict[Optional[str], tuple] = {None: (None, None)}  # id -> (id kept, closure type)
+    find, store = net._find_stored, net._store
+    for line, link in links:
+        source, target = nodes.get(link.source), nodes.get(link.target)
+        type_id, rule = types.get(link.type), rules.get(link.rule_id)
+        if rule is None:
+            try:
+                rule = rules[link.rule_id] = (link.rule_id, net.closure_type(link.rule_id))
+            except NotFound:
+                pass
+        if rule is None or None in (source, type_id, target) or find(source, type_id, target):
+            _store_each([(line, link)], partial(_add_link, net))
+        else:
+            rule_id, closure = rule
+            store(source, type_id, target, link.weight, rule_id, link.premises,
+                  closure != type_id, link.id)
+
+
+def _add_link(net: Network, link: SemanticLink) -> str:
+    if link.is_explicit:
+        return net.assert_link(link.source, link.type, link.target, link.weight, link.id)
+    return net.add_derived(link.source, link.type, link.target, link.weight,
+                           link.rule_id, link.premises, link.id)
+
+
 def _build_network(records: Records, net: Network) -> None:
     _store_each(records["LINKTYPE"], lambda lt: net.add_link_type(
         lt.rep, lt.transitive, lt.symmetric, type_id=lt.id))
     _store_each(records["LINKTYPE"], lambda lt: net.set_type_parent(lt.id, lt.parent))
-
-    def add_link(link: SemanticLink) -> None:
-        if link.is_explicit:
-            net.assert_link(link.source, link.type, link.target, link.weight, link.id)
-        else:
-            net.add_derived(link.source, link.type, link.target, link.weight,
-                            link.rule_id, link.premises, link.id)
-
     _store_each(records["NODE"], lambda node: net.add_node(node.rep, node.attributes, node.id))
     for _line, node in records["NODE"]:
         net.nodes[node.id].rank = node.rank
     _store_each(records["RULE"], net.add_rule)
-    _store_each(records["LINK"], add_link)
-    derived = [entry for entry in records["LINK"] if not entry[1].is_explicit]
+    _store_links(net, records["LINK"])
+    links = net.links
+    derived = [(line, link) for line, link in records["LINK"] if link.rule_id is not None]
+
     # Network.link refuses each premise the network lacks, at its link's line.
-    missing = [(line, pid) for line, link in derived for pid in link.premises
-               if pid not in net.links]
+    missing = [(line, pid) for line, link in derived for pid in link.premises if pid not in links]
     _store_each(missing, net.link)
-    # Provenance must be well-founded. One premise walk from every derived
-    # link, in file order, meets a cycle first from the first link on or
-    # above one, and names that link.
-    premises = {link.id: link.premises for _line, link in derived}
-    try:
-        for _lid in premise_walk(premises, premises.get):
-            pass
-    except PremiseCycle as cycle:
-        line, root = next((line, link.id) for line, link in derived if link.id == cycle.args[1])
-        raise MalformedRecord(line, f"provenance of link {root!r} rests on a premise cycle") from None
+    # Provenance must be well-founded. An explicit link cites nothing, so
+    # when every derived premise was stored before the link citing it, as
+    # when ids follow derive order, storing order orders the premise graph.
+    # Else one premise walk from every derived link, in file order, meets a
+    # cycle first from the first link on or above one, and names that link.
+    stamp = net._stamp
+    if any(stamp[pid] >= stamp[link.id] and links[pid].rule_id is not None
+           for _line, link in derived for pid in link.premises):
+        premises = {link.id: link.premises for _line, link in derived}
+        try:
+            for _lid in premise_walk(premises, premises.get):
+                pass
+        except PremiseCycle as cycle:
+            line, root = next((line, link.id) for line, link in derived
+                              if link.id == cycle.args[1])
+            raise MalformedRecord(
+                line, f"provenance of link {root!r} rests on a premise cycle") from None
     # Each step must hold as `explain` replays it: the rule's body reads the
     # premises and a head atom gives the link's triple.
-    _store_each(derived, partial(reconstruct_substitution, net))
+    _store_each(derived, step_replay(net))
 
 
 def _tree(cats: List[Tuple[int, tuple]]) -> CategoryTree:

@@ -67,7 +67,8 @@ first produced it, which is what KSIF saves, so a network and its reload
 hold the same information. A firing whose head triple is already stored
 is skipped; nothing is kept per firing. explain, verify_explanation and
 KSIF import read proofs through premise_walk, the one walk over premises,
-and step_substitutions, the one check of a step.
+and step_substitutions, the one check of a step; import compares terms
+first (step_replay) and replays only a step the comparison refuses.
 
 Retraction is DRed (delete and rederive). From a network at its fixpoint it
 over-deletes the provenance closure of the retracted link, then marks what
@@ -652,6 +653,74 @@ def reconstruct_substitution(network: Network, link: SemanticLink) -> Dict[str, 
             f"link {link.id!r}: premises {premises} do not satisfy the body of rule {rule.id!r}"
         )
     return found[0]
+
+
+def step_replay(network: Network) -> Callable[[SemanticLink], object]:
+    """KSIF import's replay of derived links over the network holding their
+    premises, each rule id resolved once: the callable returns when a
+    link's step holds and raises
+    reconstruct_substitution's InvalidRule when it does not.
+
+    A step holds at the cost of comparing terms when the rule's body reads
+    each premise in its own direction and a head atom then gives the link's
+    triple (see _own_reading_tests): for a closure step, when its premises,
+    both of the type, chain from the link's source to its target. Any other
+    step is replayed by reconstruct_substitution, which also reads a
+    symmetric premise reversed, so the verdict is the same and a fault keeps
+    its message. explain keeps the full replay."""
+    links = network.links
+    own, ends = operator.attrgetter("type", "source", "target"), operator.attrgetter(*_TRIPLE)
+    steps: Dict[str, tuple] = {}  # rule id -> (body length, constants, tests)
+
+    def check(link: SemanticLink) -> object:
+        step = steps.get(link.rule_id)
+        if step is None:
+            rule = get_rule(network, link.rule_id)
+            step = steps[link.rule_id] = (len(rule.body), *_own_reading_tests(rule))
+        body, constants, tests = step
+        if len(link.premises) == body:
+            try:
+                values = sum(map(own, map(links.__getitem__, link.premises)), constants)
+            except KeyError:  # a premise not stored
+                return reconstruct_substitution(network, link)
+            values += ends(link)
+            for left, right in tests:
+                if left(values) == right(values):
+                    return None
+        return reconstruct_substitution(network, link)
+
+    return check
+
+
+_TRIPLE = ("source", "type", "target")
+
+
+def _own_reading_tests(rule: Rule) -> Tuple[tuple, list]:
+    """Whether the rule's body reads premises each in its own direction and
+    a head atom then gives a triple, as equalities over one tuple: the
+    rule's constants, then (type, source, target) of each premise, then
+    the triple. Returns those constants and, per head atom, two itemgetters
+    whose values are equal when it holds: each later position of a term (a
+    constant's first is among the constants) against its first, and the
+    head's terms against the triple. A head variable the body does not
+    bind gives no test."""
+    body = [getattr(atom, name) for atom in rule.body for name in ("type", "source", "target")]
+    heads = [[getattr(atom, name) for name in _TRIPLE] for atom in rule.head]
+    constants = tuple(dict.fromkeys(
+        term for term in body + sum(heads, []) if not is_variable(term)))
+    first = {term: at for at, term in enumerate(constants)}  # term -> its first position
+    later, earlier = [], []
+    for at, term in enumerate(body, start=len(constants)):
+        if term in first:
+            later.append(at)
+            earlier.append(first[term])
+        else:
+            first[term] = at
+    end = len(constants) + len(body)
+    triple = range(end, end + 3)
+    return constants, [(operator.itemgetter(*later, *map(first.get, head)),
+                        operator.itemgetter(*earlier, *triple))
+                       for head in heads if all(term in first for term in head)]
 
 
 def explain(network: Network, link_id: str) -> Explanation:

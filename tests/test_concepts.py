@@ -403,3 +403,22 @@ def test_enrich_concept_compartments():
     store.add_relation(a.id, "uses", b.id, 1.5)
     enrich_concept(store, a.id, [("relation", ("uses", b.id))])
     assert a.structure.relations == {("uses", b.id): 2.5}
+
+
+@pytest.mark.parametrize("records", [
+    [("instance", None)],
+    [("process", [1, None])],
+    [("relation", (5, "b"))],
+    [("media", "photo"), ("rule", 3)],  # a refused record keeps the ones before it out
+])
+def test_enrich_concept_refuses_what_is_not_text(records):
+    """Entries, process steps and relation labels are text, as
+    ConceptStore.add checks them; a payload that is not is refused before
+    anything is stored, not stored as its str()."""
+    store = ConceptStore()
+    a = store.add_concept("a", concept_id="a")
+    store.add_concept("b", concept_id="b")
+    before = copy.deepcopy(a)
+    with pytest.raises(InvalidRep):
+        enrich_concept(store, "a", records)
+    assert store.get("a") == before

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ksengine import ksif
 from ksengine.cli import main
 from ksengine.errors import (
     BadHeader,
@@ -980,6 +981,51 @@ def fragment_census(seed: int) -> dict:
 
 def test_mutated_fragments_read_or_raise_an_engine_error_at_a_line():
     assert fragment_census(4242) == FRAGMENT_CENSUS
+
+
+def _import_outcome(text: str) -> tuple:
+    """("ok", the re-export), or the refusal's class and message."""
+    try:
+        state = import_state(text)
+    except KsError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", export_state(state)
+
+
+def test_fast_path_reads_as_the_table_reader_does(monkeypatch):
+    """Import with every row's fast path compiled and with none gives the
+    same outcome, class, message (and so line) and re-export on seeded
+    states and the mutants import_census(4242) reads, and every line export
+    writes without a backslash goes by the fast path of its row."""
+    rng = random.Random(4242)
+    states, docs = [], []
+    for index in range(50):
+        doc = export_state(random_state(rng, torture=index % 2 == 1))
+        states.append(doc)
+        docs += [doc] + [mutate(rng, doc) for _ in range(20)]
+
+    def outcomes(bulk: int) -> list:
+        monkeypatch.setattr(ksif, "_BULK", bulk)
+        for row in ksif._ROWS.values():
+            monkeypatch.setattr(row, "fast", None)
+        return [_import_outcome(doc) for doc in docs]
+
+    table = outcomes(sys.maxsize)  # no row compiles
+    assert not any(row.fast for row in ksif._ROWS.values())
+    fast = outcomes(0)  # a row compiles at the first line of its kind
+    assert fast == table
+    compiled = {kind: row for kind, row in ksif._ROWS.items() if row.fast}
+    assert set(compiled) == {kind for kind, row in ksif._ROWS.items() if row.pattern}
+    assert {"LINK", "LINKTYPE", "CAT", "LEXEME"} <= set(compiled)
+    taken = collections.Counter()
+    for doc in states:
+        for raw in doc.split("\n")[1:]:
+            kind = raw.partition("\t")[0]
+            if kind in compiled and "\\" not in raw:
+                fullmatch, take = compiled[kind].fast
+                take(fullmatch(raw, len(kind) + 1).groups())
+                taken[kind] += 1
+    assert taken["LINK"] > 100, taken
 
 
 def test_store_method_faults_keep_their_line_and_class():

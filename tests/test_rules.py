@@ -1,5 +1,7 @@
 """Rule validation, fixpoint derivation, explanations, and maintenance."""
 
+import collections
+import functools
 import hashlib
 import math
 import random
@@ -19,11 +21,12 @@ from ksengine.rules import (
     explain,
     get_rule,
     premise_walk,
+    reconstruct_substitution,
     retract_with_maintenance,
     validate_rule,
     verify_explanation,
 )
-from ksengine.sln import Network, RepBundle, fresh_id
+from ksengine.sln import Network, RepBundle, SemanticLink, fresh_id
 from ksengine.state import EngineState
 
 import oracles
@@ -1317,3 +1320,75 @@ def test_derive_compiles_each_join_once_and_runs_each_through_match_atoms(monkey
     assert compiled == [(body, 0), (body, 1)]
     assert [pos for pos, _plan in joined] == [0] + [1] * 28
     assert len({id(plan) for _pos, plan in joined}) == 2 and all(plan for _pos, plan in joined)
+
+
+def _verdict(replay, link) -> object:
+    """None when the link's step holds, else the InvalidRule message."""
+    try:
+        replay(link)
+    except InvalidRule as exc:
+        return str(exc)
+    return None
+
+
+def _step(link, premises, rule_id=None, triple=None):
+    """The link with its step's premises (and rule id, triple) replaced."""
+    source, type_id, target = triple or link.triple()
+    return SemanticLink(link.id, source, type_id, target, link.weight,
+                        rule_id or link.rule_id, tuple(premises))
+
+
+def test_import_step_replay_agrees_with_the_full_replay():
+    """rules.step_replay, which KSIF import runs, gives the verdict and
+    message reconstruct_substitution gives: on every derived link of seeded
+    rule networks, as stored, with its premises reversed and with a premise
+    swapped for another stored link, and on hand-made closure steps."""
+    rng = random.Random(31)
+    verdicts = collections.Counter()
+    for _ in range(12):
+        net = rule_network(rng)
+        derive_fixpoint(net)
+        replay, full = rules.step_replay(net), functools.partial(reconstruct_substitution, net)
+        stored = sorted(net.links)
+        for link in [link for link in net.links.values() if not link.is_explicit]:
+            swapped = list(link.premises)
+            swapped[rng.randrange(len(swapped))] = rng.choice(stored)
+            for premises in (link.premises, link.premises[::-1], swapped):
+                probe = _step(link, premises)
+                verdict = _verdict(replay, probe)
+                assert verdict == _verdict(full, probe), probe
+                verdicts[verdict is None] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
+
+    net = Network()
+    for node in "abcd":
+        net.add_node(RepBundle(node), node_id=node)
+    net.add_link_type(RepBundle("t"), transitive=True, type_id="t")
+    net.add_link_type(RepBundle("s"), transitive=True, symmetric=True, type_id="s")
+    net.add_link_type(RepBundle("u"), type_id="u")
+    for lid, source, type_id, target in (
+            ("ab", "a", "t", "b"), ("bc", "b", "t", "c"), ("cd", "c", "t", "d"),
+            ("aa", "a", "t", "a"), ("ub", "a", "u", "b"), ("sb", "a", "s", "b"),
+            ("cs", "c", "s", "b")):
+        net.assert_link(source, type_id, target, link_id=lid)
+    replay, full = rules.step_replay(net), functools.partial(reconstruct_substitution, net)
+    link = SemanticLink("k", "a", "t", "c", 1.0, "sys.transitive.t", ("ab", "bc"))
+    cases = [
+        (("ab", "bc"), None, True),                        # a chain
+        (("bc", "ab"), None, False),                       # premises swapped
+        (("ub", "bc"), None, False),                       # a premise of another type
+        (("aa", "ab"), ("a", "t", "b"), True),             # through a self-loop
+        (("aa", "aa"), ("a", "t", "a"), True),             # a self-loop twice
+        (("ab", "cd"), ("a", "t", "d"), False),            # the middle nodes differ
+        (("ab", "bc", "cd"), ("a", "t", "d"), False),      # three premises
+        (("sb", "cs"), ("a", "s", "c"), True),             # symmetric: cs read c <- b
+        (("cs", "sb"), ("c", "s", "a"), True),
+        (("sb", "sb"), ("a", "s", "a"), True),
+        (("sb", "cs"), ("a", "s", "d"), False),
+    ]
+    for premises, triple, holds in cases:
+        rule_id = "sys.transitive." + (triple or "ata")[1]
+        probe = _step(link, premises, rule_id, triple)
+        verdict = _verdict(replay, probe)
+        assert verdict == _verdict(full, probe)
+        assert (verdict is None) == holds, (premises, triple, verdict)

@@ -748,6 +748,7 @@ def _build_network(records: Records, net: Network) -> None:
     stamp = net._stamp
     if any(stamp[pid] >= stamp[link.id] and links[pid].rule_id is not None
            for _line, link in derived for pid in link.premises):
+        net._premises_first = False  # provenance_closure walks a dependents map
         premises = {link.id: link.premises for _line, link in derived}
         try:
             for _lid in premise_walk(premises, premises.get):

@@ -71,16 +71,16 @@ and step_substitutions, the one check of a step; import compares terms
 first (step_replay) and replays only a step the comparison refuses.
 
 Retraction is DRed (delete and rederive). From a network at its fixpoint it
-over-deletes the provenance closure of the retracted link, then marks what
-survives as closed: a firing over surviving links was a firing before the
-removal, so its head is stored or was over-deleted. Each rule head atom is
-then matched first against the over-deleted triples and the body after it
-against the network, which restores every over-deleted triple that one
-firing over surviving links still supports; a re-derive from the mark then
-propagates from the restored links alone. Links that survive keep their ids
-and provenance; restored links get fresh ids, and their weights and premises
-come from the firing that restored them, which need not be the firing a
-derive from scratch would pick.
+over-deletes the retracted link's provenance closure, one pass over the links
+in storing order, as a firing and a restore store each premise before the link
+citing it (Network.provenance_closure says where that order breaks), and marks
+the survivors closed: a firing over them was a firing before the removal, so
+its head is stored or was over-deleted. Each rule head atom is matched first
+against the over-deleted triples and the body after it against the network,
+restoring each over-deleted triple one firing over survivors still supports; a
+re-derive from the mark propagates from those alone. Survivors keep ids and
+provenance; a restored link gets a fresh id and the weight and premises of the
+firing that restored it, which a derive from scratch need not pick.
 """
 
 from __future__ import annotations

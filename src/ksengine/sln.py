@@ -289,6 +289,7 @@ class Network:
         # link; an upgrade drops its type's view. An end's links keep the
         # main index order; an end with no base link has no entry.
         self._base: Dict[str, Tuple[dict, dict]] = {}
+        self._premises_first = True  # see provenance_closure
         # (rule/type signature, link count) at the last fixpoint, written by
         # rules.derive_fixpoint and rules.retract_with_maintenance; any link
         # removal voids it.
@@ -375,22 +376,6 @@ class Network:
 
     # ===== link store =====
 
-    def _index_remove(self, link: SemanticLink) -> None:
-        tid = link.type
-        indexes = [(self._by_source[tid], self._by_target[tid])]
-        if tid in self._base and is_base(link):
-            indexes.append(self._base[tid])
-        for forward, backward in indexes:
-            for index, near, far in ((forward, link.source, link.target),
-                                     (backward, link.target, link.source)):
-                ends = index[near]
-                del ends[far]
-                if not ends:
-                    del index[near]
-        if not self._by_source[tid]:  # both indexes hold a type or neither does
-            del self._by_source[tid], self._by_target[tid]
-        del self._stamp[link.id]
-
     def _find_stored(self, source: str, type_id: str, target: str) -> Optional[SemanticLink]:
         """Stored link answering the triple, honoring symmetric completion."""
         by_source = self._by_source.get(type_id, _NO_ENDS)
@@ -432,6 +417,7 @@ class Network:
         self.closure_type(rule_id)  # an unknown rule raises
         if existing is not None:
             raise DuplicateId(f"triple ({source}, {type_id}, {target}) already stored")
+        self._premises_first = self._premises_first and all(p in self.links for p in premises)
         return self._store(source, type_id, target, weight, rule_id, premises,
                            rule_id != TRANSITIVE_PREFIX + type_id, link_id).id
 
@@ -497,30 +483,58 @@ class Network:
         link, even if another firing would still support it. Returns the
         removed links themselves (the retracted one first, then by id), so a
         caller can re-derive their triples without walking the closure again;
-        rules.retract_with_maintenance does. Any removal voids the derive mark.
+        rules.retract_with_maintenance does. The closure is provenance_closure's
+        walk, and the batch leaves the indexes and the stamps in one pass. Any
+        removal voids the derive mark.
         """
+        def drop(index: dict, near: str, far: str) -> None:
+            ends = index[near]
+            del ends[far]
+            if not ends:
+                del index[near]
         self.explicit_link(link_id)
-        closure = sorted(self.provenance_closure([link_id]), key=lambda r: (r != link_id, r))
-        removed = [self.links.pop(rid) for rid in closure]
-        for gone in removed:
-            self._index_remove(gone)
+        closure = self.provenance_closure([link_id])
+        removed = [self.links.pop(rid) for rid in (link_id, *sorted(closure - {link_id}))]
+        by_source, by_target, base = self._by_source, self._by_target, self._base
+        for link in removed:
+            tid, source, target = link.type, link.source, link.target
+            drop(by_source[tid], source, target)
+            drop(by_target[tid], target, source)
+            if tid in base and is_base(link):
+                drop(base[tid][0], source, target)
+                drop(base[tid][1], target, source)
+            del self._stamp[link.id]
+        for tid in [tid for tid, ends in by_source.items() if not ends]:
+            del by_source[tid], by_target[tid]  # both hold a type or neither does
         self.derive_mark = None
         return removed
 
     def provenance_closure(self, ids: Iterable[str]) -> Set[str]:
         """The given link ids plus every derived link whose provenance cites
-        one of them, directly or through other derived links."""
-        dependents: Dict[str, List[str]] = {}  # premise id -> ids citing it
-        for lid, link in self.links.items():
-            for premise in link.premises:
-                dependents.setdefault(premise, []).append(lid)
+        one of them, directly or through other derived links.
+
+        Firings, DRed restores and upgrades store each derived premise before
+        the links citing it, so while _premises_first holds one pass in
+        storing order is exact. add_derived citing a link not yet stored and
+        an import whose ids do not follow derive order clear it; the closure
+        is then walked over a premise -> dependents map.
+        """
         closure = set(ids)
+        if self._premises_first:
+            add, disjoint = closure.add, closure.isdisjoint
+            for link in self.links.values():
+                if not disjoint(link.premises):
+                    add(link.id)
+            return closure
+        dependents: Dict[str, List[str]] = {}  # premise id -> ids citing it
+        for link in self.links.values():
+            for premise in link.premises:
+                dependents.setdefault(premise, []).append(link.id)
         stack = list(closure)
         while stack:
-            for lid in dependents.get(stack.pop(), ()):
-                if lid not in closure:
-                    closure.add(lid)
-                    stack.append(lid)
+            fresh = [lid for lid in dependents.get(stack.pop(), ()) if lid not in closure]
+            closure.update(fresh)
+            stack += fresh
         return closure
 
     # ===== queries =====

@@ -134,6 +134,26 @@ def brute_index(links: Iterable[Tuple[str, str, str, str]]) -> Tuple[
     return by_source, by_target
 
 
+def brute_provenance_closure(premises: Mapping[str, Sequence[str]],
+                             ids: Iterable[str]) -> Set[str]:
+    """The given ids plus every id whose premises cite one of them, directly
+    or through others; premises maps each link id to the ids it cites. A
+    premise -> dependents map walked from the given ids, so no storing
+    order, premise cycle or missing premise changes the answer."""
+    dependents: Dict[str, List[str]] = {}
+    for lid, cited in premises.items():
+        for premise in cited:
+            dependents.setdefault(premise, []).append(lid)
+    closure = set(ids)
+    stack = list(closure)
+    while stack:
+        for lid in dependents.get(stack.pop(), ()):
+            if lid not in closure:
+                closure.add(lid)
+                stack.append(lid)
+    return closure
+
+
 def brute_rows(links: Iterable[Tuple[str, str, str, str, int]], symmetric: Set[str],
                tid: str, source: Optional[str], target: Optional[str],
                before: Optional[int]) -> List[Tuple[str, str, str]]:

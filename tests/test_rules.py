@@ -805,6 +805,108 @@ def test_closure_step_over_two_closure_links_still_replays():
     _check_closure(loaded)
 
 
+def _closure_is_the_reference(net, starts):
+    """Network.provenance_closure from each start equals the oracle's
+    premise -> dependents walk over the same links."""
+    premises = {lid: link.premises for lid, link in net.links.items()}
+    for start in starts:
+        assert net.provenance_closure(start) == oracles.brute_provenance_closure(
+            premises, start), start
+
+
+def _check_provenance_closure(net, rng):
+    """The closure from every explicit link, from a sample of links and from
+    a few sets of three links matches the reference."""
+    ids = list(net.links)
+    starts = [[link.id] for link in net.explicit_links()]
+    starts += [[lid] for lid in rng.sample(ids, min(10, len(ids)))]
+    starts += [rng.sample(ids, min(3, len(ids))) for _ in range(5)]
+    _closure_is_the_reference(net, starts)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_provenance_closure_matches_the_dependents_map_walk(seed):
+    """The storing-order walk, on each seeded network kind: derived, then
+    with derived links upgraded in place and new links derived on top, then
+    after a maintained retraction. Every one of these keeps each derived
+    premise stored before the links citing it."""
+    rng = random.Random(seed)
+    for net in (random_network(rng), large_network(rng), rule_network(rng),
+                closure_network(rng)):
+        derive_fixpoint(net)
+        _check_provenance_closure(net, rng)
+        derived = net.derived_links()
+        for link in rng.sample(derived, min(4, len(derived))):
+            assert net.assert_link(link.source, link.type, link.target) == link.id
+        nodes, types = sorted(net.nodes), sorted(net.link_types)
+        for _ in range(3):
+            _try_assert(net, rng.choice(nodes), rng.choice(types), rng.choice(nodes))
+        derive_fixpoint(net)
+        _check_provenance_closure(net, rng)
+        retract_with_maintenance(net, rng.choice(net.explicit_links()).id)
+        _check_provenance_closure(net, rng)
+        assert net._premises_first
+
+
+def _out_of_order_chain(build):
+    """a -> b -> c -> d under a transitive t: explicit e1..e3, derived
+    z1 = (a, c), z2 = (b, d) and a9 = (a, d), a9 citing e1 and z2. Built in
+    derive order, then re-imported, whose id order stores a9 before z2; or
+    with add_derived citing z2 before z2 is stored."""
+    net = Network()
+    for name in "abcd":
+        net.add_node(RepBundle(word=name), node_id=name)
+    net.add_link_type(RepBundle(word="t"), transitive=True, type_id="t")
+    for i, (source, target) in enumerate(("ab", "bc", "cd"), 1):
+        net.assert_link(source, "t", target, link_id=f"e{i}")
+    step = "sys.transitive.t"
+    z1 = ("a", "t", "c", 1.0, step, ("e1", "e2"), "z1")
+    z2 = ("b", "t", "d", 1.0, step, ("e2", "e3"), "z2")
+    a9 = ("a", "t", "d", 1.0, step, ("e1", "z2"), "a9")
+    if build == "import":
+        for link in (z1, z2, a9):
+            net.add_derived(*link)
+        assert net._premises_first
+        net = import_state(export_state(EngineState(network=net))).network
+        assert list(net.links).index("a9") < list(net.links).index("z2")
+    else:
+        for link in (z1, a9, z2):
+            net.add_derived(*link)
+    return net
+
+
+@pytest.mark.parametrize("build", ["import", "forward reference"])
+def test_retract_out_of_storing_order_still_removes_what_leans_on_it(build):
+    """A derived link stored before its derived premise: retracting e3 must
+    remove z2 and, through it, a9, though a9 comes first in storing order.
+    Such a network is marked, and its closure walks the dependents map."""
+    net = _out_of_order_chain(build)
+    assert not net._premises_first
+    assert net.provenance_closure(["e3"]) == {"e3", "z2", "a9"}
+    _closure_is_the_reference(net, [[lid] for lid in net.links] + [["e1", "e3"]])
+    _retract_and_check(net, "e3")
+    assert sorted(net.links) == ["e1", "e2", "z1"]
+
+
+def test_retract_through_a_premise_cycle():
+    """k2 cites k3 and k3 cites k2 (add_derived lets a premise come later):
+    the closure of either explicit premise takes both, and retracting one
+    removes the cycle with it and leaves the indexes to the survivor."""
+    net = Network()
+    for name in "abc":
+        net.add_node(RepBundle(word=name), node_id=name)
+    net.add_link_type(RepBundle(word="t"), transitive=True, type_id="t")
+    net.assert_link("a", "t", "b", link_id="k1")
+    net.assert_link("b", "t", "a", link_id="k0")
+    net.add_derived("a", "t", "c", 1.0, "sys.transitive.t", ("k1", "k3"), link_id="k2")
+    net.add_derived("b", "t", "c", 1.0, "sys.transitive.t", ("k0", "k2"), link_id="k3")
+    assert not net._premises_first
+    _closure_is_the_reference(net, [[lid] for lid in net.links])
+    assert net.provenance_closure(["k1"]) == {"k1", "k2", "k3"}
+    assert [link.id for link in net.retract_link("k1")] == ["k1", "k2", "k3"]
+    assert net.rows("t") == [("b", "a", "k0")] and list(net._stamp) == ["k0"]
+
+
 # ===== derive output pinned byte for byte =====
 
 def _pinned_chain(rng):
